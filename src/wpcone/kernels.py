@@ -296,12 +296,17 @@ def moment_integral(
     """
     if k < 0:
         raise ValueError("moment index must be nonnegative")
+    check_moment_index(k, max_k)
+    return _moment_poly(k)
+
+
+def check_moment_index(k: int, max_k: Optional[int]) -> None:
+    """Raise if moment index k exceeds the max_moment_k cap (None lifts it)."""
     if max_k is not None and k > max_k:
         raise ValueError(
             f"moment index {k} exceeds max_moment_k={max_k}; raise the "
             "max_moment_k configuration knob to allow this computation"
         )
-    return _moment_poly(k)
 
 
 # -- numerical quadrature oracle ----------------------------------------------

@@ -18,6 +18,17 @@ integrates l_1 * V in l_1.  They are carried by a per-slot parity vector
 (0 = even, 1 = odd) that applies uniformly to every stored term: the actual
 power of l_i in a term is 2*e_i + parity_i.  Finished volumes are even in
 every slot (all-zero parity), which the serializers enforce.
+
+The recursion does not compute in this form.  A volume of degree d (its
+dimension over two, 3g - 3 + m + n) is homogeneous: x-degree plus half the
+pi-power equals d in every term, so the pi-power of the term x^e is implied,
+2 * (d - sum(e)), and each exponent vector carries one coefficient.  The
+recursion's working form (Numerators) is therefore one positive integer
+denominator, a map {exponent vector: integer numerator} and the degree.
+from_numerators wraps it in a VolumePolynomial that keeps it as
+`numerators` and builds the Fraction `terms` above only when they are first
+read, so a volume the recursion uses but no caller looks at never pays for
+them.  Polynomials built from terms have numerators None.
 """
 
 from __future__ import annotations
@@ -25,15 +36,31 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 PiGraded = Dict[int, Fraction]
 Terms = Dict[Exponent, PiGraded]
 
 
+class Numerators(NamedTuple):
+    """Working form of a degree-homogeneous polynomial: the coefficient of
+    x^e is nums[e] / den times pi^(2 * (degree - sum(e)))."""
+
+    den: int
+    nums: Dict[Exponent, int]
+    degree: int
+
+
 class VolumePolynomial:
-    """Immutable-by-convention exact polynomial; see the module docstring."""
+    """Immutable-by-convention exact polynomial; see the module docstring.
+
+    `numerators` is the working form of a polynomial made by
+    from_numerators, whose `terms` are then built on first access; it is
+    None for a polynomial built from terms.
+    """
+
+    numerators: Optional[Numerators] = None
 
     def __init__(
         self,
@@ -81,7 +108,18 @@ class VolumePolynomial:
                             existing.pop(p, None)
                     if not existing:
                         del clean[key]
-        self.terms: Terms = clean
+        self._terms: Optional[Terms] = clean
+
+    @property
+    def terms(self) -> Terms:
+        # two threads reading first may both build; they build equal maps
+        if self._terms is None:
+            den, nums, degree = self.numerators
+            self._terms = {
+                xexp: {2 * (degree - sum(xexp)): Fraction(num, den)}
+                for xexp, num in nums.items()
+            }
+        return self._terms
 
     # -- basics ------------------------------------------------------------
 
@@ -139,6 +177,31 @@ def monomial(
     piexp: int = 0,
 ) -> VolumePolynomial:
     return VolumePolynomial(num_vars, {tuple(xexp): {piexp: Fraction(coeff)}})
+
+
+def from_numerators(
+    num_vars: int,
+    den: int,
+    nums: Mapping[Exponent, int],
+    degree: int,
+    negate: Sequence[int] = (),
+) -> VolumePolynomial:
+    """The even polynomial sum_e nums[e]/den x^e pi^(2(degree - sum(e))).
+
+    Each slot in `negate` gets x -> -x (substitute_imaginary on that slot),
+    so a term changes sign when its exponents on those slots sum to an odd
+    number.  Zero numerators are dropped.  The caller vouches that den > 0
+    and that no x-degree exceeds `degree`.
+    """
+    kept: Dict[Exponent, int] = {}
+    for xexp, num in nums.items():
+        if num:
+            flip = negate and sum(xexp[s] for s in negate) % 2
+            kept[xexp] = -num if flip else num
+    p = VolumePolynomial(num_vars)
+    p.numerators = Numerators(den, kept, degree)
+    p._terms = None
+    return p
 
 
 # -- ring operations -------------------------------------------------------

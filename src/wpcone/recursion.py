@@ -14,6 +14,9 @@ all-boundary polynomial and substitutes -theta^2 for the squared length on
 each cone slot.  An independent direct path (cone_volume_direct) re-runs the
 recursion with the distinguished slot an actual cone and the kernels
 evaluated at imaginary length; the two must agree exactly, term by term.
+Both paths run through the one assembly below (_rhs); they differ only in
+which slot is distinguished and in the signs an angle slot puts on the
+kernel moments.
 
 The right-hand side for distinguished boundary 1 of V_{g,N} has four parts:
 
@@ -32,6 +35,23 @@ The right-hand side for distinguished boundary 1 of V_{g,N} has four parts:
 The stored one-handled-torus volume is x/48 + pi^2/12: it already carries
 the half coming from the elliptic involution of the torus, so no splitting
 term applies any further weight for that piece.
+
+Working form.  The recursion computes on polyalg.Numerators: one integer
+denominator, a map {exponent vector: integer numerator} and the degree.
+The pi-power is not stored: a volume of degree d = 3g - 3 + m + n is
+homogeneous, so the term x^e carries pi^(2(d - sum(e))), and every
+transform above preserves that (a moment F_{2k+1} has t^(2r) with
+pi^(2(k+1-r)), asserted when the weight tables are built).  The weights of
+each transform (1/4 times the pair coefficient times a moment coefficient,
+or 1/4 * 2 * C(2r, 2i) times a moment coefficient for a pairing, with the
+signs of the angle slots) are precomputed as integers over one denominator
+per table, so assembly is integer multiply-adds.  Inverting d(l V/2)/dl is
+V[e] = 2 rhs[e] / (2 e_l + 1), after which one gcd reduces the signature's
+numerators and denominator.  The homogeneity check (_assert_homogeneous)
+runs on every memoized volume at that point: each term's x-degree must stay
+at most d, or its implied pi-power would be negative.  The memo holds
+VolumePolynomial objects that carry their working form; their Fraction
+terms are built only if a caller reads them (polyalg.from_numerators).
 """
 
 from __future__ import annotations
@@ -41,18 +61,17 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from wpcone.kernels import DEFAULT_MAX_MOMENT_K, moment_integral, pairing_kernel
-from wpcone.polyalg import (
-    Terms,
-    VolumePolynomial,
-    antiderivative,
-    constant,
-    divide_by_slot_length,
-    scale,
-    substitute_imaginary,
+from wpcone.kernels import (
+    DEFAULT_MAX_MOMENT_K,
+    check_moment_index,
+    moment_integral,
+    pairing_kernel,
 )
+from wpcone.polyalg import Exponent, Numerators, VolumePolynomial, from_numerators
 
 #: Caps on user-requested signatures; the recursion itself has no intrinsic
 #: limit, these keep accidental inputs from launching week-long computations.
@@ -169,16 +188,16 @@ def enumerate_splittings(
 
 # -- memoization ---------------------------------------------------------------
 
-_BOUNDARY_MEMO: Dict[Tuple[int, int], VolumePolynomial] = {}
-_CONE_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
+# (g, m, n) -> volume from the recursion: the all-boundary recursion when
+# n == 0, the direct cone path (first cone distinguished) otherwise
+_RECURSION_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 _MEMO_LOCK = threading.Lock()
 
 
 def clear_memo() -> None:
     """Drop all memoized volumes (mainly for tests and benchmarks)."""
     with _MEMO_LOCK:
-        _BOUNDARY_MEMO.clear()
-        _CONE_MEMO.clear()
+        _RECURSION_MEMO.clear()
 
 
 def _memo_get(table, key):
@@ -194,22 +213,7 @@ def _memo_put(table, key, value):
         return table.setdefault(key, value)
 
 
-# -- assembly helpers ----------------------------------------------------------
-
-
-def _acc(target: Terms, xexp: Tuple[int, ...], piexp: int, coeff: Fraction) -> None:
-    bucket = target.setdefault(xexp, {})
-    s = bucket.get(piexp, Fraction(0)) + coeff
-    if s:
-        bucket[piexp] = s
-    else:
-        del bucket[piexp]
-
-
-def _merge(target: Terms, source: Terms) -> None:
-    for xexp, graded in source.items():
-        for piexp, coeff in graded.items():
-            _acc(target, xexp, piexp, coeff)
+# -- integer weight tables -------------------------------------------------------
 
 
 def _pair_coefficient(a: int, b: int) -> Fraction:
@@ -228,91 +232,329 @@ def _pair_coefficient(a: int, b: int) -> Fraction:
     )
 
 
-def _moment(k: int, max_moment_k: Optional[int], angle: bool) -> VolumePolynomial:
-    poly = moment_integral(k, max_k=max_moment_k)
-    return substitute_imaginary(poly, 0) if angle else poly
+@lru_cache(maxsize=None)
+def _moment_coefficients(k: int) -> Tuple[Fraction, ...]:
+    """c_0..c_{k+1} with F_{2k+1}(t) = sum_r c_r pi^(2(k+1-r)) t^(2r).
 
-
-def _double_moment_terms(
-    num_vars: int,
-    dist_slot: int,
-    dist_is_angle: bool,
-    sub_terms_pairs,
-    max_moment_k: Optional[int],
-) -> Terms:
-    """Accumulate the non-separating/separating transform.
-
-    sub_terms_pairs yields (a, b, rest_xexp, piexp, coeff): the exponents of
-    the two cut slots, the already-mapped exponent vector for the surviving
-    slots (length num_vars, zero at dist_slot), and the term's pi-power and
-    coefficient.
+    Asserts that pi-power, on which the implied pi-powers of the working
+    form rest.
     """
-    out: Terms = {}
-    for a, b, rest, piexp, coeff in sub_terms_pairs:
-        fac = coeff * _pair_coefficient(a, b)
-        fpoly = _moment(a + b + 1, max_moment_k, dist_is_angle)
-        for (r,), graded in fpoly.terms.items():
-            key = rest[:dist_slot] + (rest[dist_slot] + r,) + rest[dist_slot + 1 :]
-            for q, c in graded.items():
-                _acc(out, key, piexp + q, fac * c)
-    return out
+    coeffs = [Fraction(0)] * (k + 2)
+    for (r,), graded in moment_integral(k, max_k=None).terms.items():
+        q = 2 * (k + 1 - r)
+        if list(graded) != [q]:
+            raise RuntimeError(
+                f"moment F_{2 * k + 1} has pi-powers {sorted(graded)} on "
+                f"t^{2 * r}; homogeneity needs exactly pi^{q}"
+            )
+        coeffs[r] = graded[q]
+    return tuple(coeffs)
 
 
-def _pair_sum_terms(
-    num_vars: int,
-    dist_slot: int,
-    partner_slot: int,
-    dist_is_angle: bool,
-    partner_is_angle: bool,
-    sub_terms,
-    max_moment_k: Optional[int],
-) -> Terms:
-    """Accumulate a boundary/cone pairing transform.
+def _over_common_denominator(weights: Dict[tuple, Fraction]):
+    """(den, {key: integer numerator}) with weights[key] = numerator / den."""
+    den = math.lcm(*(w.denominator for w in weights.values()))
+    return den, {
+        key: w.numerator * (den // w.denominator) for key, w in weights.items()
+    }
 
-    For a term with cut-slot exponent k, the shifted-argument pair
-    F(t+s) + F(t-s) expands through the binomial theorem (odd powers cancel):
-    writing F(t) = sum_r c_r t^(2r),
+
+def _angle_sign(is_angle: bool, power: int) -> int:
+    """(i theta)^(2 power) = (-1)^power theta^(2 power) on an angle slot."""
+    return -1 if is_angle and power % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def _double_table(kmax: int, dist_is_angle: bool):
+    """(den, {(a, b): ((r, w), ...)}) for the double moment of cut-slot
+    exponents a, b with a + b + 1 <= kmax: x^a y^b becomes
+    sum_r (w / den) t^(2r), w / den = 1/4 * pair coefficient(a, b) * c_r of
+    F_{2(a+b+1)+1}, signed when the distinguished slot t is an angle."""
+    weights: Dict[tuple, Fraction] = {}
+    for k in range(1, kmax + 1):
+        coeffs = _moment_coefficients(k)
+        for a in range(k):
+            quarter_pair = _pair_coefficient(a, k - 1 - a) / 4
+            for r, c in enumerate(coeffs):
+                sign = _angle_sign(dist_is_angle, r)
+                weights[a, k - 1 - a, r] = quarter_pair * c * sign
+    den, ints = _over_common_denominator(weights)
+    table: Dict[Tuple[int, int], list] = {}
+    for (a, b, r), w in ints.items():
+        table.setdefault((a, b), []).append((r, w))
+    return den, {ab: tuple(entries) for ab, entries in table.items()}
+
+
+@lru_cache(maxsize=None)
+def _pair_table(
+    kmax: int, dist_is_angle: bool, partner_is_angle: bool, partner_first: bool
+):
+    """(den, {k: ((u, v, w), ...)}) for a pairing with cut-slot exponent
+    k <= kmax.  F(t+s) + F(t-s) expands through the binomial theorem (odd
+    powers cancel): writing F(t) = sum_r c_r t^(2r),
 
         F(t+s) + F(t-s) = 2 sum_r c_r sum_{i=0}^{r} C(2r, 2i) t^(2(r-i)) s^(2i)
 
-    with t the distinguished slot and s the partner.  An angle slot
-    contributes (i*theta)^(2j) = (-1)^j theta^(2j).
-    """
-    out: Terms = {}
-    for k, rest, piexp, coeff in sub_terms:
-        fpoly = moment_integral(k, max_k=max_moment_k)
-        for (r,), graded in fpoly.terms.items():
+    with t the distinguished slot and s the partner; an angle slot
+    contributes (i*theta)^(2j) = (-1)^j theta^(2j).  Each entry carries
+    w / den = 1/4 * 2 * C(2r, 2i) * c_r with its signs, and the exponents
+    (u, v) of the lower- and higher-numbered of the two slots: (r-i, i), or
+    (i, r-i) when the partner comes first."""
+    weights: Dict[tuple, Fraction] = {}
+    for k in range(kmax + 1):
+        for r, c in enumerate(_moment_coefficients(k)):
             for i in range(r + 1):
-                sign = 1
-                if dist_is_angle and (r - i) % 2:
-                    sign = -sign
-                if partner_is_angle and i % 2:
-                    sign = -sign
-                binom = 2 * sign * math.comb(2 * r, 2 * i)
-                key = list(rest)
-                key[dist_slot] += r - i
-                key[partner_slot] += i
-                key_t = tuple(key)
-                for q, c in graded.items():
-                    _acc(out, key_t, piexp + q, coeff * binom * c)
-    return out
+                sign = _angle_sign(dist_is_angle, r - i) * _angle_sign(
+                    partner_is_angle, i
+                )
+                uv = (i, r - i) if partner_first else (r - i, i)
+                weights[(k,) + uv] = Fraction(sign * math.comb(2 * r, 2 * i), 2) * c
+    den, ints = _over_common_denominator(weights)
+    table: Dict[int, list] = {}
+    for (k, u, v), w in ints.items():
+        table.setdefault(k, []).append((u, v, w))
+    return den, {k: tuple(entries) for k, entries in table.items()}
 
 
-def _run_jobs(jobs: List[Callable[[], Terms]], threads: int) -> Terms:
-    """Evaluate independent term groups, merging in submission order so the
-    result is identical whatever the thread count (the arithmetic is exact)."""
-    total: Terms = {}
+@lru_cache(maxsize=None)
+def _cap_table(dist_is_angle: bool):
+    """(den, ((r, w), ...)): the one-handled torus cap, 1/16 F_1(t)."""
+    weights = {
+        r: c / 16 * _angle_sign(dist_is_angle, r)
+        for r, c in enumerate(_moment_coefficients(0))
+    }
+    den, ints = _over_common_denominator(weights)
+    return den, tuple(ints.items())
+
+
+# -- integer kernels -------------------------------------------------------------
+
+# A push adds one cut group's numerators into `out`; the group's own
+# denominator times `scale` is the denominator of the whole right-hand side.
+
+
+def _double_moment_terms(out: Dict[Exponent, int], dist: int, table, pairs) -> None:
+    """Accumulate the non-separating/separating transform.
+
+    pairs yields (a, b, rest, n): the exponents of the two cut slots, the
+    exponents of the surviving slots (every parent slot but dist, in order)
+    and the term's scaled numerator.
+    """
+    for a, b, rest, n in pairs:
+        head, tail = rest[:dist], rest[dist:]
+        for r, w in table[a, b]:
+            key = head + (r,) + tail
+            out[key] = out.get(key, 0) + n * w
+
+
+def _pair_sum_terms(
+    out: Dict[Exponent, int], dist: int, partner: int, table, terms
+) -> None:
+    """Accumulate a boundary/cone pairing transform.
+
+    terms yields (k, rest, n): the cut-slot exponent, the exponents of every
+    parent slot but dist and partner (in order), and the scaled numerator.
+    """
+    lo, hi = min(dist, partner), max(dist, partner) - 1
+    for k, rest, n in terms:
+        head, mid, tail = rest[:lo], rest[lo:hi], rest[hi:]
+        for u, v, w in table[k]:
+            key = head + (u,) + mid + (v,) + tail
+            out[key] = out.get(key, 0) + n * w
+
+
+def _gather(order: Sequence[int]) -> Callable[[tuple], tuple]:
+    """c -> tuple(c[i] for i in order); itemgetter returns a bare item for
+    one index, so it serves two or more."""
+    if len(order) > 1:
+        return itemgetter(*order)
+    return lambda c: tuple(c[i] for i in order)
+
+
+def _push_nonseparating(sub: Numerators, dist: int, table, out, scale: int) -> None:
+    # the piece's slots: x, y, then the survivors in parent order
+    pairs = ((e[0], e[1], e[2:], n * scale) for e, n in sub.nums.items())
+    _double_moment_terms(out, dist, table, pairs)
+
+
+def _push_separating(
+    sub1: Numerators, sub2: Numerators, sp: Splitting, dist: int, table, out, scale: int
+) -> None:
+    # each side's slots: the pants curve, then its share of the survivors
+    slots = (
+        sp.boundaries_first + sp.cones_first + sp.boundaries_second + sp.cones_second
+    )
+    gather = _gather(sorted(range(len(slots)), key=slots.__getitem__))
+    second = [(e[0], e[1:], n) for e, n in sub2.nums.items()]
+
+    def pairs():
+        for e1, n1 in sub1.nums.items():
+            a, rest1, scaled = e1[0], e1[1:], n1 * scale
+            for b, rest2, n2 in second:
+                yield a, b, gather(rest1 + rest2), scaled * n2
+
+    _double_moment_terms(out, dist, table, pairs())
+
+
+def _push_pairing(
+    sub: Numerators, dist: int, partner: int, table, out, scale: int
+) -> None:
+    # the piece's slots: x, then the survivors other than the partner
+    terms = ((e[0], e[1:], n * scale) for e, n in sub.nums.items())
+    _pair_sum_terms(out, dist, partner, table, terms)
+
+
+def _push_cap(table, out, scale: int) -> None:
+    for r, w in table:
+        out[(r,)] = out.get((r,), 0) + w * scale
+
+
+def _run_jobs(jobs: List[Callable[[Dict[Exponent, int]], None]], threads: int):
+    """Evaluate independent term groups.  Integer sums are exact, so the
+    result is identical whatever the thread count."""
+    total: Dict[Exponent, int] = {}
     if threads > 1 and len(jobs) > 1:
+
+        def run(job):
+            part: Dict[Exponent, int] = {}
+            job(part)
+            return part
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(lambda j: j(), jobs):
-                _merge(total, part)
+            for part in pool.map(run, jobs):
+                for key, n in part.items():
+                    total[key] = total.get(key, 0) + n
     else:
         for job in jobs:
-            _merge(total, job())
+            job(total)
     return total
 
 
-# -- the all-boundary recursion -------------------------------------------------
+# -- the recursion -----------------------------------------------------------------
+
+
+def _sub_volume(g: int, m: int, n: int) -> Numerators:
+    """Working form of a piece, through the memoized public entry points."""
+    if n == 0:
+        return boundary_volume(g, m, max_moment_k=None).numerators
+    return cone_volume_direct(g, m, n, max_moment_k=None).numerators
+
+
+def _rhs(g: int, m: int, n: int, threads: int) -> Numerators:
+    """d(l V/2)/dl on the distinguished slot, in working form.
+
+    The distinguished slot is boundary 0 when n == 0 and cone m otherwise.
+    Sub-surface slot layouts stay canonical (new boundaries first, surviving
+    lengths, then surviving cones), so every piece's exponents after its new
+    boundaries are the parent's survivors in order.  Pairings: the
+    distinguished slot is the gap's base curve and the surviving slot is the
+    partner (the exact-equality test against the substitution path pins
+    this reading).
+    """
+    nslots = m + n
+    angle = n > 0
+    dist = m if angle else 0
+    length_partners = range(m) if angle else range(1, m)
+    cone_partners = range(m + 1, nslots)
+    ms, ns = len(length_partners), len(cone_partners)
+    kmax = 3 * g - 4 + nslots  # the largest moment index any group needs
+    wden, wtab = _double_table(kmax, angle)
+    groups: List[Tuple[int, Callable]] = []  # (group denominator, push)
+
+    # non-separating cut: two new boundaries x, y on one connected piece
+    if g >= 1 and 2 * g - 3 + nslots > 0:
+        sub = _sub_volume(g - 1, ms + 2, ns)
+        groups.append((sub.den * wden, partial(_push_nonseparating, sub, dist, wtab)))
+
+    # separating cuts: ordered stable pairs sharing genus and slots
+    for sp in enumerate_splittings(SurfaceSignature(g, m, n), dist):
+        sub1 = _sub_volume(
+            sp.genus_first, len(sp.boundaries_first) + 1, len(sp.cones_first)
+        )
+        sub2 = _sub_volume(
+            sp.genus_second, len(sp.boundaries_second) + 1, len(sp.cones_second)
+        )
+        groups.append(
+            (
+                sub1.den * sub2.den * wden,
+                partial(_push_separating, sub1, sub2, sp, dist, wtab),
+            )
+        )
+
+    # pairings: a pants swallows a surviving boundary (the piece trades it
+    # for x) or a surviving cone (the piece trades it for a boundary x)
+    if 2 * g - 3 + nslots > 0:
+        for partners, piece, partner_angle in (
+            (length_partners, (g, ms, ns), False),
+            (cone_partners, (g, ms + 1, ns - 1), True),
+        ):
+            for partner in partners:
+                sub = _sub_volume(*piece)
+                pden, ptab = _pair_table(kmax, angle, partner_angle, partner < dist)
+                groups.append(
+                    (sub.den * pden, partial(_push_pairing, sub, dist, partner, ptab))
+                )
+
+    # one-handled torus cap: the bare first moment, weight 1/16
+    if g == 1 and nslots == 1:
+        cden, ctab = _cap_table(angle)
+        groups.append((cden, partial(_push_cap, ctab)))
+
+    den = math.lcm(*(d for d, _ in groups))
+    jobs = [partial(push, scale=den // d) for d, push in groups]
+    return Numerators(den, _run_jobs(jobs, threads), 3 * g - 3 + nslots)
+
+
+def _invert(den: int, nums: Dict[tuple, int], slot: int):
+    """Invert d(l V/2)/dl on an even slot: V[e] = 2 rhs[e] / (2 e_slot + 1),
+    over the common multiple of the odd divisors, then one gcd reduction.
+    Returns (den, nums)."""
+    nums = {e: n for e, n in nums.items() if n}
+    odd = math.lcm(*{2 * e[slot] + 1 for e in nums})
+    out = {e: 2 * n * (odd // (2 * e[slot] + 1)) for e, n in nums.items()}
+    den *= odd
+    common = math.gcd(den, *out.values())
+    return den // common, {e: n // common for e, n in out.items()}
+
+
+def _assert_homogeneous(p: VolumePolynomial, degree: int) -> None:
+    """No term of the volume's working form may exceed its degree: the
+    implied pi-power 2 * (degree - sum(e)) must be >= 0."""
+    for xexp in p.numerators.nums:
+        if sum(xexp) > degree:
+            raise RuntimeError(
+                f"volume lost homogeneity: term {xexp} in a "
+                f"degree-{degree} polynomial"
+            )
+
+
+def _check_moment_cap(g: int, nslots: int, max_moment_k: Optional[int]) -> None:
+    """The recursion for (g, m + n = nslots) reads moments up to
+    k = 3g - 4 + nslots; checked from the signature, never from memo state,
+    so the recursion inside runs uncapped."""
+    check_moment_index(3 * g - 4 + nslots, max_moment_k)
+
+
+def _recurse(g: int, m: int, n: int, threads: int) -> VolumePolynomial:
+    """Memoized V_{g,m,n}: the all-boundary recursion when n == 0, else the
+    direct cone path with the first cone (slot m) distinguished."""
+    key = (g, m, n)
+    cached = _memo_get(_RECURSION_MEMO, key)
+    if cached is not None:
+        return cached
+    if g == 0 and m + n == 3:
+        result = from_numerators(3, 1, {(0, 0, 0): 1}, 0)
+    elif n:
+        rhs = from_numerators(m + n, *_rhs(g, m, n, threads))
+        result = integrate_distinguished(rhs, m)
+    else:
+        rhs = assemble_rhs(g, m, threads=threads, max_moment_k=None)
+        result = integrate_distinguished(rhs, 0)
+    _assert_homogeneous(result, 3 * g - 3 + m + n)
+    return _memo_put(_RECURSION_MEMO, key, result)
+
+
+# -- public entry points -------------------------------------------------------
 
 
 def boundary_volume(
@@ -327,23 +569,14 @@ def boundary_volume(
     by substitution.  Raises for unstable signatures and for closed surfaces,
     which have no boundary to recurse on.
     """
-    key = (g, nslots)
-    cached = _memo_get(_BOUNDARY_MEMO, key)
-    if cached is not None:
-        return cached
     if nslots == 0:
         raise ValueError(
             "closed surfaces have no distinguished boundary to recurse on; "
             "add a boundary or cone point"
         )
     SurfaceSignature(g, nslots, 0)  # stability check
-    if (g, nslots) == (0, 3):
-        result = constant(3, 1)
-    else:
-        rhs = assemble_rhs(g, nslots, threads=threads, max_moment_k=max_moment_k)
-        result = integrate_distinguished(rhs, 0)
-    _assert_homogeneous(result, 3 * g - 3 + nslots)
-    return _memo_put(_BOUNDARY_MEMO, key, result)
+    _check_moment_cap(g, nslots, max_moment_k)
+    return _recurse(g, nslots, 0, threads)
 
 
 def assemble_rhs(
@@ -362,113 +595,38 @@ def assemble_rhs(
         raise ValueError("the recursion needs a distinguished boundary")
     if (g, nslots) == (0, 3):
         raise ValueError("the three-holed sphere is a base case, not assembled")
-    quarter = Fraction(1, 4)
-    jobs: List[Callable[[], Terms]] = []
-
-    # non-separating cut: two new boundaries on one connected piece
-    if g >= 1 and 2 * (g - 1) + (nslots + 1) > 2:
-        sub = boundary_volume(g - 1, nslots + 1, threads=1, max_moment_k=max_moment_k)
-
-        def nonsep(sub=sub):
-            def pairs():
-                for xexp, graded in sub.terms.items():
-                    rest = (0,) + xexp[2:]
-                    for piexp, coeff in graded.items():
-                        yield xexp[0], xexp[1], rest, piexp, quarter * coeff
-
-            return _double_moment_terms(nslots, 0, False, pairs(), max_moment_k)
-
-        jobs.append(nonsep)
-
-    # separating cuts: ordered stable pairs sharing genus and slots
-    for sp in enumerate_splittings(SurfaceSignature(g, nslots, 0), 0):
-        sub1 = boundary_volume(
-            sp.genus_first, len(sp.boundaries_first) + 1, 1, max_moment_k
-        )
-        sub2 = boundary_volume(
-            sp.genus_second, len(sp.boundaries_second) + 1, 1, max_moment_k
-        )
-
-        def separating(sub1=sub1, sub2=sub2, sp=sp):
-            def pairs():
-                for e1, graded1 in sub1.terms.items():
-                    for e2, graded2 in sub2.terms.items():
-                        rest = [0] * nslots
-                        for i, slot in enumerate(sp.boundaries_first):
-                            rest[slot] = e1[1 + i]
-                        for i, slot in enumerate(sp.boundaries_second):
-                            rest[slot] = e2[1 + i]
-                        rest_t = tuple(rest)
-                        for q1, c1 in graded1.items():
-                            for q2, c2 in graded2.items():
-                                yield e1[0], e2[0], rest_t, q1 + q2, (
-                                    quarter * c1 * c2
-                                )
-
-            return _double_moment_terms(nslots, 0, False, pairs(), max_moment_k)
-
-        jobs.append(separating)
-
-    # boundary pairings: a pants swallows boundary j alongside boundary 1
-    if nslots >= 2 and 2 * g + (nslots - 1) > 2:
-        sub = boundary_volume(g, nslots - 1, threads=1, max_moment_k=max_moment_k)
-        for j in range(1, nslots):
-            rest_slots = [s for s in range(1, nslots) if s != j]
-
-            def pairing(sub=sub, j=j, rest_slots=rest_slots):
-                def terms():
-                    for xexp, graded in sub.terms.items():
-                        rest = [0] * nslots
-                        for i, slot in enumerate(rest_slots):
-                            rest[slot] = xexp[1 + i]
-                        rest_t = tuple(rest)
-                        for piexp, coeff in graded.items():
-                            yield xexp[0], rest_t, piexp, quarter * coeff
-
-                return _pair_sum_terms(
-                    nslots, 0, j, False, False, terms(), max_moment_k
-                )
-
-            jobs.append(pairing)
-
-    # one-handled torus cap: the bare first moment, weight 1/16
-    if (g, nslots) == (1, 1):
-
-        def cap():
-            out: Terms = {}
-            fpoly = moment_integral(0, max_k=max_moment_k)
-            for (r,), graded in fpoly.terms.items():
-                for q, c in graded.items():
-                    _acc(out, (r,), q, Fraction(1, 16) * c)
-            return out
-
-        jobs.append(cap)
-
-    total = _run_jobs(jobs, threads)
-    return VolumePolynomial(nslots, total)
+    _check_moment_cap(g, nslots, max_moment_k)
+    return from_numerators(nslots, *_rhs(g, nslots, 0, threads))
 
 
 def integrate_distinguished(rhs: VolumePolynomial, slot: int) -> VolumePolynomial:
     """Invert d(l V/2)/dl on the distinguished slot.
 
-    Antiderivative with zero constant term (l V vanishes with l), then
-    division by half the slot length.  A nonzero residue in the division
-    signals an assembly bug upstream.
+    The recursion's own inversion (_invert): on the working form when rhs
+    has one, else on each pi-grade of its terms.  Only an rhs even in the
+    slot has an even preimage: an odd l-power there integrates to an even
+    one whose division by l leaves an odd residue, and that raises.
     """
-    return scale(divide_by_slot_length(antiderivative(rhs, slot), slot), 2)
-
-
-def _assert_homogeneous(p: VolumePolynomial, degree: int) -> None:
-    for xexp, graded in p.terms.items():
-        for piexp in graded:
-            if sum(xexp) + piexp // 2 != degree:
-                raise RuntimeError(
-                    f"volume lost homogeneity: term {xexp} pi^{piexp} in a "
-                    f"degree-{degree} polynomial"
-                )
-
-
-# -- signature-level API ---------------------------------------------------------
+    if not 0 <= slot < rhs.num_vars:
+        raise ValueError(f"slot {slot} out of range for {rhs.num_vars} variables")
+    if rhs.parity[slot]:
+        raise RuntimeError("division by the slot length leaves a nonzero residue")
+    work = rhs.numerators
+    if work is not None:
+        return from_numerators(
+            rhs.num_vars, *_invert(work.den, work.nums, slot), work.degree
+        )
+    # the pi-exponent rides along as a last coordinate the inversion ignores
+    flat = {
+        xexp + (piexp,): coeff
+        for xexp, graded in rhs.terms.items()
+        for piexp, coeff in graded.items()
+    }
+    den, nums = _invert(*_over_common_denominator(flat), slot)
+    terms: Dict[Exponent, Dict[int, Fraction]] = {}
+    for key, num in nums.items():
+        terms.setdefault(key[:-1], {})[key[-1]] = Fraction(num, den)
+    return VolumePolynomial(rhs.num_vars, terms, rhs.parity)
 
 
 def compute_volume(
@@ -482,8 +640,12 @@ def compute_volume(
     slots m..m+n-1 are cone angles (squared-variable convention throughout).
 
     Computed on the all-boundary recursion, then each cone slot gets the
-    imaginary substitution l -> i*theta, i.e. x -> -x.  The caps bound only
-    the requested signature, not the recursion's internal sub-surfaces.
+    imaginary substitution l -> i*theta, i.e. x -> -x, all slots in one
+    pass over the memoized working form.  The substituted polynomial is not
+    memoized: its Fraction terms, kept per (g, m, n), would cost more memory
+    than the pass saves.  The caps bound only the requested signature, not
+    the recursion's internal sub-surfaces; max_moment_k is checked as
+    3g - 4 + m + n.
     """
     if max_genus is not None and sig.genus > max_genus:
         raise ValueError(
@@ -495,15 +657,13 @@ def compute_volume(
             f"{sig.slots} boundary+cone slots exceed max_slots={max_slots}; "
             "raise the max_slots configuration knob to allow it"
         )
-    poly = boundary_volume(
-        sig.genus, sig.slots, threads=threads, max_moment_k=max_moment_k
+    _check_moment_cap(sig.genus, sig.slots, max_moment_k)
+    boundary = boundary_volume(sig.genus, sig.slots, threads, max_moment_k=None)
+    if not sig.cones:
+        return boundary
+    return from_numerators(
+        sig.slots, *boundary.numerators, negate=range(sig.boundaries, sig.slots)
     )
-    for slot in range(sig.boundaries, sig.slots):
-        poly = substitute_imaginary(poly, slot)
-    return poly
-
-
-# -- direct cone-slot recursion (verification path) ------------------------------
 
 
 def cone_volume_direct(
@@ -522,168 +682,9 @@ def cone_volume_direct(
     """
     if n == 0:
         return boundary_volume(g, m, threads=threads, max_moment_k=max_moment_k)
-    key = (g, m, n)
-    cached = _memo_get(_CONE_MEMO, key)
-    if cached is not None:
-        return cached
     SurfaceSignature(g, m, n)
-    if g == 0 and m + n == 3:
-        result = constant(3, 1)
-    else:
-        rhs = _assemble_rhs_cone(g, m, n, threads, max_moment_k)
-        result = integrate_distinguished(rhs, m)
-    _assert_homogeneous(result, 3 * g - 3 + m + n)
-    return _memo_put(_CONE_MEMO, key, result)
-
-
-def _assemble_rhs_cone(
-    g: int, m: int, n: int, threads: int, max_moment_k: Optional[int]
-) -> VolumePolynomial:
-    """Right-hand side with the first cone (slot m) distinguished.
-
-    Sub-surface slot layouts stay canonical (new boundaries first, surviving
-    lengths, then surviving cones), and each transform flips signs for the
-    angle slots it touches.
-    """
-    nslots = m + n
-    dist = m
-    quarter = Fraction(1, 4)
-    jobs: List[Callable[[], Terms]] = []
-
-    # non-separating cut: piece has genus g-1, boundaries x, y plus the m
-    # original lengths, and the cones minus the distinguished one
-    if g >= 1 and 2 * (g - 1) - 2 + (m + 2) + (n - 1) > 0:
-        sub = cone_volume_direct(g - 1, m + 2, n - 1, 1, max_moment_k)
-
-        def nonsep(sub=sub):
-            def pairs():
-                for xexp, graded in sub.terms.items():
-                    rest = [0] * nslots
-                    for i in range(m):
-                        rest[i] = xexp[2 + i]
-                    for jcone in range(n - 1):
-                        rest[m + 1 + jcone] = xexp[2 + m + jcone]
-                    rest_t = tuple(rest)
-                    for piexp, coeff in graded.items():
-                        yield xexp[0], xexp[1], rest_t, piexp, quarter * coeff
-
-            return _double_moment_terms(nslots, dist, True, pairs(), max_moment_k)
-
-        jobs.append(nonsep)
-
-    # separating cuts
-    for sp in enumerate_splittings(SurfaceSignature(g, m, n), dist):
-        sub1 = cone_volume_direct(
-            sp.genus_first,
-            len(sp.boundaries_first) + 1,
-            len(sp.cones_first),
-            1,
-            max_moment_k,
-        )
-        sub2 = cone_volume_direct(
-            sp.genus_second,
-            len(sp.boundaries_second) + 1,
-            len(sp.cones_second),
-            1,
-            max_moment_k,
-        )
-
-        def separating(sub1=sub1, sub2=sub2, sp=sp):
-            def pairs():
-                for e1, graded1 in sub1.terms.items():
-                    for e2, graded2 in sub2.terms.items():
-                        rest = [0] * nslots
-                        for i, slot in enumerate(sp.boundaries_first):
-                            rest[slot] = e1[1 + i]
-                        for i, slot in enumerate(sp.cones_first):
-                            rest[slot] = e1[1 + len(sp.boundaries_first) + i]
-                        for i, slot in enumerate(sp.boundaries_second):
-                            rest[slot] = e2[1 + i]
-                        for i, slot in enumerate(sp.cones_second):
-                            rest[slot] = e2[1 + len(sp.boundaries_second) + i]
-                        rest_t = tuple(rest)
-                        for q1, c1 in graded1.items():
-                            for q2, c2 in graded2.items():
-                                yield e1[0], e2[0], rest_t, q1 + q2, (
-                                    quarter * c1 * c2
-                                )
-
-            return _double_moment_terms(nslots, dist, True, pairs(), max_moment_k)
-
-        jobs.append(separating)
-
-    # pairings with a surviving boundary or cone; the distinguished cone is
-    # the gap's base curve and the surviving slot is the partner (the
-    # exact-equality test against the substitution path pins this reading)
-    if 2 * g - 2 + m + n - 1 > 0:
-        # boundary partner: piece keeps genus, trades boundary j for x
-        if m >= 1 and n >= 1:
-            sub_b = cone_volume_direct(g, m, n - 1, 1, max_moment_k)
-            for j in range(m):
-                rest_bounds = [s for s in range(m) if s != j]
-
-                def pairing_b(sub=sub_b, j=j, rest_bounds=rest_bounds):
-                    def terms():
-                        for xexp, graded in sub.terms.items():
-                            rest = [0] * nslots
-                            for i, slot in enumerate(rest_bounds):
-                                rest[slot] = xexp[1 + i]
-                            for i in range(n - 1):
-                                rest[m + 1 + i] = xexp[m + i]
-                            rest_t = tuple(rest)
-                            for piexp, coeff in graded.items():
-                                yield xexp[0], rest_t, piexp, quarter * coeff
-
-                    return _pair_sum_terms(
-                        nslots, dist, j, True, False, terms(), max_moment_k
-                    )
-
-                jobs.append(pairing_b)
-
-        # cone partner: trades the partner cone for a boundary x
-        if n >= 2:
-            sub_c = cone_volume_direct(g, m + 1, n - 2, 1, max_moment_k)
-            for jcone in range(1, n):
-                partner = m + jcone
-                rest_cones = [
-                    s for s in range(m + 1, nslots) if s != partner
-                ]
-
-                def pairing_c(sub=sub_c, partner=partner, rest_cones=rest_cones):
-                    def terms():
-                        for xexp, graded in sub.terms.items():
-                            rest = [0] * nslots
-                            for i in range(m):
-                                rest[i] = xexp[1 + i]
-                            for i, slot in enumerate(rest_cones):
-                                rest[slot] = xexp[1 + m + i]
-                            rest_t = tuple(rest)
-                            for piexp, coeff in graded.items():
-                                yield xexp[0], rest_t, piexp, quarter * coeff
-
-                    return _pair_sum_terms(
-                        nslots, dist, partner, True, True, terms(), max_moment_k
-                    )
-
-                jobs.append(pairing_c)
-
-    # one-handled torus cap at imaginary length
-    if (g, m, n) == (1, 0, 1):
-
-        def cap():
-            out: Terms = {}
-            fpoly = substitute_imaginary(
-                moment_integral(0, max_k=max_moment_k), 0
-            )
-            for (r,), graded in fpoly.terms.items():
-                for q, c in graded.items():
-                    _acc(out, (r,), q, Fraction(1, 16) * c)
-            return out
-
-        jobs.append(cap)
-
-    total = _run_jobs(jobs, threads)
-    return VolumePolynomial(nslots, total)
+    _check_moment_cap(g, m + n, max_moment_k)
+    return _recurse(g, m, n, threads)
 
 
 # -- quadrature-backed numeric assembly (oracle path) -----------------------------

@@ -292,6 +292,39 @@ def test_moment_cap_propagates_with_clear_message():
     assert boundary_volume(2, 1, max_moment_k=3) == boundary_volume(2, 1)
 
 
+def test_moment_cap_does_not_depend_on_memo_state():
+    # (5, 2, 0) reads moments up to k = 3g - 4 + m + n = 13 > 12, the default
+    clear_memo()
+    boundary_volume(5, 2, max_moment_k=None)  # warm every sub-volume
+    with pytest.raises(ValueError, match="max_moment_k"):
+        compute_volume(SurfaceSignature(5, 2, 0))
+    with pytest.raises(ValueError, match="max_moment_k"):
+        boundary_volume(5, 2)
+    assert compute_volume(SurfaceSignature(5, 2, 0), max_moment_k=13) is (
+        boundary_volume(5, 2, max_moment_k=None)
+    )
+    # the cap admits exactly k = 3g - 4 + m + n, warm or cold
+    for g, m, n in [(2, 1, 0), (0, 5, 0), (1, 2, 1), (1, 1, 2)]:
+        k = 3 * g - 4 + m + n
+        for warm in (False, True):
+            clear_memo()
+            if warm:
+                compute_volume(SurfaceSignature(g, m, n), max_moment_k=None)
+            with pytest.raises(ValueError, match="max_moment_k"):
+                compute_volume(SurfaceSignature(g, m, n), max_moment_k=k - 1)
+            if n:
+                with pytest.raises(ValueError, match="max_moment_k"):
+                    cone_volume_direct(g, m, n, max_moment_k=k - 1)
+            assert compute_volume(SurfaceSignature(g, m, n), max_moment_k=k)
+            assert cone_volume_direct(g, m, n, max_moment_k=k)
+
+
+def test_integrate_distinguished_refuses_an_odd_slot():
+    odd = VolumePolynomial(1, {(0,): {0: Q(1)}}, parity=(1,))
+    with pytest.raises(RuntimeError, match="residue"):
+        integrate_distinguished(odd, 0)
+
+
 # -- signature-level API -----------------------------------------------------------
 
 
