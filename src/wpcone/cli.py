@@ -13,7 +13,8 @@ fails, 2 on invalid input (the message names the violated constraint).
 
 Caps and tolerances come from defaults, an optional key=value config file
 (--config), the WPCONE_MAX_GENUS environment variable, and command-line
-flags, in increasing order of precedence.
+flags, in increasing order of precedence.  A command takes --config and the
+override flags only for the settings it reads.
 
 Heavy numeric dependencies load lazily, so polynomial-only invocations
 stay fast.
@@ -35,6 +36,7 @@ _CONFIG_KEYS = {
     "max_moment_k": int,
     "quad_tol": float,
 }
+_CAPS = ("max_genus", "max_slots", "max_moment_k")
 
 _ANGLE_FORM = re.compile(r"(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?")
 
@@ -123,6 +125,11 @@ def _settings(args: argparse.Namespace) -> Dict[str, object]:
     return values
 
 
+def _caps(settings: Dict[str, object]) -> Dict[str, object]:
+    """The cap keyword arguments of compute_volume."""
+    return {key: settings[key] for key in _CAPS}
+
+
 def _poly_text(poly, kinds, fmt: str) -> str:
     from wpcone.polyalg import to_json, to_latex, to_text
 
@@ -143,16 +150,10 @@ def _cmd_volume(args: argparse.Namespace) -> int:
     from wpcone.conepoints import ConeSurfaceSpec, volume_value
     from wpcone.recursion import compute_volume
 
-    settings = _settings(args)
+    caps = _caps(_settings(args))
     sig = _signature(args)
     have_lengths = args.lengths is not None
     have_angles = args.angles is not None
-    caps = dict(
-        threads=args.threads,
-        max_moment_k=settings["max_moment_k"],
-        max_genus=settings["max_genus"],
-        max_slots=settings["max_slots"],
-    )
     if not have_lengths and not have_angles:
         poly = compute_volume(sig, **caps)
         kinds = ("length",) * sig.boundaries + ("angle",) * sig.cones
@@ -204,13 +205,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     rows = []
     for g, m, n in _stable_signatures(args.g_max, args.slot_max):
         sig = SurfaceSignature(g, m, n)
-        poly = compute_volume(
-            sig,
-            threads=args.threads,
-            max_moment_k=settings["max_moment_k"],
-            max_genus=settings["max_genus"],
-            max_slots=settings["max_slots"],
-        )
+        poly = compute_volume(sig, **_caps(settings))
         rows.append((g, m, n, poly))
     if args.format == "json":
         doc = {
@@ -248,16 +243,8 @@ def _cmd_table(args: argparse.Namespace) -> int:
 def _cmd_cusp_limit(args: argparse.Namespace) -> int:
     from wpcone.conepoints import cusp_limit
 
-    settings = _settings(args)
     sig = _signature(args)
-    poly = cusp_limit(
-        sig,
-        args.slot,
-        threads=args.threads,
-        max_moment_k=settings["max_moment_k"],
-        max_genus=settings["max_genus"],
-        max_slots=settings["max_slots"],
-    )
+    poly = cusp_limit(sig, args.slot, **_caps(_settings(args)))
     kinds = ("length",) * sig.boundaries + ("angle",) * (sig.cones - 1)
     print(_poly_text(poly, kinds, args.format))
     return 0
@@ -288,9 +275,7 @@ def _cmd_verify_mcshane(args: argparse.Namespace) -> int:
     else:
         label = geodesic(args.length)
     root = root_triple(kappa_for(label), symmetric_start=not args.asymmetric)
-    report = mcshane_sum(
-        root, label, length_cutoff=args.cutoff, threads=args.threads
-    )
+    report = mcshane_sum(root, label, length_cutoff=args.cutoff)
     ok = report.final_residual < args.tol
     if args.format == "json":
         print(report.to_json())
@@ -388,13 +373,16 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
     settings = _settings(args)
     g_max = min(args.g_max, int(settings["max_genus"]))
     slot_max = min(args.slot_max, int(settings["max_slots"]))
+    caps = _caps(settings)
     failures = 0
     checked = 0
     for g, m, n in _stable_signatures(g_max, slot_max):
         if n == 0:
             continue
-        direct = cone_volume_direct(g, m, n, threads=args.threads)
-        substituted = compute_volume(SurfaceSignature(g, m, n))
+        direct = cone_volume_direct(
+            g, m, n, max_moment_k=settings["max_moment_k"]
+        )
+        substituted = compute_volume(SurfaceSignature(g, m, n), **caps)
         ok = direct == substituted
         failures += 0 if ok else 1
         checked += 1
@@ -405,7 +393,7 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
     for g, m, n in [(0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0)]:
         if g > g_max or m + n > slot_max:
             continue
-        poly = compute_volume(SurfaceSignature(g, m, n))
+        poly = compute_volume(SurfaceSignature(g, m, n), **caps)
         worst = 0.0
         for _ in range(args.samples):
             lengths = [rng.uniform(0.3, 4.0) for _ in range(m)]
@@ -426,19 +414,23 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-def _add_caps(parser: argparse.ArgumentParser) -> None:
+_SETTING_HELP = {
+    "max_genus": "genus cap override",
+    "max_slots": "slot-count cap override",
+    "max_moment_k": "moment-index cap override",
+    "quad_tol": "quadrature tolerance override",
+}
+
+
+def _add_settings(parser: argparse.ArgumentParser, *keys: str) -> None:
+    """--config plus an override flag for each setting the command reads."""
     parser.add_argument("--config", help="key=value file for caps/tolerances")
-    parser.add_argument("--max-genus", type=int, help="genus cap override")
-    parser.add_argument("--max-slots", type=int, help="slot-count cap override")
-    parser.add_argument(
-        "--max-moment-k", type=int, help="moment-index cap override"
-    )
-    parser.add_argument(
-        "--quad-tol", type=float, help="quadrature tolerance override"
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, help="worker threads (default 1)"
-    )
+    for key in keys:
+        parser.add_argument(
+            "--" + key.replace("_", "-"),
+            type=_CONFIG_KEYS[key],
+            help=_SETTING_HELP[key],
+        )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,7 +471,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="latex",
         help="output format (default latex)",
     )
-    _add_caps(vol)
+    _add_settings(vol, *_CAPS)
     vol.set_defaults(func=_cmd_volume)
 
     table = sub.add_parser(
@@ -501,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text)",
     )
-    _add_caps(table)
+    _add_settings(table, *_CAPS)
     table.set_defaults(func=_cmd_table)
 
     cusp_cmd = sub.add_parser(
@@ -520,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     cusp_cmd.add_argument(
         "--format", choices=("latex", "text", "json"), default="latex"
     )
-    _add_caps(cusp_cmd)
+    _add_settings(cusp_cmd, *_CAPS)
     cusp_cmd.set_defaults(func=_cmd_cusp_limit)
 
     verify = sub.add_parser("verify", help="numerical certification suites")
@@ -545,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument(
         "--format", choices=("text", "json", "csv"), default="text"
     )
-    _add_caps(vm)
     vm.set_defaults(func=_cmd_verify_mcshane)
 
     vk = vsub.add_parser(
@@ -555,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     vk.add_argument("--samples", type=int, default=20)
     vk.add_argument("--tol", type=float, default=1e-9)
     vk.add_argument("--seed", type=int, default=20260817)
-    _add_caps(vk)
+    _add_settings(vk, "quad_tol")
     vk.set_defaults(func=_cmd_verify_kernel)
 
     vi = vsub.add_parser(
@@ -564,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
     vi.add_argument("--grid", type=int, default=20)
     vi.add_argument("--tol", type=float, default=1e-8)
     vi.add_argument("--cutoff", type=float, default=40.0)
-    _add_caps(vi)
     vi.set_defaults(func=_cmd_verify_identity)
 
     vr = vsub.add_parser(
@@ -575,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--samples", type=int, default=5)
     vr.add_argument("--tol", type=float, default=1e-8)
     vr.add_argument("--seed", type=int, default=20260817)
-    _add_caps(vr)
+    _add_settings(vr, *_CAPS)
     vr.set_defaults(func=_cmd_verify_recursion)
 
     return parser

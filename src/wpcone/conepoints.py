@@ -79,7 +79,6 @@ class ConeSurfaceSpec:
 
 def volume_polynomial(
     spec: ConeSurfaceSpec,
-    threads: int = 1,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
     max_genus: Optional[int] = DEFAULT_MAX_GENUS,
     max_slots: Optional[int] = DEFAULT_MAX_SLOTS,
@@ -92,7 +91,6 @@ def volume_polynomial(
     """
     return compute_volume(
         spec.sig,
-        threads=threads,
         max_moment_k=max_moment_k,
         max_genus=max_genus,
         max_slots=max_slots,
@@ -101,7 +99,6 @@ def volume_polynomial(
 
 def volume_value(
     spec: ConeSurfaceSpec,
-    threads: int = 1,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
     max_genus: Optional[int] = DEFAULT_MAX_GENUS,
     max_slots: Optional[int] = DEFAULT_MAX_SLOTS,
@@ -120,7 +117,6 @@ def volume_value(
         )
     poly = volume_polynomial(
         spec,
-        threads=threads,
         max_moment_k=max_moment_k,
         max_genus=max_genus,
         max_slots=max_slots,
@@ -139,7 +135,6 @@ def volume_value(
 def cusp_limit(
     sig: SurfaceSignature,
     cone_slot: int = 0,
-    threads: int = 1,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
     max_genus: Optional[int] = DEFAULT_MAX_GENUS,
     max_slots: Optional[int] = DEFAULT_MAX_SLOTS,
@@ -158,7 +153,6 @@ def cusp_limit(
         )
     poly = compute_volume(
         sig,
-        threads=threads,
         max_moment_k=max_moment_k,
         max_genus=max_genus,
         max_slots=max_slots,

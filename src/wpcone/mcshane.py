@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -193,14 +192,11 @@ def _walk_subtree(
     return out
 
 
-def enumerate_geodesics(
-    root: TraceTriple, length_cutoff: float, threads: int = 1
-) -> List[Geodesic]:
+def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesic]:
     """All simple closed geodesics up to the length cutoff, one per slope.
 
     Lengths come from traces via len = 2*arccosh(trace/2).  The result is
-    sorted by slope, so it is deterministic and independent of the thread
-    count used for the subtree walks.
+    sorted by slope, so it is deterministic.
     """
     tmax = 2.0 * math.cosh(length_cutoff / 2.0)
     x, y, z = root.x, root.y, root.z
@@ -215,20 +211,14 @@ def enumerate_geodesics(
         for slope, t in [((0, 1), x), ((1, 0), y), ((1, 1), z), ((-1, 1), w)]
         if t <= tmax
     ]
-    jobs = [
+    subtrees = [
         (x, z, x * z - y, (0, 1), (1, 1), (1, 2)),
         (y, z, y * z - x, (1, 0), (1, 1), (2, 1)),
         (x, w, x * w - y, (0, 1), (-1, 1), (-1, 2)),
         (y, w, y * w - x, (-1, 0), (-1, 1), (-2, 1)),
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(_walk_subtree, *job, tmax) for job in jobs]
-            for fut in futures:
-                found.extend(fut.result())
-    else:
-        for job in jobs:
-            found.extend(_walk_subtree(*job, tmax))
+    for subtree in subtrees:
+        found.extend(_walk_subtree(*subtree, tmax))
     if not found:
         systole = 2.0 * math.acosh(min(x, y, z, w) / 2.0)
         raise ValueError(
@@ -310,7 +300,6 @@ def mcshane_sum(
     label: BoundaryLabel,
     length_cutoff: float = 40.0,
     checkpoints: Optional[Sequence[float]] = None,
-    threads: int = 1,
 ) -> ConvergenceReport:
     """Partial sums of the generalized McShane identity on the torus.
 
@@ -319,7 +308,7 @@ def mcshane_sum(
     closed geodesic and converges to theta/2, L/2, or 1/2 according to the
     boundary data.  The root triple must lie on the matching Fricke
     surface.  Summation is compensated and runs in slope order, making the
-    report bit-identical across thread counts.
+    report bit-identical from call to call.
     """
     kappa = kappa_for(label)
     if root.fricke_residual(kappa) > 1e-8:
@@ -332,7 +321,7 @@ def mcshane_sum(
         target = 0.5
     else:
         target = label.value / 2.0
-    geodesics = enumerate_geodesics(root, length_cutoff, threads=threads)
+    geodesics = enumerate_geodesics(root, length_cutoff)
     if checkpoints is None:
         cuts = [float(c) for c in range(10, int(length_cutoff) + 1, 5)]
         if not cuts or cuts[-1] != float(length_cutoff):

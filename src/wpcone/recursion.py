@@ -36,6 +36,13 @@ The stored one-handled-torus volume is x/48 + pi^2/12: it already carries
 the half coming from the elliptic involution of the torus, so no splitting
 term applies any further weight for that piece.
 
+The cut structure is written once, in _cuts: it yields each cut with the
+signatures of its pieces, the parent slot behind each surviving piece slot
+and, for a pairing, the partner slot.  It has two consumers.  The exact
+assembly _rhs turns each cut into integer weight-table pushes; the
+quadrature oracle numeric_volume_value evaluates the same cuts with every
+kernel moment computed by quadrature instead of the closed forms.
+
 Working form.  The recursion computes on polyalg.Numerators: one integer
 denominator, a map {exponent vector: integer numerator} and the degree.
 The pi-power is not stored: a volume of degree d = 3g - 3 + m + n is
@@ -56,14 +63,23 @@ terms are built only if a caller reads them (polyalg.from_numerators).
 
 from __future__ import annotations
 
+import itertools
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from wpcone.kernels import (
     DEFAULT_MAX_MOMENT_K,
@@ -106,23 +122,12 @@ class SurfaceSignature:
         return 6 * self.genus - 6 + 2 * self.slots
 
 
-def delta_factor(sig: SurfaceSignature) -> int:
-    """1 for the one-handled torus (1, 1, 0), else 0.
-
-    Marks the signature whose stored volume already absorbs the factor half
-    from the elliptic involution; assembly applies no further weight.
-    """
-    return int((sig.genus, sig.boundaries, sig.cones) == (1, 1, 0))
-
-
 @dataclass(frozen=True)
 class Splitting:
     """One ordered way a separating pants cut shares out genus and slots.
 
     Slot indices refer to the parent surface; each side additionally receives
-    one new boundary (the pants curve it meets).  one_handle_* records which
-    sides are bare one-handled tori -- informational only, since the stored
-    torus volume is already halved (see the module docstring).
+    one new boundary (the pants curve it meets).
     """
 
     genus_first: int
@@ -131,22 +136,6 @@ class Splitting:
     boundaries_second: Tuple[int, ...]
     cones_first: Tuple[int, ...]
     cones_second: Tuple[int, ...]
-
-    @property
-    def one_handle_first(self) -> int:
-        return int(
-            self.genus_first == 1
-            and not self.boundaries_first
-            and not self.cones_first
-        )
-
-    @property
-    def one_handle_second(self) -> int:
-        return int(
-            self.genus_second == 1
-            and not self.boundaries_second
-            and not self.cones_second
-        )
 
 
 def _subsets(items: Sequence[int]):
@@ -184,6 +173,70 @@ def enumerate_splittings(
                     continue
                 out.append(Splitting(g1, g2, I1, I2, J1, J2))
     return out
+
+
+class _Cut(NamedTuple):
+    """One cut of the recursion's right-hand side.
+
+    kind is "nonseparating", "separating", "pairing" or "cap".  pieces are
+    the (g, m, n) signatures of the pieces left after the cut (none for the
+    cap); slots[i] gives, for each slot of piece i after its new boundaries,
+    the parent slot it continues.  partner is the parent slot a pairing
+    swallows.
+    """
+
+    kind: str
+    pieces: Tuple[Tuple[int, int, int], ...]
+    slots: Tuple[Tuple[int, ...], ...]
+    partner: Optional[int] = None
+
+
+def _stable(g: int, m: int, n: int) -> bool:
+    return 2 * g - 2 + m + n > 0
+
+
+def _cuts(g: int, m: int, n: int) -> Iterator[_Cut]:
+    """Every cut of V_{g,m,n} along a pants bounded by the distinguished slot
+    (boundary 0 when n == 0, cone m otherwise), each once, in a fixed order.
+
+    Piece slot layouts stay canonical (new boundaries first, then surviving
+    lengths, then surviving cones), so each piece's surviving slots are
+    parent slots in increasing order.
+    """
+    nslots = m + n
+    dist = m if n else 0
+    survivors = tuple(s for s in range(nslots) if s != dist)
+    ms = m if n else m - 1  # surviving boundaries
+    ns = max(n - 1, 0)  # surviving cones
+
+    # non-separating: two new boundaries x, y on one connected piece
+    if g >= 1 and _stable(g - 1, ms + 2, ns):
+        yield _Cut("nonseparating", ((g - 1, ms + 2, ns),), (survivors,))
+
+    # separating: ordered stable pairs sharing genus and slots
+    for sp in enumerate_splittings(SurfaceSignature(g, m, n), dist):
+        first = sp.boundaries_first + sp.cones_first
+        second = sp.boundaries_second + sp.cones_second
+        yield _Cut(
+            "separating",
+            (
+                (sp.genus_first, len(sp.boundaries_first) + 1, len(sp.cones_first)),
+                (sp.genus_second, len(sp.boundaries_second) + 1, len(sp.cones_second)),
+            ),
+            (first, second),
+        )
+
+    # pairings: the pants swallows a surviving boundary (the piece trades it
+    # for x) or a surviving cone (the piece trades it for a boundary x)
+    for partner in survivors:
+        piece = (g, ms, ns) if partner < m else (g, ms + 1, ns - 1)
+        if _stable(*piece):
+            rest = tuple(s for s in survivors if s != partner)
+            yield _Cut("pairing", (piece,), (rest,), partner)
+
+    # one-handled torus cap: the interior geodesic bounds the handle alone
+    if g == 1 and nslots == 1:
+        yield _Cut("cap", (), ())
 
 
 # -- memoization ---------------------------------------------------------------
@@ -378,12 +431,16 @@ def _push_nonseparating(sub: Numerators, dist: int, table, out, scale: int) -> N
 
 
 def _push_separating(
-    sub1: Numerators, sub2: Numerators, sp: Splitting, dist: int, table, out, scale: int
+    sub1: Numerators,
+    sub2: Numerators,
+    slots: Tuple[int, ...],
+    dist: int,
+    table,
+    out,
+    scale: int,
 ) -> None:
-    # each side's slots: the pants curve, then its share of the survivors
-    slots = (
-        sp.boundaries_first + sp.cones_first + sp.boundaries_second + sp.cones_second
-    )
+    # each side's slots: the pants curve, then its share of the survivors,
+    # whose parent slots are `slots` (first side, then second)
     gather = _gather(sorted(range(len(slots)), key=slots.__getitem__))
     second = [(e[0], e[1:], n) for e, n in sub2.nums.items()]
 
@@ -409,27 +466,6 @@ def _push_cap(table, out, scale: int) -> None:
         out[(r,)] = out.get((r,), 0) + w * scale
 
 
-def _run_jobs(jobs: List[Callable[[Dict[Exponent, int]], None]], threads: int):
-    """Evaluate independent term groups.  Integer sums are exact, so the
-    result is identical whatever the thread count."""
-    total: Dict[Exponent, int] = {}
-    if threads > 1 and len(jobs) > 1:
-
-        def run(job):
-            part: Dict[Exponent, int] = {}
-            job(part)
-            return part
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for part in pool.map(run, jobs):
-                for key, n in part.items():
-                    total[key] = total.get(key, 0) + n
-    else:
-        for job in jobs:
-            job(total)
-    return total
-
-
 # -- the recursion -----------------------------------------------------------------
 
 
@@ -440,69 +476,46 @@ def _sub_volume(g: int, m: int, n: int) -> Numerators:
     return cone_volume_direct(g, m, n, max_moment_k=None).numerators
 
 
-def _rhs(g: int, m: int, n: int, threads: int) -> Numerators:
-    """d(l V/2)/dl on the distinguished slot, in working form.
+def _rhs(g: int, m: int, n: int) -> Numerators:
+    """d(l V/2)/dl on the distinguished slot, in working form: each cut of
+    _cuts becomes one integer push.
 
     The distinguished slot is boundary 0 when n == 0 and cone m otherwise.
-    Sub-surface slot layouts stay canonical (new boundaries first, surviving
-    lengths, then surviving cones), so every piece's exponents after its new
-    boundaries are the parent's survivors in order.  Pairings: the
-    distinguished slot is the gap's base curve and the surviving slot is the
-    partner (the exact-equality test against the substitution path pins
-    this reading).
+    Pairings: the distinguished slot is the gap's base curve and the
+    surviving slot is the partner (the exact-equality test against the
+    substitution path pins this reading).
     """
     nslots = m + n
     angle = n > 0
     dist = m if angle else 0
-    length_partners = range(m) if angle else range(1, m)
-    cone_partners = range(m + 1, nslots)
-    ms, ns = len(length_partners), len(cone_partners)
-    kmax = 3 * g - 4 + nslots  # the largest moment index any group needs
+    kmax = 3 * g - 4 + nslots  # the largest moment index any cut needs
     wden, wtab = _double_table(kmax, angle)
     groups: List[Tuple[int, Callable]] = []  # (group denominator, push)
-
-    # non-separating cut: two new boundaries x, y on one connected piece
-    if g >= 1 and 2 * g - 3 + nslots > 0:
-        sub = _sub_volume(g - 1, ms + 2, ns)
-        groups.append((sub.den * wden, partial(_push_nonseparating, sub, dist, wtab)))
-
-    # separating cuts: ordered stable pairs sharing genus and slots
-    for sp in enumerate_splittings(SurfaceSignature(g, m, n), dist):
-        sub1 = _sub_volume(
-            sp.genus_first, len(sp.boundaries_first) + 1, len(sp.cones_first)
-        )
-        sub2 = _sub_volume(
-            sp.genus_second, len(sp.boundaries_second) + 1, len(sp.cones_second)
-        )
-        groups.append(
-            (
-                sub1.den * sub2.den * wden,
-                partial(_push_separating, sub1, sub2, sp, dist, wtab),
-            )
-        )
-
-    # pairings: a pants swallows a surviving boundary (the piece trades it
-    # for x) or a surviving cone (the piece trades it for a boundary x)
-    if 2 * g - 3 + nslots > 0:
-        for partners, piece, partner_angle in (
-            (length_partners, (g, ms, ns), False),
-            (cone_partners, (g, ms + 1, ns - 1), True),
-        ):
-            for partner in partners:
-                sub = _sub_volume(*piece)
-                pden, ptab = _pair_table(kmax, angle, partner_angle, partner < dist)
-                groups.append(
-                    (sub.den * pden, partial(_push_pairing, sub, dist, partner, ptab))
-                )
-
-    # one-handled torus cap: the bare first moment, weight 1/16
-    if g == 1 and nslots == 1:
-        cden, ctab = _cap_table(angle)
-        groups.append((cden, partial(_push_cap, ctab)))
+    for cut in _cuts(g, m, n):
+        subs = [_sub_volume(*piece) for piece in cut.pieces]
+        if cut.kind == "nonseparating":
+            (sub,) = subs
+            push = partial(_push_nonseparating, sub, dist, wtab)
+            groups.append((sub.den * wden, push))
+        elif cut.kind == "separating":
+            sub1, sub2 = subs
+            slots = cut.slots[0] + cut.slots[1]
+            push = partial(_push_separating, sub1, sub2, slots, dist, wtab)
+            groups.append((sub1.den * sub2.den * wden, push))
+        elif cut.kind == "pairing":
+            (sub,) = subs
+            pden, ptab = _pair_table(kmax, angle, cut.partner >= m, cut.partner < dist)
+            push = partial(_push_pairing, sub, dist, cut.partner, ptab)
+            groups.append((sub.den * pden, push))
+        else:
+            cden, ctab = _cap_table(angle)
+            groups.append((cden, partial(_push_cap, ctab)))
 
     den = math.lcm(*(d for d, _ in groups))
-    jobs = [partial(push, scale=den // d) for d, push in groups]
-    return Numerators(den, _run_jobs(jobs, threads), 3 * g - 3 + nslots)
+    total: Dict[Exponent, int] = {}
+    for d, push in groups:
+        push(total, scale=den // d)
+    return Numerators(den, total, 3 * g - 3 + nslots)
 
 
 def _invert(den: int, nums: Dict[tuple, int], slot: int):
@@ -535,7 +548,7 @@ def _check_moment_cap(g: int, nslots: int, max_moment_k: Optional[int]) -> None:
     check_moment_index(3 * g - 4 + nslots, max_moment_k)
 
 
-def _recurse(g: int, m: int, n: int, threads: int) -> VolumePolynomial:
+def _recurse(g: int, m: int, n: int) -> VolumePolynomial:
     """Memoized V_{g,m,n}: the all-boundary recursion when n == 0, else the
     direct cone path with the first cone (slot m) distinguished."""
     key = (g, m, n)
@@ -545,10 +558,10 @@ def _recurse(g: int, m: int, n: int, threads: int) -> VolumePolynomial:
     if g == 0 and m + n == 3:
         result = from_numerators(3, 1, {(0, 0, 0): 1}, 0)
     elif n:
-        rhs = from_numerators(m + n, *_rhs(g, m, n, threads))
+        rhs = from_numerators(m + n, *_rhs(g, m, n))
         result = integrate_distinguished(rhs, m)
     else:
-        rhs = assemble_rhs(g, m, threads=threads, max_moment_k=None)
+        rhs = assemble_rhs(g, m, max_moment_k=None)
         result = integrate_distinguished(rhs, 0)
     _assert_homogeneous(result, 3 * g - 3 + m + n)
     return _memo_put(_RECURSION_MEMO, key, result)
@@ -560,7 +573,6 @@ def _recurse(g: int, m: int, n: int, threads: int) -> VolumePolynomial:
 def boundary_volume(
     g: int,
     nslots: int,
-    threads: int = 1,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
 ) -> VolumePolynomial:
     """Exact volume polynomial for genus g with nslots geodesic boundaries.
@@ -576,13 +588,12 @@ def boundary_volume(
         )
     SurfaceSignature(g, nslots, 0)  # stability check
     _check_moment_cap(g, nslots, max_moment_k)
-    return _recurse(g, nslots, 0, threads)
+    return _recurse(g, nslots, 0)
 
 
 def assemble_rhs(
     g: int,
     nslots: int,
-    threads: int = 1,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
 ) -> VolumePolynomial:
     """Right-hand side of the recursion: the exact polynomial equal to
@@ -596,7 +607,7 @@ def assemble_rhs(
     if (g, nslots) == (0, 3):
         raise ValueError("the three-holed sphere is a base case, not assembled")
     _check_moment_cap(g, nslots, max_moment_k)
-    return from_numerators(nslots, *_rhs(g, nslots, 0, threads))
+    return from_numerators(nslots, *_rhs(g, nslots, 0))
 
 
 def integrate_distinguished(rhs: VolumePolynomial, slot: int) -> VolumePolynomial:
@@ -631,7 +642,6 @@ def integrate_distinguished(rhs: VolumePolynomial, slot: int) -> VolumePolynomia
 
 def compute_volume(
     sig: SurfaceSignature,
-    threads: int = 1,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
     max_genus: Optional[int] = DEFAULT_MAX_GENUS,
     max_slots: Optional[int] = DEFAULT_MAX_SLOTS,
@@ -658,7 +668,7 @@ def compute_volume(
             "raise the max_slots configuration knob to allow it"
         )
     _check_moment_cap(sig.genus, sig.slots, max_moment_k)
-    boundary = boundary_volume(sig.genus, sig.slots, threads, max_moment_k=None)
+    boundary = boundary_volume(sig.genus, sig.slots, max_moment_k=None)
     if not sig.cones:
         return boundary
     return from_numerators(
@@ -670,7 +680,6 @@ def cone_volume_direct(
     g: int,
     m: int,
     n: int,
-    threads: int = 1,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
 ) -> VolumePolynomial:
     """Volume polynomial computed with the first cone slot distinguished.
@@ -681,10 +690,10 @@ def cone_volume_direct(
     exactly with compute_volume; slot layout is identical (lengths first).
     """
     if n == 0:
-        return boundary_volume(g, m, threads=threads, max_moment_k=max_moment_k)
+        return boundary_volume(g, m, max_moment_k=max_moment_k)
     SurfaceSignature(g, m, n)
     _check_moment_cap(g, m + n, max_moment_k)
-    return _recurse(g, m, n, threads)
+    return _recurse(g, m, n)
 
 
 # -- quadrature-backed numeric assembly (oracle path) -----------------------------
@@ -701,14 +710,15 @@ def numeric_volume_value(
     """Evaluate V_{g,m,n} at one point with every kernel moment computed by
     quadrature instead of the frozen closed forms.
 
-    The right-hand side is assembled with the same term structure as the
-    symbolic path but each moment F_k(t) is an adaptive-quadrature integral,
-    and the final inversion V = (2/L1) * int_0^{L1} rhs(u) du uses
-    Gauss-Legendre with enough nodes to be exact on the polynomial
-    integrand.  Requires m >= 1 (the distinguished slot must be a real
-    boundary to integrate over).  Sub-volumes below the top level stay
-    symbolic: the oracle isolates the top assembly step, which is the one
-    the closed forms feed.
+    The right-hand side runs over the cuts of the all-boundary recursion
+    (_cuts(g, m + n, 0), slot 0 distinguished), with each cone a boundary of
+    imaginary length i*theta, but each moment F_{2k+1}(t) is an
+    adaptive-quadrature integral, and the final inversion
+    V = (2/L1) * int_0^{L1} rhs(u) du uses Gauss-Legendre with enough nodes
+    to be exact on the polynomial integrand.  Requires m >= 1 (the
+    distinguished slot must be a real boundary to integrate over).
+    Sub-volumes below the top level stay symbolic: the oracle isolates the
+    top assembly step, which is the one the closed forms feed.
     """
     from numpy.polynomial.legendre import leggauss
 
@@ -720,21 +730,67 @@ def numeric_volume_value(
     nslots = m + n
     if (g, nslots) == (0, 3):
         return 1.0
-    d = 3 * g - 3 + nslots
-    big_l = lengths[0]
-    rest = list(lengths[1:]) + list(angles)
-    rest_is_angle = [False] * (m - 1) + [True] * n
+    values = list(lengths) + list(angles)
+    squares = [v * v for v in lengths] + [-(v * v) for v in angles]
+
+    # the right-hand side as sum of weight * F_{2k+1}(t), keyed by
+    # (k, partner slot or None for t = u)
+    moments: Dict[Tuple[int, Optional[int]], float] = {}
+    for cut in _cuts(g, nslots, 0):
+        for cut_exps, value in _numeric_pieces(cut, squares):
+            if cut.kind == "cap":
+                key, weight = (0, None), value / 16
+            elif cut.kind == "pairing":
+                key, weight = (cut_exps[0], cut.partner), 0.25 * value
+            else:
+                a, b = cut_exps
+                key = (a + b + 1, None)
+                weight = 0.25 * float(_pair_coefficient(a, b)) * value
+            moments[key] = moments.get(key, 0.0) + weight
+
     cache: Dict[tuple, float] = {}
-    nodes, weights = leggauss(d + 2)
-    half = big_l / 2
-    total = 0.0
-    for node, weight in zip(nodes, weights):
-        u = half * (node + 1)
-        total += weight * _numeric_rhs(
-            g, nslots, u, rest, rest_is_angle, cache, tol
-        )
-    integral = half * total
-    return 2 / big_l * integral
+
+    def rhs(u: float) -> float:
+        acc = 0.0
+        for (k, partner), weight in moments.items():
+            if partner is None:
+                fnum = _numeric_moment(k, u, cache, tol)
+            elif partner >= m:
+                # F(u + i*theta) + F(u - i*theta), one conjugate-pair quad
+                fnum = _numeric_moment(k, complex(u, values[partner]), cache, tol)
+            else:
+                s_val = values[partner]
+                fnum = _numeric_moment(k, u + s_val, cache, tol) + (
+                    _numeric_moment(k, u - s_val, cache, tol)
+                )
+            acc += weight * fnum
+        return acc
+
+    nodes, weights = leggauss(3 * g - 3 + nslots + 2)
+    half = lengths[0] / 2
+    integral = half * sum(w * rhs(half * (x + 1)) for x, w in zip(nodes, weights))
+    return 2 / lengths[0] * integral
+
+
+def _numeric_pieces(
+    cut: _Cut, squares: Sequence[float]
+) -> Iterator[Tuple[Tuple[int, ...], float]]:
+    """(exponents of the cut slots, value) for every choice of one term per
+    piece, the value being the product of the chosen terms' coefficients
+    with their surviving slots set to the parent's squared values."""
+    per_piece = []
+    for piece, slots in zip(cut.pieces, cut.slots):
+        sub = _sub_volume(*piece)
+        new = piece[1] + piece[2] - len(slots)  # the cut slots come first
+        terms = []
+        for e, num in sub.nums.items():
+            value = num / sub.den * math.pi ** (2 * (sub.degree - sum(e)))
+            for slot, k in zip(slots, e[new:]):
+                value *= squares[slot] ** k
+            terms.append((e[:new], value))
+        per_piece.append(terms)
+    for choice in itertools.product(*per_piece):
+        yield sum((c for c, _ in choice), ()), math.prod(v for _, v in choice)
 
 
 def _numeric_moment(k: int, t: complex, cache: Dict[tuple, float], tol: float) -> float:
@@ -759,95 +815,3 @@ def _numeric_moment(k: int, t: complex, cache: Dict[tuple, float], tol: float) -
             lambda x: x ** (2 * k + 1) * 2 * pairing_kernel(x, tc).real, tol=tol
         )
     return cache[key]
-
-
-def _eval_rest(rest_xexp, rest_vals, rest_is_angle) -> float:
-    mono = 1.0
-    for e, val, is_angle in zip(rest_xexp, rest_vals, rest_is_angle):
-        if e:
-            x = -(val * val) if is_angle else val * val
-            mono *= x**e
-    return mono
-
-
-def _numeric_rhs(
-    g: int,
-    nslots: int,
-    u: float,
-    rest_vals: Sequence[float],
-    rest_is_angle: Sequence[bool],
-    cache: Dict[tuple, float],
-    tol: float,
-) -> float:
-    pi = math.pi
-    acc = 0.0
-
-    def graded_value(graded, extra=1.0):
-        return sum(float(c) * pi**q for q, c in graded.items()) * extra
-
-    # non-separating
-    if g >= 1 and 2 * (g - 1) + (nslots + 1) > 2:
-        sub = boundary_volume(g - 1, nslots + 1, max_moment_k=None)
-        for xexp, graded in sub.terms.items():
-            a, b = xexp[0], xexp[1]
-            mono = _eval_rest(xexp[2:], rest_vals, rest_is_angle)
-            fnum = _numeric_moment(a + b + 1, u, cache, tol)
-            acc += 0.25 * float(_pair_coefficient(a, b)) * graded_value(
-                graded, mono
-            ) * fnum
-
-    # separating
-    for sp in enumerate_splittings(SurfaceSignature(g, nslots, 0), 0):
-        sub1 = boundary_volume(sp.genus_first, len(sp.boundaries_first) + 1,
-                               max_moment_k=None)
-        sub2 = boundary_volume(sp.genus_second, len(sp.boundaries_second) + 1,
-                               max_moment_k=None)
-        for e1, graded1 in sub1.terms.items():
-            v1 = graded_value(graded1) * math.prod(
-                _rest_value(rest_vals, rest_is_angle, slot, e1[1 + i])
-                for i, slot in enumerate(sp.boundaries_first)
-            )
-            for e2, graded2 in sub2.terms.items():
-                v2 = graded_value(graded2) * math.prod(
-                    _rest_value(rest_vals, rest_is_angle, slot, e2[1 + i])
-                    for i, slot in enumerate(sp.boundaries_second)
-                )
-                fnum = _numeric_moment(e1[0] + e2[0] + 1, u, cache, tol)
-                acc += 0.25 * float(_pair_coefficient(e1[0], e2[0])) * v1 * v2 * fnum
-
-    # pairings
-    if nslots >= 2 and 2 * g + (nslots - 1) > 2:
-        sub = boundary_volume(g, nslots - 1, max_moment_k=None)
-        for j in range(1, nslots):
-            s_val = rest_vals[j - 1]
-            s_is_angle = rest_is_angle[j - 1]
-            other = [s for s in range(1, nslots) if s != j]
-            for xexp, graded in sub.terms.items():
-                mono = 1.0
-                for i, slot in enumerate(other):
-                    mono *= _rest_value(
-                        rest_vals, rest_is_angle, slot, xexp[1 + i]
-                    )
-                k = xexp[0]
-                if s_is_angle:
-                    # F(u + i*theta) + F(u - i*theta), one conjugate-pair quad
-                    fnum = _numeric_moment(k, complex(u, s_val), cache, tol)
-                else:
-                    fnum = _numeric_moment(k, u + s_val, cache, tol) + (
-                        _numeric_moment(k, u - s_val, cache, tol)
-                    )
-                acc += 0.25 * graded_value(graded, mono) * fnum
-
-    # cap
-    if (g, nslots) == (1, 1):
-        acc += _numeric_moment(0, u, cache, tol) / 16
-
-    return acc
-
-
-def _rest_value(rest_vals, rest_is_angle, slot, exp) -> float:
-    if not exp:
-        return 1.0
-    val = rest_vals[slot - 1]
-    x = -(val * val) if rest_is_angle[slot - 1] else val * val
-    return x**exp

@@ -121,14 +121,6 @@ def test_table_single_slot(capsys):
     ]
 
 
-def test_table_deterministic_across_threads(capsys):
-    args = ["table", "--g-max", "1", "--slot-max", "3", "--format", "latex"]
-    code1, out1, _ = run(capsys, *args)
-    code2, out2, _ = run(capsys, *args, "--threads", "3")
-    assert code1 == code2 == 0
-    assert out1 == out2
-
-
 def test_table_csv_and_json(capsys):
     code, out, _ = run(
         capsys, "table", "--g-max", "0", "--slot-max", "3", "--format", "csv"
@@ -237,7 +229,60 @@ def test_verify_recursion(capsys):
     assert "pass" in out
 
 
+def test_verify_recursion_reads_max_moment_k(tmp_path, capsys):
+    # (5, 1, 1) and (5, 0, 2) read moments up to k = 3g - 4 + m + n = 13,
+    # past the default cap of 12
+    argv = ["verify", "recursion", "--g-max", "5", "--slot-max", "2",
+            "--samples", "1"]
+    code, _, err = run(capsys, *argv)
+    assert code == 2 and "max_moment_k=12" in err
+    code, out, err = run(capsys, *argv, "--max-moment-k", "13")
+    assert code == 0, err
+    assert "cone recursion (5,0,2): ok" in out
+    config = tmp_path / "wpcone.cfg"
+    config.write_text("max_moment_k = 13\n")
+    code, _, err = run(capsys, *argv, "--config", str(config))
+    assert code == 0, err
+
+
 # -- configuration sources ----------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "identity", "--max-genus", "1"],
+        ["verify", "identity", "--config", "wpcone.cfg"],
+        ["verify", "mcshane", "--cusp", "--max-moment-k", "3"],
+        ["verify", "kernel", "--max-slots", "3"],
+        ["verify", "recursion", "--quad-tol", "1e-9"],
+        ["volume", "--g", "1", "--cones", "1", "--quad-tol", "1e-9"],
+        ["table", "--quad-tol", "1e-9"],
+        ["cusp-limit", "--g", "1", "--quad-tol", "1e-9"],
+        ["volume", "--g", "1", "--cones", "1", "--threads", "2"],
+        ["table", "--threads", "2"],
+        ["verify", "mcshane", "--cusp", "--threads", "2"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_kernel_reads_quad_tol(tmp_path, capsys):
+    # a quadrature tolerance tighter than the integrator reaches raises
+    argv = ["verify", "kernel", "--max-k", "0", "--samples", "1"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.strip().endswith("pass")
+    code, _, err = run(capsys, *argv, "--quad-tol", "1e-12")
+    assert code == 1 and "exceeds tolerance 1.000e-12" in err
+    config = tmp_path / "wpcone.cfg"
+    config.write_text("quad_tol = 1e-12\n")
+    code, _, err = run(capsys, *argv, "--config", str(config))
+    assert code == 1 and "exceeds tolerance 1.000e-12" in err
+
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -299,6 +344,32 @@ def test_subprocess_latex_and_startup_time():
     assert proc.returncode == 0
     assert proc.stdout == CONE_TORUS_LATEX + "\n"
     assert elapsed < 1.0
+
+
+def test_volume_command_loads_no_numeric_stack():
+    # -X importtime lists every module the child imports, one per line
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "wpcone.cli", "volume",
+         "--g", "1", "--cones", "1"],
+        capture_output=True,
+        text=True,
+        timeout=30,
+    )
+    assert proc.returncode == 0
+    imported = {
+        line.rsplit("|", 1)[1].strip()
+        for line in proc.stderr.splitlines()
+        if line.startswith("import time:")
+    }
+    assert "wpcone.recursion" in imported
+    heavy = sorted(
+        name
+        for name in imported
+        if name.split(".")[0] in ("numpy", "scipy")
+        or name == "concurrent.futures"
+        or name.startswith("concurrent.futures.")
+    )
+    assert heavy == []
 
 
 PANTS_ARGV = ["volume", "--g", "0", "--boundaries", "3"]

@@ -170,13 +170,6 @@ def test_fricke_relation_preserved_along_tree():
     check(root.x, root.y, w, rx, ry, rx * ry - rz, 10)
 
 
-def test_threaded_enumeration_identical():
-    root = root_triple(kappa_for(cone(1.0)))
-    assert enumerate_geodesics(root, 30.0) == enumerate_geodesics(
-        root, 30.0, threads=4
-    )
-
-
 # -- McShane sums -------------------------------------------------------------------
 
 
@@ -254,9 +247,7 @@ def test_report_serialization():
     assert csv.splitlines()[0] == "cutoff,count,sum,residual"
     assert len(csv.splitlines()) == 3
     # byte determinism
-    again = mcshane_sum(
-        root_triple(0.0), cusp(), 20.0, checkpoints=[10.0, 20.0], threads=3
-    )
+    again = mcshane_sum(root_triple(0.0), cusp(), 20.0, checkpoints=[10.0, 20.0])
     assert again.to_json() == report.to_json()
     assert again.to_csv() == csv
 

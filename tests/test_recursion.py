@@ -25,7 +25,6 @@ from wpcone.recursion import (
     clear_memo,
     compute_volume,
     cone_volume_direct,
-    delta_factor,
     enumerate_splittings,
     integrate_distinguished,
     numeric_volume_value,
@@ -46,13 +45,6 @@ def test_signature_validation():
             SurfaceSignature(*bad)
     with pytest.raises(ValueError):
         SurfaceSignature(-1, 5, 0)
-
-
-def test_delta_factor():
-    assert delta_factor(SurfaceSignature(1, 1, 0)) == 1
-    assert delta_factor(SurfaceSignature(0, 3, 0)) == 0
-    assert delta_factor(SurfaceSignature(2, 1, 0)) == 0
-    assert delta_factor(SurfaceSignature(1, 0, 1)) == 0
 
 
 def brute_force_splittings(sig, distinguished_slot):
@@ -138,13 +130,6 @@ def test_splittings_come_in_mirror_pairs():
 def test_four_holed_sphere_has_no_stable_splitting():
     # genus-zero sides need two surviving slots each; three do not suffice
     assert enumerate_splittings(SurfaceSignature(0, 4, 0), 0) == []
-
-
-def test_one_handle_flags():
-    sps = enumerate_splittings(SurfaceSignature(2, 1, 0), 0)
-    assert len(sps) == 1
-    sp = sps[0]
-    assert sp.one_handle_first == 1 and sp.one_handle_second == 1
 
 
 # -- frozen volumes --------------------------------------------------------------
@@ -271,17 +256,10 @@ def test_closed_surface_rejected():
         boundary_volume(0, 2)
 
 
-def test_memoization_purity_and_thread_mode():
+def test_memoization_purity():
     clear_memo()
     first = boundary_volume(1, 2)
     assert boundary_volume(1, 2) is first  # memo returns the stored object
-    clear_memo()
-    threaded = boundary_volume(1, 2, threads=3)
-    assert threaded == first
-    clear_memo()
-    assert compute_volume(SurfaceSignature(1, 1, 1), threads=2) == (
-        compute_volume(SurfaceSignature(1, 1, 1), threads=1)
-    )
 
 
 def test_moment_cap_propagates_with_clear_message():
