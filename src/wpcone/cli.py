@@ -14,7 +14,8 @@ fails, 2 on invalid input (the message names the violated constraint).
 Caps and tolerances come from defaults, an optional key=value config file
 (--config), the WPCONE_MAX_GENUS environment variable, and command-line
 flags, in increasing order of precedence.  A command takes --config and the
-override flags only for the settings it reads.
+override flags only for the settings it reads, and reads WPCONE_MAX_GENUS
+only if it reads max_genus.
 
 Heavy numeric dependencies load lazily, so polynomial-only invocations
 stay fast.
@@ -111,7 +112,7 @@ def _settings(args: argparse.Namespace) -> Dict[str, object]:
     if config_path:
         values.update(_read_config(config_path))
     env_genus = os.environ.get("WPCONE_MAX_GENUS")
-    if env_genus is not None:
+    if env_genus is not None and hasattr(args, "max_genus"):
         try:
             values["max_genus"] = int(env_genus)
         except ValueError:

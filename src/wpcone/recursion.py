@@ -43,22 +43,24 @@ assembly _rhs turns each cut into integer weight-table pushes; the
 quadrature oracle numeric_volume_value evaluates the same cuts with every
 kernel moment computed by quadrature instead of the closed forms.
 
-Working form.  The recursion computes on polyalg.Numerators: one integer
-denominator, a map {exponent vector: integer numerator} and the degree.
-The pi-power is not stored: a volume of degree d = 3g - 3 + m + n is
-homogeneous, so the term x^e carries pi^(2(d - sum(e))), and every
-transform above preserves that (a moment F_{2k+1} has t^(2r) with
-pi^(2(k+1-r)), asserted when the weight tables are built).  The weights of
-each transform (1/4 times the pair coefficient times a moment coefficient,
-or 1/4 * 2 * C(2r, 2i) times a moment coefficient for a pairing, with the
-signs of the angle slots) are precomputed as integers over one denominator
-per table, so assembly is integer multiply-adds.  Inverting d(l V/2)/dl is
+Working form.  A VolumePolynomial stores only polyalg.Numerators: one
+integer denominator, a map {exponent vector: integer numerator} and the
+degree, and the recursion computes on that form directly.  The pi-power is
+not stored: a volume of degree d = 3g - 3 + m + n is homogeneous, so the
+term x^e carries pi^(2(d - sum(e))), and every transform above preserves
+that (a moment F_{2k+1} is homogeneous of degree k + 1, checked by the
+VolumePolynomial constructor when kernels builds it, so its t^(2r) carries
+pi^(2(k+1-r))).  The weights of each transform (1/4 times the pair
+coefficient times a moment coefficient, or 1/4 * 2 * C(2r, 2i) times a
+moment coefficient for a pairing, with the signs of the angle slots) are
+precomputed as integers over one denominator per table, so assembly is
+integer multiply-adds.  Inverting d(l V/2)/dl is
 V[e] = 2 rhs[e] / (2 e_l + 1), after which one gcd reduces the signature's
 numerators and denominator.  The homogeneity check (_assert_homogeneous)
 runs on every memoized volume at that point: each term's x-degree must stay
-at most d, or its implied pi-power would be negative.  The memo holds
-VolumePolynomial objects that carry their working form; their Fraction
-terms are built only if a caller reads them (polyalg.from_numerators).
+at most d, or its implied pi-power would be negative.  The pi-graded
+Fraction `terms` view of a memoized volume is built only if a caller reads
+it.
 """
 
 from __future__ import annotations
@@ -289,18 +291,16 @@ def _pair_coefficient(a: int, b: int) -> Fraction:
 def _moment_coefficients(k: int) -> Tuple[Fraction, ...]:
     """c_0..c_{k+1} with F_{2k+1}(t) = sum_r c_r pi^(2(k+1-r)) t^(2r).
 
-    Asserts that pi-power, on which the implied pi-powers of the working
-    form rest.
+    The moment is homogeneous of degree k + 1 (VolumePolynomial checks the
+    homogeneity when kernels builds it), which is what the implied
+    pi-powers of the working form rest on.
     """
+    den, nums, degree = moment_integral(k, max_k=None).numerators
+    if degree != k + 1:
+        raise RuntimeError(f"moment F_{2 * k + 1} has degree {degree}, not {k + 1}")
     coeffs = [Fraction(0)] * (k + 2)
-    for (r,), graded in moment_integral(k, max_k=None).terms.items():
-        q = 2 * (k + 1 - r)
-        if list(graded) != [q]:
-            raise RuntimeError(
-                f"moment F_{2 * k + 1} has pi-powers {sorted(graded)} on "
-                f"t^{2 * r}; homogeneity needs exactly pi^{q}"
-            )
-        coeffs[r] = graded[q]
+    for (r,), num in nums.items():
+        coeffs[r] = Fraction(num, den)
     return tuple(coeffs)
 
 
@@ -611,33 +611,12 @@ def assemble_rhs(
 
 
 def integrate_distinguished(rhs: VolumePolynomial, slot: int) -> VolumePolynomial:
-    """Invert d(l V/2)/dl on the distinguished slot.
-
-    The recursion's own inversion (_invert): on the working form when rhs
-    has one, else on each pi-grade of its terms.  Only an rhs even in the
-    slot has an even preimage: an odd l-power there integrates to an even
-    one whose division by l leaves an odd residue, and that raises.
-    """
+    """Invert d(l V/2)/dl on the distinguished slot (_invert on the working
+    form).  The preimage has the degree of rhs."""
     if not 0 <= slot < rhs.num_vars:
         raise ValueError(f"slot {slot} out of range for {rhs.num_vars} variables")
-    if rhs.parity[slot]:
-        raise RuntimeError("division by the slot length leaves a nonzero residue")
-    work = rhs.numerators
-    if work is not None:
-        return from_numerators(
-            rhs.num_vars, *_invert(work.den, work.nums, slot), work.degree
-        )
-    # the pi-exponent rides along as a last coordinate the inversion ignores
-    flat = {
-        xexp + (piexp,): coeff
-        for xexp, graded in rhs.terms.items()
-        for piexp, coeff in graded.items()
-    }
-    den, nums = _invert(*_over_common_denominator(flat), slot)
-    terms: Dict[Exponent, Dict[int, Fraction]] = {}
-    for key, num in nums.items():
-        terms.setdefault(key[:-1], {})[key[-1]] = Fraction(num, den)
-    return VolumePolynomial(rhs.num_vars, terms, rhs.parity)
+    den, nums, degree = rhs.numerators
+    return from_numerators(rhs.num_vars, *_invert(den, nums, slot), degree)
 
 
 def compute_volume(

@@ -32,7 +32,7 @@ from wpcone.mcshane import (
     root_triple,
 )
 from wpcone.kernels import cusp
-from wpcone.polyalg import eval_numeric, permute_slots
+from wpcone.polyalg import VolumePolynomial, eval_numeric
 from wpcone.recursion import (
     SurfaceSignature,
     compute_volume,
@@ -215,7 +215,15 @@ def test_criterion_8_property_suites():
             rng.shuffle(lengths_perm)
             angles_perm = perm[m:]
             rng.shuffle(angles_perm)
-            assert permute_slots(poly, lengths_perm + angles_perm) == poly, sig
+            order = lengths_perm + angles_perm
+            permuted = VolumePolynomial(
+                poly.num_vars,
+                {
+                    tuple(xexp[i] for i in order): graded
+                    for xexp, graded in poly.terms.items()
+                },
+            )
+            assert permuted == poly, sig
         # realness after the imaginary substitution, and positivity
         for _ in range(4):
             lengths = [rng.uniform(0.0, 10.0) for _ in range(m)]

@@ -328,6 +328,23 @@ def test_env_cap(monkeypatch, capsys):
     assert "WPCONE_MAX_GENUS" in err
 
 
+def test_env_cap_is_read_only_by_commands_that_take_max_genus(monkeypatch, capsys):
+    monkeypatch.setenv("WPCONE_MAX_GENUS", "three")
+    # verify kernel reads only quad_tol, so a malformed cap is not its concern
+    code, out, err = run(
+        capsys, "verify", "kernel", "--max-k", "0", "--samples", "1"
+    )
+    assert code == 0, err
+    assert out.strip().endswith("pass")
+    code, _, err = run(capsys, "volume", "--g", "1", "--cones", "1")
+    assert code == 2 and "WPCONE_MAX_GENUS='three'" in err
+    monkeypatch.setenv("WPCONE_MAX_GENUS", "1")
+    code, _, err = run(capsys, "volume", "--g", "2", "--boundaries", "1")
+    assert code == 2 and "max_genus=1" in err
+    code, out, _ = run(capsys, "volume", "--g", "1", "--cones", "1")
+    assert code == 0 and out.strip() == CONE_TORUS_LATEX
+
+
 # -- process-level behavior ----------------------------------------------------------
 
 

@@ -92,7 +92,7 @@ def test_volume_value_guards_positivity(monkeypatch):
     # a correct recursion can never produce this, so fake a defective one
     import wpcone.conepoints as cp
 
-    bogus = VolumePolynomial(1, {(0,): {0: Q(-1)}}, parity=(0,))
+    bogus = VolumePolynomial(1, {(0,): {0: Q(-1)}})
     monkeypatch.setattr(cp, "compute_volume", lambda sig, **kw: bogus)
     spec = ConeSurfaceSpec(SurfaceSignature(1, 0, 1), (1.0,))
     with pytest.raises(RuntimeError, match="non-positive"):

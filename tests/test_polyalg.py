@@ -6,132 +6,111 @@ from fractions import Fraction
 import pytest
 
 from wpcone.polyalg import (
+    Numerators,
     VolumePolynomial,
-    antiderivative,
     canonical_terms,
-    constant,
-    divide_by_slot_length,
-    embed,
-    eval_exact,
     eval_numeric,
-    monomial,
-    mul_by_slot_length,
-    partial_derivative,
-    permute_slots,
-    poly_add,
-    poly_mul,
-    scale,
+    from_numerators,
     substitute_imaginary,
     substitute_zero,
     to_json,
     to_latex,
     to_text,
-    zero,
+)
+from wpcone.recursion import (
+    SurfaceSignature,
+    clear_memo,
+    compute_volume,
+    integrate_distinguished,
 )
 
 
-def random_poly(rng, num_vars, max_deg=3, num_terms=4, parity=None):
+def random_poly(rng, num_vars, degree=3, num_terms=4):
+    """A random homogeneous polynomial: x^e carries pi^(2(degree - |e|))."""
     terms = {}
     for _ in range(num_terms):
-        xexp = tuple(rng.randrange(max_deg + 1) for _ in range(num_vars))
-        piexp = 2 * rng.randrange(3)
+        xexp = tuple(rng.randrange(degree + 1) for _ in range(num_vars))
+        if sum(xexp) > degree:
+            continue
         coeff = Fraction(rng.randrange(-8, 9), rng.randrange(1, 7))
-        terms.setdefault(xexp, {}).setdefault(piexp, Fraction(0))
-        terms[xexp][piexp] += coeff
-    return VolumePolynomial(num_vars, terms, parity)
+        terms[xexp] = {2 * (degree - sum(xexp)): coeff}
+    return VolumePolynomial(num_vars, terms)
 
 
 def test_construction_prunes_zeros_and_merges():
     p = VolumePolynomial(
         2,
         {
-            (1, 0): {0: Fraction(1, 2), 2: Fraction(0)},
-            (0, 0): {0: Fraction(-3)},
+            (1, 0): {0: Fraction(1, 2), 2: Fraction(0), 3: Fraction(0)},
+            (0, 0): {2: Fraction(-3)},
+            (0, 1): {0: Fraction(0)},
         },
     )
-    assert p.terms == {(1, 0): {0: Fraction(1, 2)}, (0, 0): {0: Fraction(-3)}}
-    q = poly_add(p, scale(p, -1))
-    assert q.is_zero() and q.terms == {}
+    assert p.terms == {(1, 0): {0: Fraction(1, 2)}, (0, 0): {2: Fraction(-3)}}
+    # every coefficient merges onto one denominator, the pi-power implied
+    assert p.numerators == Numerators(2, {(1, 0): 1, (0, 0): -6}, 1)
+    q = VolumePolynomial(2, {(1, 0): {0: Fraction(0)}, (0, 0): {2: 0}})
+    assert not q and q.terms == {} and q.numerators.nums == {}
 
 
 def test_construction_validation():
     with pytest.raises(ValueError):
-        VolumePolynomial(2, {(1,): {0: Fraction(1)}})
+        VolumePolynomial(-1)
+    with pytest.raises(ValueError):
+        VolumePolynomial(2, {(1,): {0: Fraction(1)}})  # wrong vector length
     with pytest.raises(ValueError):
         VolumePolynomial(1, {(-1,): {0: Fraction(1)}})
     with pytest.raises(ValueError):
         VolumePolynomial(1, {(0,): {3: Fraction(1)}})  # odd pi power
     with pytest.raises(ValueError):
-        VolumePolynomial(1, {(0,): {0: Fraction(1)}}, parity=(2,))
+        VolumePolynomial(1, {(0,): {-2: Fraction(1)}})  # negative pi power
+    with pytest.raises(ValueError, match="homogeneous"):
+        VolumePolynomial(1, {(1,): {0: Fraction(1)}, (0,): {0: Fraction(1)}})
+    with pytest.raises(ValueError, match="homogeneous"):
+        VolumePolynomial(1, {(0,): {0: Fraction(1), 2: Fraction(1)}})
+    with pytest.raises(ValueError, match="homogeneous"):
+        # F_1 = t^2/2 + 2 pi^2/3 with its constant's pi-power shifted
+        VolumePolynomial(1, {(1,): {0: Fraction(1, 2)}, (0,): {4: Fraction(2, 3)}})
 
 
-def test_ring_axioms_random():
-    rng = random.Random(20260817)
-    for _ in range(40):
-        n = rng.randrange(1, 4)
-        a = random_poly(rng, n)
-        b = random_poly(rng, n)
-        c = random_poly(rng, n)
-        assert poly_add(a, b) == poly_add(b, a)
-        assert poly_mul(a, b) == poly_mul(b, a)
-        assert poly_mul(a, poly_mul(b, c)) == poly_mul(poly_mul(a, b), c)
-        assert poly_mul(a, poly_add(b, c)) == poly_add(
-            poly_mul(a, b), poly_mul(a, c)
-        )
-        assert poly_add(a, zero(n)) == a
-        assert poly_mul(a, constant(n, 1)) == a
+def small_signatures():
+    """Every stable (g, m, n) with g <= 2 and 1 <= m + n <= 5: 55 of them."""
+    for g in range(3):
+        for total in range(1, 6):
+            if 2 * g - 2 + total > 0:
+                for n in range(total + 1):
+                    yield SurfaceSignature(g, total - n, n)
 
 
-def test_mul_tracks_pi_grading():
-    # (pi^2/12) * (x/2) = pi^2 x / 24
-    a = constant(1, Fraction(1, 12), piexp=2)
-    b = monomial(1, (1,), Fraction(1, 2))
-    assert poly_mul(a, b).terms == {(1,): {2: Fraction(1, 24)}}
-
-
-def test_parity_multiplication_carries():
-    # l * l = x  and  l*x * l = x^2
-    one_l = VolumePolynomial(1, {(0,): {0: Fraction(1)}}, parity=(1,))
-    sq = poly_mul(one_l, one_l)
-    assert sq.parity == (0,) and sq.terms == {(1,): {0: Fraction(1)}}
-    lx = VolumePolynomial(1, {(1,): {0: Fraction(1)}}, parity=(1,))
-    assert poly_mul(lx, one_l).terms == {(2,): {0: Fraction(1)}}
+def test_constructor_rebuilds_every_small_volume_from_its_terms():
+    clear_memo()
+    sigs = list(small_signatures())
+    assert len(sigs) == 55
+    for sig in sigs:
+        p = compute_volume(sig)
+        q = VolumePolynomial(p.num_vars, p.terms)
+        assert q == p, sig
+        assert to_json(q) == to_json(p), sig
 
 
 def test_derivative_and_antiderivative_are_inverse():
+    # integrate_distinguished, the recursion's antiderivative, inverts
+    # d(l V/2)/dl, which takes l^(2e) on the slot to (2e + 1)/2 l^(2e)
     rng = random.Random(7)
     for _ in range(20):
         p = random_poly(rng, 2)
         for slot in (0, 1):
-            q = antiderivative(p, slot)
-            assert partial_derivative(q, slot) == p
-            # odd-parity round trip as well
-            p_odd = mul_by_slot_length(p, slot)
-            assert partial_derivative(antiderivative(p_odd, slot), slot) == p_odd
-
-
-def test_derivative_golden():
-    # d/dl (l^2/48 + pi^2/12) = l/24
-    p = VolumePolynomial(
-        1, {(1,): {0: Fraction(1, 48)}, (0,): {2: Fraction(1, 12)}}
-    )
-    d = partial_derivative(p, 0)
-    assert d.parity == (1,)
-    assert d.terms == {(0,): {0: Fraction(1, 24)}}
-    # second derivative: constant 1/24
-    dd = partial_derivative(d, 0)
-    assert dd.parity == (0,) and dd.terms == {(0,): {0: Fraction(1, 24)}}
-
-
-def test_length_multiplication_roundtrip():
-    rng = random.Random(11)
-    p = random_poly(rng, 3)
-    for slot in range(3):
-        q = mul_by_slot_length(p, slot)
-        assert q.parity[slot] == 1
-        assert divide_by_slot_length(q, slot) == p
-    with pytest.raises(RuntimeError):
-        divide_by_slot_length(constant(1, 1), 0)
+            derivative = VolumePolynomial(
+                2,
+                {
+                    xexp: {
+                        pe: c * Fraction(2 * xexp[slot] + 1, 2)
+                        for pe, c in graded.items()
+                    }
+                    for xexp, graded in p.terms.items()
+                },
+            )
+            assert integrate_distinguished(derivative, slot) == p, slot
 
 
 def test_substitute_imaginary_is_involution_and_flips_odd_powers():
@@ -142,7 +121,19 @@ def test_substitute_imaginary_is_involution_and_flips_odd_powers():
     assert q.terms == {(1,): {0: Fraction(-1, 48)}, (0,): {2: Fraction(1, 12)}}
     assert substitute_imaginary(q, 0) == p
     with pytest.raises(ValueError):
-        substitute_imaginary(mul_by_slot_length(p, 0), 0)
+        substitute_imaginary(p, 1)
+
+
+def test_negate_matches_substitute_imaginary():
+    rng = random.Random(29)
+    for _ in range(20):
+        p = random_poly(rng, 3)
+        slots = [s for s in range(3) if rng.randrange(2)]
+        expect = p
+        for s in slots:
+            expect = substitute_imaginary(expect, s)
+        got = from_numerators(3, *p.numerators, negate=slots)
+        assert got == expect, slots
 
 
 def test_substitute_imaginary_matches_complex_evaluation():
@@ -163,13 +154,26 @@ def test_substitute_zero_drops_slot():
         2,
         {
             (1, 1): {0: Fraction(1, 2)},
-            (0, 1): {0: Fraction(3)},
-            (0, 0): {2: Fraction(1, 12)},
+            (0, 1): {2: Fraction(3)},
+            (0, 0): {4: Fraction(1, 12)},
         },
     )
     q = substitute_zero(p, 0)
     assert q.num_vars == 1
-    assert q.terms == {(1,): {0: Fraction(3)}, (0,): {2: Fraction(1, 12)}}
+    assert q.terms == {(1,): {2: Fraction(3)}, (0,): {4: Fraction(1, 12)}}
+    assert substitute_zero(q, 0).terms == {(): {4: Fraction(1, 12)}}
+
+
+def eval_exact(p, values):
+    """{pi-exponent: exact value} at rational slot values, pi kept symbolic."""
+    out = {}
+    for xexp, graded in p.terms.items():
+        mono = Fraction(1)
+        for v, e in zip(values, xexp):
+            mono *= Fraction(v) ** (2 * e)
+        for pe, c in graded.items():
+            out[pe] = out.get(pe, Fraction(0)) + c * mono
+    return out
 
 
 def test_eval_exact_matches_numeric():
@@ -184,31 +188,29 @@ def test_eval_exact_matches_numeric():
         )
 
 
+def test_eval_numeric_rounds_each_coefficient_like_fraction():
+    # num / den over an unreduced denominator rounds as float(Fraction) does
+    p = from_numerators(1, 3 * 10**40, {(1,): 10**40, (0,): -2 * 10**40}, 1)
+    want = float(Fraction(1, 3)) * 2.5**2 + float(Fraction(-2, 3)) * math.pi**2
+    assert eval_numeric(p, [2.5]) == want
+
+
 def test_eval_numeric_rejects_negative_lengths():
-    p = constant(1, 1)
+    p = VolumePolynomial(1, {(0,): {0: Fraction(1)}})
     with pytest.raises(ValueError):
         eval_numeric(p, [-1.0])
-
-
-def test_embed_and_permute():
-    p = monomial(2, (2, 1), Fraction(5))
-    q = embed(p, 4, [3, 0])
-    assert q.terms == {(1, 0, 0, 2): {0: Fraction(5)}}
-    r = permute_slots(q, [1, 0, 2, 3])
-    assert r.terms == {(0, 1, 0, 2): {0: Fraction(5)}}
-    # permuting two identical slots fixes a symmetric polynomial
-    sym = poly_add(monomial(2, (1, 0), 1), monomial(2, (0, 1), 1))
-    assert permute_slots(sym, [1, 0]) == sym
 
 
 def test_canonical_order_is_graded_lex_descending():
     p = VolumePolynomial(
         2,
         {
-            (0, 0): {2: Fraction(1), 0: Fraction(2)},
+            (0, 0): {4: Fraction(2)},
+            (1, 0): {2: Fraction(3)},
             (1, 1): {0: Fraction(1)},
             (2, 0): {0: Fraction(1)},
             (0, 2): {0: Fraction(1)},
+            (0, 1): {2: Fraction(5)},
         },
     )
     order = [(x, pe) for x, pe, _ in canonical_terms(p)]
@@ -216,8 +218,9 @@ def test_canonical_order_is_graded_lex_descending():
         ((2, 0), 0),
         ((1, 1), 0),
         ((0, 2), 0),
-        ((0, 0), 2),
-        ((0, 0), 0),
+        ((1, 0), 2),
+        ((0, 1), 2),
+        ((0, 0), 4),
     ]
 
 
@@ -253,7 +256,7 @@ def test_latex_golden_four_holed_sphere():
 def test_latex_suppresses_unit_coefficients_and_braces_large_powers():
     p = VolumePolynomial(1, {(5,): {0: Fraction(1)}, (0,): {10: Fraction(-1)}})
     assert to_latex(p) == "\\ell_1^{10}-\\pi^{10}"
-    assert to_latex(zero(1)) == "0"
+    assert to_latex(VolumePolynomial(1)) == "0"
 
 
 def test_json_golden():
@@ -263,17 +266,12 @@ def test_json_golden():
     )
 
 
-def test_serializers_reject_odd_parity():
-    p = mul_by_slot_length(CONE_TORUS, 0)
-    with pytest.raises(ValueError):
-        to_json(p)
-    with pytest.raises(ValueError):
-        to_latex(p)
-
-
 def test_text_rendering():
     assert to_text(CONE_TORUS, kinds=["angle"]) == "-1/48*theta_1^2 + 1/12*pi^2"
-    assert to_text(scale(CONE_TORUS, -1), kinds=["angle"]) == (
+    negated = VolumePolynomial(
+        1, {(1,): {0: Fraction(1, 48)}, (0,): {2: Fraction(-1, 12)}}
+    )
+    assert to_text(negated, kinds=["angle"]) == (
         "1/48*theta_1^2 - 1/12*pi^2"
     )
 

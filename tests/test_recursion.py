@@ -7,16 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wpcone.kernels import moment_integral, pairing_kernel
-from wpcone.polyalg import (
-    VolumePolynomial,
-    eval_numeric,
-    mul_by_slot_length,
-    partial_derivative,
-    permute_slots,
-    scale,
-    substitute_imaginary,
-    to_text,
-)
+from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_imaginary
 from wpcone.recursion import (
     Splitting,
     SurfaceSignature,
@@ -195,7 +186,13 @@ def test_five_holed_sphere_and_three_holed_torus_structurally():
 def test_assemble_rhs_one_handle_is_sixteenth_moment():
     rhs = assemble_rhs(1, 1)
     assert rhs.terms == {(1,): {0: Q(1, 32)}, (0,): {2: Q(1, 24)}}
-    sixteenth = scale(moment_integral(0), Q(1, 16))
+    sixteenth = VolumePolynomial(
+        1,
+        {
+            xexp: {pe: c / 16 for pe, c in graded.items()}
+            for xexp, graded in moment_integral(0).terms.items()
+        },
+    )
     assert rhs == sixteenth
 
 
@@ -212,22 +209,37 @@ def test_assemble_rhs_four_holed_sphere_pairings_only():
     assert rhs.terms == expect
 
 
+def half_length_derivative(vol):
+    """d(l_1 V / 2)/dl_1 term by term: l_1^(2e) becomes (2e + 1)/2 l_1^(2e)."""
+    return VolumePolynomial(
+        vol.num_vars,
+        {
+            xexp: {pe: c * Q(2 * xexp[0] + 1, 2) for pe, c in graded.items()}
+            for xexp, graded in vol.terms.items()
+        },
+    )
+
+
 def test_round_trip_rhs_is_derivative_of_half_length_times_volume():
     for g, nslots in [(0, 4), (1, 1), (1, 2), (2, 1), (0, 5), (1, 3)]:
         vol = boundary_volume(g, nslots)
-        lhs = partial_derivative(
-            scale(mul_by_slot_length(vol, 0), Q(1, 2)), 0
-        )
+        lhs = half_length_derivative(vol)
         assert assemble_rhs(g, nslots) == lhs, (g, nslots)
 
 
 def test_integrate_distinguished_round_trip():
     vol = boundary_volume(0, 4)
-    rhs = partial_derivative(scale(mul_by_slot_length(vol, 0), Q(1, 2)), 0)
+    rhs = half_length_derivative(vol)
     assert integrate_distinguished(rhs, 0) == vol
-    assert integrate_distinguished(
-        VolumePolynomial(1, {}, parity=(0,)), 0
-    ).is_zero()
+    assert not integrate_distinguished(VolumePolynomial(1), 0)
+
+
+def permute(vol, perm):
+    """Slot i of the result is slot perm[i] of vol."""
+    return VolumePolynomial(
+        vol.num_vars,
+        {tuple(xexp[i] for i in perm): graded for xexp, graded in vol.terms.items()},
+    )
 
 
 def test_volume_symmetry_under_slot_permutations():
@@ -237,7 +249,7 @@ def test_volume_symmetry_under_slot_permutations():
         for _ in range(4):
             perm = list(range(nslots))
             rng.shuffle(perm)
-            assert permute_slots(vol, perm) == vol, (g, nslots, perm)
+            assert permute(vol, perm) == vol, (g, nslots, perm)
 
 
 def test_volume_homogeneity():
@@ -297,12 +309,6 @@ def test_moment_cap_does_not_depend_on_memo_state():
             assert cone_volume_direct(g, m, n, max_moment_k=k)
 
 
-def test_integrate_distinguished_refuses_an_odd_slot():
-    odd = VolumePolynomial(1, {(0,): {0: Q(1)}}, parity=(1,))
-    with pytest.raises(RuntimeError, match="residue"):
-        integrate_distinguished(odd, 0)
-
-
 # -- signature-level API -----------------------------------------------------------
 
 
@@ -323,16 +329,15 @@ def test_compute_volume_caps():
     with pytest.raises(ValueError, match="max_slots"):
         compute_volume(SurfaceSignature(0, 9, 0))
     # caps are knobs, not hard limits
-    assert compute_volume(
-        SurfaceSignature(0, 9, 0), max_slots=9
-    ).total_x_degree() == 6
+    nine = compute_volume(SurfaceSignature(0, 9, 0), max_slots=9)
+    assert max(sum(xexp) for xexp in nine.terms) == 6
 
 
 def test_compute_volume_realness_after_substitution():
     rng = random.Random(23)
     for sig in [SurfaceSignature(1, 1, 1), SurfaceSignature(0, 2, 2)]:
         poly = compute_volume(sig)
-        assert poly.parity == (0,) * sig.slots
+        assert poly.num_vars == sig.slots
         boundary = boundary_volume(sig.genus, sig.slots)
         for _ in range(5):
             lengths = [rng.uniform(0.2, 3.0) for _ in range(sig.boundaries)]
@@ -361,6 +366,16 @@ def test_direct_cone_recursion_matches_substitution_small():
     for g, m, n in stable_cone_signatures(1, 3):
         direct = cone_volume_direct(g, m, n)
         assert direct == compute_volume(SurfaceSignature(g, m, n)), (g, m, n)
+
+
+def test_compute_volume_matches_slot_by_slot_substitution():
+    # compute_volume flips every cone slot in one pass (from_numerators
+    # with negate=); substitute_imaginary flips one slot at a time
+    for g, m, n in stable_cone_signatures(2, 4):
+        expect = boundary_volume(g, m + n)
+        for slot in range(m, m + n):
+            expect = substitute_imaginary(expect, slot)
+        assert compute_volume(SurfaceSignature(g, m, n)) == expect, (g, m, n)
 
 
 def test_direct_cone_recursion_genus_two():
