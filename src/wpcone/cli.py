@@ -17,8 +17,8 @@ flags, in increasing order of precedence.  A command takes --config and the
 override flags only for the settings it reads, and reads WPCONE_MAX_GENUS
 only if it reads max_genus.
 
-Heavy numeric dependencies load lazily, so polynomial-only invocations
-stay fast.
+Commands need only the standard library, and each imports the package
+modules it uses when it runs.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
@@ -107,28 +106,23 @@ def root_triple(kappa: float, symmetric_start: bool = True) -> TraceTriple:
     """A point on the Fricke surface for the given constant.
 
     The symmetric start solves 3t^2 - t^3 = kappa on the branch t > 2 (the
-    most symmetric torus); the asymmetric start stretches y to 1.15x and
-    recovers z from the quadratic the relation imposes, taking the larger
-    root so that z >= max(x, y) and the trace tree grows monotonically
-    from the outset.
+    most symmetric torus) in closed form, so the cusped torus gets exactly
+    t = 3; the asymmetric start stretches y to 1.15x and recovers z from the
+    quadratic the relation imposes, taking the larger root so that
+    z >= max(x, y) and the trace tree grows monotonically from the outset.
     """
     if not kappa < 4.0:
         raise ValueError(
             "no hyperbolic root triple exists for kappa=%r (needs kappa < 4, "
             "i.e. a genuine cone angle, boundary length, or cusp)" % kappa
         )
-    from scipy.optimize import brentq
-
-    hi = 4.0
-    while 3.0 * hi * hi - hi ** 3 - kappa > 0.0:
-        hi *= 2.0
-    t = brentq(
-        lambda s: 3.0 * s * s - s ** 3 - kappa,
-        2.0,
-        hi,
-        xtol=1e-13,
-        rtol=8.9e-16,
-    )
+    # s = t - 1 turns the cubic into s^3 - 3s = 2 - kappa, solved by
+    # s = 2cos(phi) or 2cosh(phi) with cos(3phi) resp. cosh(3phi) = 1 - kappa/2
+    c = 1.0 - kappa / 2.0
+    if kappa >= 0.0:
+        t = 1.0 + 2.0 * math.cos(math.acos(c) / 3.0)
+    else:
+        t = 1.0 + 2.0 * math.cosh(math.acosh(c) / 3.0)
     if symmetric_start:
         return TraceTriple(t, t, t)
     x = t
@@ -142,11 +136,17 @@ def root_triple(kappa: float, symmetric_start: bool = True) -> TraceTriple:
     return TraceTriple(x, y, z)
 
 
-def _slope_sort_key(slope: Tuple[int, int]):
+#: Slopes p/q with |p|, |q| below this bound sort exactly as floats: two
+#: distinct such fractions differ by at least 1/(q q'), which exceeds the
+#: rounding error of both quotients (at most 2^-53 (|p|/q + |p'|/q') <
+#: 1/(q q')), so rounding keeps them apart and in order.
+_EXACT_SLOPE_BOUND = 2 ** 26
+
+
+def _slope_sort_key(slope: Tuple[int, int]) -> float:
+    """p/q, with the slope 1/0 last; exact below _EXACT_SLOPE_BOUND."""
     p, q = slope
-    if q == 0:
-        return (1, Fraction(0))
-    return (0, Fraction(p, q))
+    return p / q if q else math.inf
 
 
 def _walk_subtree(
@@ -225,23 +225,15 @@ def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesi
             "length cutoff %g lies below the systole %.6f; no geodesics to "
             "enumerate" % (length_cutoff, systole)
         )
+    if max(max(abs(p), abs(q)) for (p, q), _ in found) >= _EXACT_SLOPE_BOUND:
+        raise RuntimeError(
+            "slope beyond %d; float slope keys would no longer sort exactly"
+            % _EXACT_SLOPE_BOUND
+        )
     found.sort(key=lambda item: _slope_sort_key(item[0]))
     return [
         Geodesic(slope, t, 2.0 * math.acosh(t / 2.0)) for slope, t in found
     ]
-
-
-def _neumaier_sum(values: Sequence[float]) -> float:
-    total = 0.0
-    compensation = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            compensation += (total - t) + v
-        else:
-            compensation += (v - t) + total
-        total = t
-    return total + compensation
 
 
 @dataclass(frozen=True)
@@ -307,8 +299,8 @@ def mcshane_sum(
     geodesic twice, so the identity is a sum of one gap width per simple
     closed geodesic and converges to theta/2, L/2, or 1/2 according to the
     boundary data.  The root triple must lie on the matching Fricke
-    surface.  Summation is compensated and runs in slope order, making the
-    report bit-identical from call to call.
+    surface.  Each partial sum is correctly rounded (math.fsum), so the
+    report is bit-identical from call to call.
     """
     kappa = kappa_for(label)
     if root.fricke_residual(kappa) > 1e-8:
@@ -337,7 +329,7 @@ def mcshane_sum(
     rows = []
     for cut in cuts:
         included = [s for length, s in terms if length <= cut]
-        total = _neumaier_sum(included)
+        total = math.fsum(included)
         rows.append((cut, len(included), total, abs(target - total)))
     return ConvergenceReport(
         target=target, rows=tuple(rows), geodesic_count=len(geodesics)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -63,7 +64,7 @@ class VolumePolynomial:
         coeffs: Dict[Exponent, Fraction] = {}
         degree: Optional[int] = None
         for xexp, graded in (terms or {}).items():
-            key = tuple(int(e) for e in xexp)
+            key = tuple(_exponent(e) for e in xexp)
             if len(key) != num_vars:
                 raise ValueError(
                     f"exponent vector {key} has length {len(key)}, expected {num_vars}"
@@ -74,7 +75,7 @@ class VolumePolynomial:
                 c = Fraction(coeff)
                 if c == 0:
                     continue
-                p = int(piexp)
+                p = _exponent(piexp)
                 if p < 0 or p % 2:
                     raise ValueError(f"pi-exponent {p} must be even and nonnegative")
                 d = sum(key) + p // 2
@@ -115,6 +116,14 @@ class VolumePolynomial:
 
     def __repr__(self) -> str:
         return f"VolumePolynomial({self.num_vars}, {to_text(self)!r})"
+
+
+def _exponent(e: object) -> int:
+    """An exponent as an int; refuses 1.5 or 2.9 rather than truncating."""
+    try:
+        return operator.index(e)
+    except TypeError:
+        raise ValueError(f"exponent {e!r} is not an integer") from None
 
 
 def from_numerators(

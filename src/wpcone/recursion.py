@@ -86,6 +86,8 @@ from typing import (
 from wpcone.kernels import (
     DEFAULT_MAX_MOMENT_K,
     check_moment_index,
+    gauss_legendre,
+    integrate_decaying,
     moment_integral,
     pairing_kernel,
 )
@@ -699,8 +701,6 @@ def numeric_volume_value(
     Sub-volumes below the top level stay symbolic: the oracle isolates the
     top assembly step, which is the one the closed forms feed.
     """
-    from numpy.polynomial.legendre import leggauss
-
     if m < 1:
         raise ValueError("the numeric oracle needs at least one boundary")
     if len(lengths) != m or len(angles) != n:
@@ -745,7 +745,7 @@ def numeric_volume_value(
             acc += weight * fnum
         return acc
 
-    nodes, weights = leggauss(3 * g - 3 + nslots + 2)
+    nodes, weights = gauss_legendre(3 * g - 3 + nslots + 2)
     half = lengths[0] / 2
     integral = half * sum(w * rhs(half * (x + 1)) for x, w in zip(nodes, weights))
     return 2 / lengths[0] * integral
@@ -776,8 +776,6 @@ def _numeric_moment(k: int, t: complex, cache: Dict[tuple, float], tol: float) -
     """F_{2k+1}(t) by quadrature; complex t pairs with its conjugate, so the
     cached value is the real integral of x^(2k+1) * 2 Re h(x, t) when t is
     complex and of x^(2k+1) h(x, t) when t is real."""
-    from wpcone.kernels import integrate_decaying
-
     t = complex(t)
     if abs(t.imag) < 1e-15:
         key = ("r", k, round(t.real, 12))

@@ -272,17 +272,18 @@ def test_flags_a_command_does_not_read_are_refused(argv, capsys):
 
 
 def test_verify_kernel_reads_quad_tol(tmp_path, capsys):
-    # a quadrature tolerance tighter than the integrator reaches raises
+    # a quadrature tolerance tighter than the integrator reaches is bad input
     argv = ["verify", "kernel", "--max-k", "0", "--samples", "1"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.strip().endswith("pass")
     code, _, err = run(capsys, *argv, "--quad-tol", "1e-12")
-    assert code == 1 and "exceeds tolerance 1.000e-12" in err
+    assert code == 2 and err.startswith("error: ")
+    assert "exceeds tolerance 1.000e-12" in err
     config = tmp_path / "wpcone.cfg"
     config.write_text("quad_tol = 1e-12\n")
     code, _, err = run(capsys, *argv, "--config", str(config))
-    assert code == 1 and "exceeds tolerance 1.000e-12" in err
-
+    assert code == 2 and err.startswith("error: ")
+    assert "exceeds tolerance 1.000e-12" in err
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -363,30 +364,42 @@ def test_subprocess_latex_and_startup_time():
     assert elapsed < 1.0
 
 
-def test_volume_command_loads_no_numeric_stack():
-    # -X importtime lists every module the child imports, one per line
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "wpcone.cli", "volume",
-         "--g", "1", "--cones", "1"],
-        capture_output=True,
-        text=True,
-        timeout=30,
-    )
-    assert proc.returncode == 0
-    imported = {
-        line.rsplit("|", 1)[1].strip()
-        for line in proc.stderr.splitlines()
-        if line.startswith("import time:")
-    }
-    assert "wpcone.recursion" in imported
-    heavy = sorted(
-        name
-        for name in imported
-        if name.split(".")[0] in ("numpy", "scipy")
-        or name == "concurrent.futures"
-        or name.startswith("concurrent.futures.")
-    )
-    assert heavy == []
+EVERY_COMMAND = [
+    ["volume", "--g", "1", "--cones", "1"],
+    ["volume", "--g", "1", "--cones", "1", "--angles", "pi"],
+    ["table", "--g-max", "1", "--slot-max", "2"],
+    ["cusp-limit", "--g", "1", "--boundaries", "1"],
+    ["verify", "mcshane", "--cusp", "--cutoff", "20"],
+    ["verify", "kernel", "--max-k", "0", "--samples", "1"],
+    ["verify", "identity", "--grid", "2"],
+    ["verify", "recursion", "--g-max", "1", "--slot-max", "2", "--samples", "1"],
+]
+
+
+def test_no_command_loads_numeric_stack():
+    for argv in EVERY_COMMAND:
+        # -X importtime lists every module the child imports, one per line
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "wpcone.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 0, (argv, proc.stderr)
+        imported = {
+            line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:")
+        }
+        assert "wpcone.recursion" in imported, argv
+        heavy = sorted(
+            name
+            for name in imported
+            if name.split(".")[0] in ("numpy", "scipy")
+            or name == "concurrent.futures"
+            or name.startswith("concurrent.futures.")
+        )
+        assert heavy == [], argv
 
 
 PANTS_ARGV = ["volume", "--g", "0", "--boundaries", "3"]

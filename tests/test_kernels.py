@@ -16,6 +16,7 @@ from wpcone.kernels import (
     cusp,
     eta_even,
     gap_dgamma,
+    gauss_legendre,
     gap_value,
     geodesic,
     integrate_decaying,
@@ -220,6 +221,60 @@ def test_conjugate_pair_moment_value():
     # and through the derivative kernel (factor two relation)
     val2 = integrate_decaying(lambda x: 2 * x * cone_torus_kernel_dtheta(1.0, x))
     assert abs(val2 - val) < 1e-10
+
+
+def test_gauss_legendre_is_exact_to_degree_2n_minus_1():
+    for n in range(1, 41):
+        nodes, weights = gauss_legendre(n)
+        assert list(nodes) == sorted(nodes) and len(weights) == n
+        for j in range(2 * n):
+            exact = 2 / (j + 1) if j % 2 == 0 else 0.0
+            got = math.fsum(w * x**j for x, w in zip(nodes, weights))
+            assert abs(got - exact) <= 1e-15, (n, j)
+    with pytest.raises(ValueError):
+        gauss_legendre(0)
+
+
+def mp_quad_0_inf(f):
+    """int_0^inf f by mpmath's tanh-sinh rule at 30 digits."""
+    with mpmath.workdps(30):
+        return mpmath.quad(f, [0, mpmath.inf])
+
+
+def mp_pairing_kernel(x, t):
+    """h(x, t) at mpmath precision; t = i*theta in the real conjugate-pair
+    form 2 (1 + E cos(theta/2)) / (1 + 2 E cos(theta/2) + E^2), E = e^(x/2)."""
+    if isinstance(t, complex):
+        c = mpmath.cos(mpmath.mpf(t.imag) / 2)
+        e = mpmath.exp(x / 2)
+        return 2 * (1 + e * c) / (1 + 2 * e * c + e * e)
+    return 1 / (1 + mpmath.exp((x + t) / 2)) + 1 / (1 + mpmath.exp((x - t) / 2))
+
+
+def test_adaptive_quadrature_against_mpmath_on_moments():
+    for k in range(7):
+        for t in (0.3, 5.5, 0.5j, math.pi * 1j):
+            got = integrate_decaying(
+                lambda x: x ** (2 * k + 1) * pairing_kernel(x, t).real
+            )
+            want = mp_quad_0_inf(
+                lambda x: x ** (2 * k + 1) * mp_pairing_kernel(x, t)
+            )
+            # the contract is 1e-10; the kept 20-point values are far closer,
+            # which is what makes the 10/20-point error estimate conservative
+            assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k, t)
+
+
+def test_adaptive_quadrature_against_mpmath_on_cone_torus_kernel():
+    for theta in (0.1, 1.0, 2.5, math.pi):
+        got = integrate_decaying(lambda x: x * cone_torus_kernel(theta, x))
+        half = mpmath.mpf(theta) / 2
+        want = mp_quad_0_inf(
+            lambda x: x
+            * 2
+            * mpmath.atan(mpmath.sin(half) / (mpmath.cos(half) + mpmath.exp(x)))
+        )
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), theta
 
 
 # -- pairing kernel and the one-cone torus kernel -----------------------------

@@ -58,6 +58,15 @@ def test_asymmetric_root():
     assert root.fricke_residual(0.0) < 1e-10
 
 
+def test_closed_form_root_solves_the_cubic():
+    for kappa in (-1e6, -50.0, -1.0, -1e-9, 1e-9, 0.5, 2.0, 3.5, 3.999999):
+        t = root_triple(kappa).x
+        assert t > 2.0
+        # to the rounding of evaluating the cubic itself
+        bound = 1e-15 * (3 * t * t + t ** 3 + abs(kappa))
+        assert abs(3 * t * t - t ** 3 - kappa) <= bound, kappa
+
+
 def test_invalid_kappa():
     with pytest.raises(ValueError, match="kappa"):
         root_triple(4.0)
@@ -90,6 +99,17 @@ def test_next_length_level_brings_mirror_slope():
     for slope in [(1, 2), (2, 1), (-1, 1)]:
         assert by_slope[slope].trace == 6.0
         assert abs(by_slope[slope].length - 2.0 * math.acosh(3.0)) < 1e-12
+
+
+def test_slope_order_is_the_exact_rational_order_at_cutoff_300():
+    def fraction_key(slope):
+        p, q = slope
+        return (1, Fraction(0)) if q == 0 else (0, Fraction(p, q))
+
+    for label in (cone(math.pi), geodesic(2.0), cusp()):
+        geos = enumerate_geodesics(root_triple(kappa_for(label)), 300.0)
+        slopes = [g.slope for g in geos]
+        assert slopes == sorted(slopes, key=fraction_key), label
 
 
 def test_cutoff_below_systole():

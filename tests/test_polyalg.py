@@ -64,6 +64,10 @@ def test_construction_validation():
         VolumePolynomial(1, {(0,): {3: Fraction(1)}})  # odd pi power
     with pytest.raises(ValueError):
         VolumePolynomial(1, {(0,): {-2: Fraction(1)}})  # negative pi power
+    with pytest.raises(ValueError, match="not an integer"):
+        VolumePolynomial(1, {(1.5,): {0: Fraction(1)}})  # not x^1
+    with pytest.raises(ValueError, match="not an integer"):
+        VolumePolynomial(1, {(0,): {2.9: Fraction(1)}})  # not pi^2
     with pytest.raises(ValueError, match="homogeneous"):
         VolumePolynomial(1, {(1,): {0: Fraction(1)}, (0,): {0: Fraction(1)}})
     with pytest.raises(ValueError, match="homogeneous"):
