@@ -7,9 +7,15 @@ even powers of pi.  Every one of them is homogeneous: x-degree plus half the
 pi-power is the same number d in every term (3g - 3 + m + n for a volume,
 k + 1 for the kernel moment F_{2k+1}).  So the pi-power of the term x^e is
 implied, 2 * (d - sum(e)), each exponent vector carries one coefficient, and
-a VolumePolynomial stores only its Numerators: one positive integer
+a VolumePolynomial stores its Numerators: one positive integer
 denominator, a map {exponent vector: nonzero integer numerator} and the
 degree d.  The coefficient of x^e is nums[e] / den * pi**(2 * (d - sum(e))).
+
+A volume is also symmetric in its boundary slots and, separately, in its
+cone slots, so the recursion stores it on orbits (from_orbits): one
+numerator per exponent vector sorted non-increasing within each block of
+symmetric slots, in `orbits`.  `numerators` expands the orbits to every
+exponent vector on first read and caches the result.
 
 `terms` is the public pi-graded view of the same polynomial:
 
@@ -51,8 +57,13 @@ class Numerators(NamedTuple):
 class VolumePolynomial:
     """Immutable-by-convention exact polynomial; see the module docstring.
 
-    `numerators` is the stored form; `terms` is the pi-graded view of it.
+    `numerators` is the integer form, `terms` the pi-graded view of it.
+    `orbits` is None unless from_orbits built the polynomial; then
+    `numerators` is expanded from it on first read.
     """
+
+    orbits: Optional[Numerators] = None
+    _blocks: Tuple[int, ...] = ()
 
     def __init__(
         self,
@@ -90,8 +101,15 @@ class VolumePolynomial:
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self.num_vars = num_vars
-        self.numerators = Numerators(den, nums, degree or 0)
+        self._numerators: Optional[Numerators] = Numerators(den, nums, degree or 0)
         self._terms: Optional[Terms] = None
+
+    @property
+    def numerators(self) -> Numerators:
+        # two threads reading first may both expand; they build equal maps
+        if self._numerators is None:
+            self._numerators = _expand(self.orbits, self._blocks)
+        return self._numerators
 
     @property
     def terms(self) -> Terms:
@@ -147,8 +165,58 @@ def from_numerators(
             flip = negate and sum(xexp[s] for s in negate) % 2
             kept[xexp] = -num if flip else num
     p = VolumePolynomial(num_vars)
-    p.numerators = Numerators(den, kept, degree)
+    p._numerators = Numerators(den, kept, degree)
     return p
+
+
+def from_orbits(
+    num_vars: int,
+    den: int,
+    nums: Mapping[Exponent, int],
+    degree: int,
+    blocks: Sequence[int],
+) -> VolumePolynomial:
+    """The polynomial symmetric within each block of consecutive slots
+    (`blocks` gives their lengths), from one numerator per orbit: nums is
+    keyed by exponent vectors sorted non-increasing within each block.  The
+    caller vouches for what from_numerators asks, and that no two keys lie
+    in one orbit.
+    """
+    p = VolumePolynomial(num_vars)
+    p.orbits = Numerators(den, {e: n for e, n in nums.items() if n}, degree)
+    p._blocks = tuple(blocks)
+    p._numerators = None
+    return p
+
+
+def _expand(orbits: Numerators, blocks: Tuple[int, ...]) -> Numerators:
+    """Every exponent vector of every orbit, with the orbit's numerator."""
+    den, nums, degree = orbits
+    memo: Dict[Exponent, List[Exponent]] = {}
+    full: Dict[Exponent, int] = {}
+    for key, num in nums.items():
+        vectors: List[Exponent] = [()]
+        start = 0
+        for length in blocks:
+            tails = _arrangements(key[start : start + length], memo)
+            vectors = [head + tail for head in vectors for tail in tails]
+            start += length
+        full.update(dict.fromkeys(vectors, num))
+    return Numerators(den, full, degree)
+
+
+def _arrangements(block: Exponent, memo: Dict[Exponent, List[Exponent]]):
+    """The distinct orderings of a non-increasing block, in descending order."""
+    if len(block) < 2:
+        return [block]
+    if block not in memo:
+        memo[block] = [
+            (v,) + tail
+            for i, v in enumerate(block)
+            if not i or block[i - 1] != v
+            for tail in _arrangements(block[:i] + block[i + 1 :], memo)
+        ]
+    return memo[block]
 
 
 # -- substitution and evaluation ---------------------------------------------

@@ -36,52 +36,51 @@ The stored one-handled-torus volume is x/48 + pi^2/12: it already carries
 the half coming from the elliptic involution of the torus, so no splitting
 term applies any further weight for that piece.
 
-The cut structure is written once, in _cuts: it yields each cut with the
-signatures of its pieces, the parent slot behind each surviving piece slot
-and, for a pairing, the partner slot.  It has two consumers.  The exact
-assembly _rhs turns each cut into integer weight-table pushes; the
-quadrature oracle numeric_volume_value evaluates the same cuts with every
-kernel moment computed by quadrature instead of the closed forms.
+The cut structure is written once, in _cut_groups: the cuts grouped by the
+signatures of their pieces, with how many surviving boundaries and cones
+the first piece takes (or the pairing swallows) and how many cuts the group
+stands for.  The exact assembly _rhs reads the groups; the quadrature
+oracle numeric_volume_value and enumerate_splittings expand them into cuts.
 
-Working form.  A VolumePolynomial stores only polyalg.Numerators: one
-integer denominator, a map {exponent vector: integer numerator} and the
-degree, and the recursion computes on that form directly.  The pi-power is
-not stored: a volume of degree d = 3g - 3 + m + n is homogeneous, so the
-term x^e carries pi^(2(d - sum(e))), and every transform above preserves
-that (a moment F_{2k+1} is homogeneous of degree k + 1, checked by the
-VolumePolynomial constructor when kernels builds it, so its t^(2r) carries
-pi^(2(k+1-r))).  The weights of each transform (1/4 times the pair
-coefficient times a moment coefficient, or 1/4 * 2 * C(2r, 2i) times a
-moment coefficient for a pairing, with the signs of the angle slots) are
-precomputed as integers over one denominator per table, so assembly is
-integer multiply-adds.  Inverting d(l V/2)/dl is
-V[e] = 2 rhs[e] / (2 e_l + 1), after which one gcd reduces the signature's
-numerators and denominator.  The homogeneity check (_assert_homogeneous)
-runs on every memoized volume at that point: each term's x-degree must stay
-at most d, or its implied pi-power would be negative.  The pi-graded
-Fraction `terms` view of a memoized volume is built only if a caller reads
-it.
+Working form and orbit keys.  A volume of degree d = 3g - 3 + m + n is
+homogeneous, so the term x^e carries pi^(2(d - sum(e))) and only integer
+numerators over one denominator are kept (polyalg.Numerators); a moment
+F_{2k+1} is homogeneous of degree k + 1 (checked when kernels builds it),
+so its t^(2r) carries pi^(2(k+1-r)).  V_{g,m,n} is symmetric in its
+boundaries and, separately, in its cones, so the recursion keeps one
+numerator per orbit: the exponent vector sorted non-increasing within each
+block (polyalg.from_orbits; `numerators` expands the orbits when read).
+
+Pull assembly.  _rhs computes one right-hand side per orbit: the
+distinguished slot takes the largest exponent e0 of its block, the other
+slots form the multiset `rest` (boundaries and cones as two blocks on the
+cone path), and every contribution is a lookup in a piece's orbit map.  The
+double moment of x^a y^b is (2a+1)!(2b+1)! M_k with k = a + b + 1 and
+M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of t^(2r) in F_{2k+1}, so
+the non-separating and separating cuts give sum_k M_k[e0] S_k(rest) with
+
+    S_k(rest) = sum_{a+b=k-1} (2a+1)! (2b+1)! (V_{g-1}[(a, b) + rest]
+                + sum over separating groups and sub-multisets R1 of rest
+                  of prod C(count, picked) * A[(a,) + R1] B[(b,) + rest - R1]),
+
+built once per `rest` and shared by every e0.  A pairing with partner
+exponent v adds C(2r, 2v) c_r / 2 times the piece's coefficient, r = e0 + v,
+once per distinct v times its count; the cap adds c_r / 16; an angle slot
+signs t^(2r) by (-1)^r.  The weights are integers over one denominator, so
+assembly is integer multiply-adds.  Inverting d(l V/2)/dl is
+V[e] = 2 rhs[e] / (2 e0 + 1), then one gcd reduces the signature's
+numerators and denominator, and _assert_homogeneous checks that no orbit's
+x-degree exceeds d (its implied pi-power would be negative).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
-from operator import itemgetter
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    NamedTuple,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from functools import lru_cache
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
     DEFAULT_MAX_MOMENT_K,
@@ -91,7 +90,13 @@ from wpcone.kernels import (
     moment_integral,
     pairing_kernel,
 )
-from wpcone.polyalg import Exponent, Numerators, VolumePolynomial, from_numerators
+from wpcone.polyalg import (
+    Exponent,
+    Numerators,
+    VolumePolynomial,
+    from_numerators,
+    from_orbits,
+)
 
 #: Caps on user-requested signatures; the recursion itself has no intrinsic
 #: limit, these keep accidental inputs from launching week-long computations.
@@ -142,15 +147,77 @@ class Splitting:
     cones_second: Tuple[int, ...]
 
 
-def _subsets(items: Sequence[int]):
-    for mask in range(1 << len(items)):
-        yield tuple(items[i] for i in range(len(items)) if mask >> i & 1)
+class _CutGroup(NamedTuple):
+    """Cuts of the recursion's right-hand side whose pieces share signatures.
+
+    kind is "nonseparating", "separating", "pairing" or "cap"; pieces are
+    the (g, m, n) of the pieces left after the cut (none for the cap).
+    taken = (i, j): a separating cut gives i surviving boundaries and j
+    surviving cones to its first piece; a pairing swallows one partner,
+    (1, 0) for a boundary and (0, 1) for a cone.  The group stands for one
+    cut per choice of the taken slots.
+    """
+
+    kind: str
+    pieces: Tuple[Tuple[int, int, int], ...]
+    taken: Tuple[int, int] = (0, 0)
+
+
+def _stable(g: int, m: int, n: int) -> bool:
+    return 2 * g - 2 + m + n > 0
+
+
+def _cut_groups(g: int, ms: int, ns: int) -> Iterator[_CutGroup]:
+    """Every cut of a genus-g surface along a pants bounded by its
+    distinguished slot, grouped, in a fixed order; ms and ns count the
+    surviving boundaries and cones (every slot but the distinguished one).
+
+    Piece slot layouts are canonical: new boundaries first, then surviving
+    boundaries, then surviving cones.
+    """
+    # non-separating: two new boundaries x, y on one connected piece
+    if g >= 1 and _stable(g - 1, ms + 2, ns):
+        yield _CutGroup("nonseparating", ((g - 1, ms + 2, ns),))
+
+    # separating: ordered stable pairs sharing genus and surviving slots
+    for g1 in range(g + 1):
+        for i in range(ms + 1):
+            for j in range(ns + 1):
+                first = (g1, i + 1, j)
+                second = (g - g1, ms - i + 1, ns - j)
+                if _stable(*first) and _stable(*second):
+                    yield _CutGroup("separating", (first, second), (i, j))
+
+    # pairings: the pants swallows a surviving boundary (the piece trades it
+    # for x) or a surviving cone (the piece trades it for a boundary x)
+    if ms and _stable(g, ms, ns):
+        yield _CutGroup("pairing", ((g, ms, ns),), (1, 0))
+    if ns and _stable(g, ms + 1, ns - 1):
+        yield _CutGroup("pairing", ((g, ms + 1, ns - 1),), (0, 1))
+
+    # one-handled torus cap: the interior geodesic bounds the handle alone
+    if g == 1 and ms + ns == 0:
+        yield _CutGroup("cap", ())
+
+
+def _choices(group: _CutGroup, bounds: Sequence[int], cones: Sequence[int]):
+    """(taken boundaries, taken cones) as slot tuples, once per cut of the
+    group, in increasing slot order."""
+    i, j = group.taken
+    return itertools.product(
+        itertools.combinations(bounds, i), itertools.combinations(cones, j)
+    )
+
+
+def _without(slots: Sequence[int], taken: Sequence[int]) -> Tuple[int, ...]:
+    return tuple(s for s in slots if s not in taken)
 
 
 def enumerate_splittings(
     sig: SurfaceSignature, distinguished_slot: int = 0
 ) -> List[Splitting]:
-    """All ordered stable splittings, in a fixed deterministic order.
+    """All ordered stable splittings, in a fixed deterministic order: the
+    separating groups of _cut_groups, expanded.
 
     A side with genus h receiving k of the remaining slots is stable iff
     2h + k >= 2 (it keeps the new pants boundary as well).  Ordered pairs:
@@ -158,116 +225,30 @@ def enumerate_splittings(
     """
     if not 0 <= distinguished_slot < sig.slots:
         raise ValueError("distinguished slot out of range")
-    bounds = [i for i in range(sig.boundaries) if i != distinguished_slot]
-    cones = [
-        i
-        for i in range(sig.boundaries, sig.slots)
-        if i != distinguished_slot
-    ]
+    bounds = _without(range(sig.boundaries), (distinguished_slot,))
+    cones = _without(range(sig.boundaries, sig.slots), (distinguished_slot,))
     out: List[Splitting] = []
-    for g1 in range(sig.genus + 1):
-        g2 = sig.genus - g1
-        for I1 in _subsets(bounds):
-            I2 = tuple(i for i in bounds if i not in I1)
-            for J1 in _subsets(cones):
-                J2 = tuple(i for i in cones if i not in J1)
-                if 2 * g1 + len(I1) + len(J1) < 2:
-                    continue
-                if 2 * g2 + len(I2) + len(J2) < 2:
-                    continue
+    for group in _cut_groups(sig.genus, len(bounds), len(cones)):
+        if group.kind == "separating":
+            (g1, _, _), (g2, _, _) = group.pieces
+            for I1, J1 in _choices(group, bounds, cones):
+                I2, J2 = _without(bounds, I1), _without(cones, J1)
                 out.append(Splitting(g1, g2, I1, I2, J1, J2))
     return out
-
-
-class _Cut(NamedTuple):
-    """One cut of the recursion's right-hand side.
-
-    kind is "nonseparating", "separating", "pairing" or "cap".  pieces are
-    the (g, m, n) signatures of the pieces left after the cut (none for the
-    cap); slots[i] gives, for each slot of piece i after its new boundaries,
-    the parent slot it continues.  partner is the parent slot a pairing
-    swallows.
-    """
-
-    kind: str
-    pieces: Tuple[Tuple[int, int, int], ...]
-    slots: Tuple[Tuple[int, ...], ...]
-    partner: Optional[int] = None
-
-
-def _stable(g: int, m: int, n: int) -> bool:
-    return 2 * g - 2 + m + n > 0
-
-
-def _cuts(g: int, m: int, n: int) -> Iterator[_Cut]:
-    """Every cut of V_{g,m,n} along a pants bounded by the distinguished slot
-    (boundary 0 when n == 0, cone m otherwise), each once, in a fixed order.
-
-    Piece slot layouts stay canonical (new boundaries first, then surviving
-    lengths, then surviving cones), so each piece's surviving slots are
-    parent slots in increasing order.
-    """
-    nslots = m + n
-    dist = m if n else 0
-    survivors = tuple(s for s in range(nslots) if s != dist)
-    ms = m if n else m - 1  # surviving boundaries
-    ns = max(n - 1, 0)  # surviving cones
-
-    # non-separating: two new boundaries x, y on one connected piece
-    if g >= 1 and _stable(g - 1, ms + 2, ns):
-        yield _Cut("nonseparating", ((g - 1, ms + 2, ns),), (survivors,))
-
-    # separating: ordered stable pairs sharing genus and slots
-    for sp in enumerate_splittings(SurfaceSignature(g, m, n), dist):
-        first = sp.boundaries_first + sp.cones_first
-        second = sp.boundaries_second + sp.cones_second
-        yield _Cut(
-            "separating",
-            (
-                (sp.genus_first, len(sp.boundaries_first) + 1, len(sp.cones_first)),
-                (sp.genus_second, len(sp.boundaries_second) + 1, len(sp.cones_second)),
-            ),
-            (first, second),
-        )
-
-    # pairings: the pants swallows a surviving boundary (the piece trades it
-    # for x) or a surviving cone (the piece trades it for a boundary x)
-    for partner in survivors:
-        piece = (g, ms, ns) if partner < m else (g, ms + 1, ns - 1)
-        if _stable(*piece):
-            rest = tuple(s for s in survivors if s != partner)
-            yield _Cut("pairing", (piece,), (rest,), partner)
-
-    # one-handled torus cap: the interior geodesic bounds the handle alone
-    if g == 1 and nslots == 1:
-        yield _Cut("cap", (), ())
 
 
 # -- memoization ---------------------------------------------------------------
 
 # (g, m, n) -> volume from the recursion: the all-boundary recursion when
-# n == 0, the direct cone path (first cone distinguished) otherwise
+# n == 0, the direct cone path (first cone distinguished) otherwise.  Two
+# threads may compute one key at once; they build equal polynomials and
+# setdefault keeps the first.
 _RECURSION_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
-_MEMO_LOCK = threading.Lock()
 
 
 def clear_memo() -> None:
     """Drop all memoized volumes (mainly for tests and benchmarks)."""
-    with _MEMO_LOCK:
-        _RECURSION_MEMO.clear()
-
-
-def _memo_get(table, key):
-    with _MEMO_LOCK:
-        return table.get(key)
-
-
-def _memo_put(table, key, value):
-    # first writer wins; concurrent computations of the same key produce
-    # identical exact polynomials, so returning the stored one keeps the
-    # table linearizable
-    with _MEMO_LOCK:
-        return table.setdefault(key, value)
+    _RECURSION_MEMO.clear()
 
 
 # -- integer weight tables -------------------------------------------------------
@@ -290,234 +271,197 @@ def _pair_coefficient(a: int, b: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _moment_coefficients(k: int) -> Tuple[Fraction, ...]:
-    """c_0..c_{k+1} with F_{2k+1}(t) = sum_r c_r pi^(2(k+1-r)) t^(2r).
+def _moment_table(kmax: int):
+    """(den, rows): rows[k][r] / den = M_k[r] = c_r / (4 (2k+1)!) for
+    k <= kmax, with F_{2k+1}(t) = sum_r c_r pi^(2(k+1-r)) t^(2r).
 
-    The moment is homogeneous of degree k + 1 (VolumePolynomial checks the
-    homogeneity when kernels builds it), which is what the implied
-    pi-powers of the working form rest on.
+    One table serves every cut: the double moment of x^a y^b is
+    (2a+1)!(2b+1)! M_k[r] with k = a + b + 1; a pairing, c_r / 2 * C(2r, 2v),
+    is (2k+1)! M_k[r] * 2 C(2r, 2v) on the piece's x^k; the cap, c_r / 16,
+    is M_0[r] / 4.  The pi-powers rest on F_{2k+1} being homogeneous of
+    degree k + 1, which VolumePolynomial checks when kernels builds it.
     """
-    den, nums, degree = moment_integral(k, max_k=None).numerators
-    if degree != k + 1:
-        raise RuntimeError(f"moment F_{2 * k + 1} has degree {degree}, not {k + 1}")
-    coeffs = [Fraction(0)] * (k + 2)
-    for (r,), num in nums.items():
-        coeffs[r] = Fraction(num, den)
-    return tuple(coeffs)
-
-
-def _over_common_denominator(weights: Dict[tuple, Fraction]):
-    """(den, {key: integer numerator}) with weights[key] = numerator / den."""
-    den = math.lcm(*(w.denominator for w in weights.values()))
-    return den, {
-        key: w.numerator * (den // w.denominator) for key, w in weights.items()
-    }
-
-
-def _angle_sign(is_angle: bool, power: int) -> int:
-    """(i theta)^(2 power) = (-1)^power theta^(2 power) on an angle slot."""
-    return -1 if is_angle and power % 2 else 1
-
-
-@lru_cache(maxsize=None)
-def _double_table(kmax: int, dist_is_angle: bool):
-    """(den, {(a, b): ((r, w), ...)}) for the double moment of cut-slot
-    exponents a, b with a + b + 1 <= kmax: x^a y^b becomes
-    sum_r (w / den) t^(2r), w / den = 1/4 * pair coefficient(a, b) * c_r of
-    F_{2(a+b+1)+1}, signed when the distinguished slot t is an angle."""
-    weights: Dict[tuple, Fraction] = {}
-    for k in range(1, kmax + 1):
-        coeffs = _moment_coefficients(k)
-        for a in range(k):
-            quarter_pair = _pair_coefficient(a, k - 1 - a) / 4
-            for r, c in enumerate(coeffs):
-                sign = _angle_sign(dist_is_angle, r)
-                weights[a, k - 1 - a, r] = quarter_pair * c * sign
-    den, ints = _over_common_denominator(weights)
-    table: Dict[Tuple[int, int], list] = {}
-    for (a, b, r), w in ints.items():
-        table.setdefault((a, b), []).append((r, w))
-    return den, {ab: tuple(entries) for ab, entries in table.items()}
-
-
-@lru_cache(maxsize=None)
-def _pair_table(
-    kmax: int, dist_is_angle: bool, partner_is_angle: bool, partner_first: bool
-):
-    """(den, {k: ((u, v, w), ...)}) for a pairing with cut-slot exponent
-    k <= kmax.  F(t+s) + F(t-s) expands through the binomial theorem (odd
-    powers cancel): writing F(t) = sum_r c_r t^(2r),
-
-        F(t+s) + F(t-s) = 2 sum_r c_r sum_{i=0}^{r} C(2r, 2i) t^(2(r-i)) s^(2i)
-
-    with t the distinguished slot and s the partner; an angle slot
-    contributes (i*theta)^(2j) = (-1)^j theta^(2j).  Each entry carries
-    w / den = 1/4 * 2 * C(2r, 2i) * c_r with its signs, and the exponents
-    (u, v) of the lower- and higher-numbered of the two slots: (r-i, i), or
-    (i, r-i) when the partner comes first."""
-    weights: Dict[tuple, Fraction] = {}
+    rows = []
     for k in range(kmax + 1):
-        for r, c in enumerate(_moment_coefficients(k)):
-            for i in range(r + 1):
-                sign = _angle_sign(dist_is_angle, r - i) * _angle_sign(
-                    partner_is_angle, i
-                )
-                uv = (i, r - i) if partner_first else (r - i, i)
-                weights[(k,) + uv] = Fraction(sign * math.comb(2 * r, 2 * i), 2) * c
-    den, ints = _over_common_denominator(weights)
-    table: Dict[int, list] = {}
-    for (k, u, v), w in ints.items():
-        table.setdefault(k, []).append((u, v, w))
-    return den, {k: tuple(entries) for k, entries in table.items()}
+        den, nums, degree = moment_integral(k, max_k=None).numerators
+        if degree != k + 1:
+            raise RuntimeError(f"moment F_{2 * k + 1} has degree {degree}, not {k + 1}")
+        row = [Fraction(0)] * (k + 2)
+        for (r,), num in nums.items():
+            row[r] = Fraction(num, 4 * math.factorial(2 * k + 1) * den)
+        rows.append(row)
+    den = math.lcm(*(w.denominator for row in rows for w in row))
+    return den, tuple(
+        tuple(w.numerator * (den // w.denominator) for w in row) for row in rows
+    )
 
 
-@lru_cache(maxsize=None)
-def _cap_table(dist_is_angle: bool):
-    """(den, ((r, w), ...)): the one-handled torus cap, 1/16 F_1(t)."""
-    weights = {
-        r: c / 16 * _angle_sign(dist_is_angle, r)
-        for r, c in enumerate(_moment_coefficients(0))
-    }
-    den, ints = _over_common_denominator(weights)
-    return den, tuple(ints.items())
+# -- orbit keys --------------------------------------------------------------------
 
 
-# -- integer kernels -------------------------------------------------------------
-
-# A push adds one cut group's numerators into `out`; the group's own
-# denominator times `scale` is the denominator of the whole right-hand side.
-
-
-def _double_moment_terms(out: Dict[Exponent, int], dist: int, table, pairs) -> None:
-    """Accumulate the non-separating/separating transform.
-
-    pairs yields (a, b, rest, n): the exponents of the two cut slots, the
-    exponents of the surviving slots (every parent slot but dist, in order)
-    and the term's scaled numerator.
-    """
-    for a, b, rest, n in pairs:
-        head, tail = rest[:dist], rest[dist:]
-        for r, w in table[a, b]:
-            key = head + (r,) + tail
-            out[key] = out.get(key, 0) + n * w
+def _blocks(length: int, total: int, top: Optional[int] = None) -> Iterator[Exponent]:
+    """Every non-increasing tuple of `length` entries, each at most `top`,
+    with sum at most `total`."""
+    if length == 0:
+        yield ()
+        return
+    top = total if top is None else min(top, total)
+    for first in range(top, -1, -1):
+        for tail in _blocks(length - 1, total - first, first):
+            yield (first,) + tail
 
 
-def _pair_sum_terms(
-    out: Dict[Exponent, int], dist: int, partner: int, table, terms
-) -> None:
-    """Accumulate a boundary/cone pairing transform.
-
-    terms yields (k, rest, n): the cut-slot exponent, the exponents of every
-    parent slot but dist and partner (in order), and the scaled numerator.
-    """
-    lo, hi = min(dist, partner), max(dist, partner) - 1
-    for k, rest, n in terms:
-        head, mid, tail = rest[:lo], rest[lo:hi], rest[hi:]
-        for u, v, w in table[k]:
-            key = head + (u,) + mid + (v,) + tail
-            out[key] = out.get(key, 0) + n * w
+def _insert(block: Exponent, a: int) -> Exponent:
+    """The non-increasing block with one more entry a."""
+    for i, x in enumerate(block):
+        if x <= a:
+            return block[:i] + (a,) + block[i:]
+    return block + (a,)
 
 
-def _gather(order: Sequence[int]) -> Callable[[tuple], tuple]:
-    """c -> tuple(c[i] for i in order); itemgetter returns a bare item for
-    one index, so it serves two or more."""
-    if len(order) > 1:
-        return itemgetter(*order)
-    return lambda c: tuple(c[i] for i in order)
+def _remove(block: Exponent, v: int) -> Exponent:
+    """The non-increasing block with one entry v less."""
+    i = block.index(v)
+    return block[:i] + block[i + 1 :]
 
 
-def _push_nonseparating(sub: Numerators, dist: int, table, out, scale: int) -> None:
-    # the piece's slots: x, y, then the survivors in parent order
-    pairs = ((e[0], e[1], e[2:], n * scale) for e, n in sub.nums.items())
-    _double_moment_terms(out, dist, table, pairs)
+def _runs(block: Exponent) -> List[Tuple[int, int]]:
+    """(value, count) for each distinct entry of a sorted block."""
+    return [(v, len(list(run))) for v, run in itertools.groupby(block)]
 
 
-def _push_separating(
-    sub1: Numerators,
-    sub2: Numerators,
-    slots: Tuple[int, ...],
-    dist: int,
-    table,
-    out,
-    scale: int,
-) -> None:
-    # each side's slots: the pants curve, then its share of the survivors,
-    # whose parent slots are `slots` (first side, then second)
-    gather = _gather(sorted(range(len(slots)), key=slots.__getitem__))
-    second = [(e[0], e[1:], n) for e, n in sub2.nums.items()]
-
-    def pairs():
-        for e1, n1 in sub1.nums.items():
-            a, rest1, scaled = e1[0], e1[1:], n1 * scale
-            for b, rest2, n2 in second:
-                yield a, b, gather(rest1 + rest2), scaled * n2
-
-    _double_moment_terms(out, dist, table, pairs())
-
-
-def _push_pairing(
-    sub: Numerators, dist: int, partner: int, table, out, scale: int
-) -> None:
-    # the piece's slots: x, then the survivors other than the partner
-    terms = ((e[0], e[1:], n * scale) for e, n in sub.nums.items())
-    _pair_sum_terms(out, dist, partner, table, terms)
-
-
-def _push_cap(table, out, scale: int) -> None:
-    for r, w in table:
-        out[(r,)] = out.get((r,), 0) + w * scale
+def _sub_multisets(block: Exponent) -> Dict[int, List[Tuple[Exponent, Exponent, int]]]:
+    """{size: [(first, rest, multiplicity)]}: each sub-multiset `first` of a
+    non-increasing block, its complement, and the number of index subsets
+    behind it, prod C(count, picked)."""
+    splits: List[Tuple[Exponent, Exponent, int]] = [((), (), 1)]
+    for v, c in _runs(block):
+        splits = [
+            (first + (v,) * p, rest + (v,) * (c - p), mult * math.comb(c, p))
+            for first, rest, mult in splits
+            for p in range(c + 1)
+        ]
+    out: Dict[int, List[Tuple[Exponent, Exponent, int]]] = {}
+    for split in splits:
+        out.setdefault(len(split[0]), []).append(split)
+    return out
 
 
 # -- the recursion -----------------------------------------------------------------
 
 
-def _sub_volume(g: int, m: int, n: int) -> Numerators:
-    """Working form of a piece, through the memoized public entry points."""
+def _sub_volume(g: int, m: int, n: int) -> VolumePolynomial:
+    """A piece's volume, through the memoized public entry points."""
     if n == 0:
-        return boundary_volume(g, m, max_moment_k=None).numerators
-    return cone_volume_direct(g, m, n, max_moment_k=None).numerators
+        return boundary_volume(g, m, max_moment_k=None)
+    return cone_volume_direct(g, m, n, max_moment_k=None)
 
 
-def _rhs(g: int, m: int, n: int) -> Numerators:
-    """d(l V/2)/dl on the distinguished slot, in working form: each cut of
-    _cuts becomes one integer push.
+def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
+    """d(l V/2)/dl on the distinguished slot, one coefficient per orbit of
+    the surviving slots, gathered pull-style (see the module docstring).
 
     The distinguished slot is boundary 0 when n == 0 and cone m otherwise.
-    Pairings: the distinguished slot is the gap's base curve and the
-    surviving slot is the partner (the exact-equality test against the
-    substitution path pins this reading).
+    Keys are (e0,) + B on the boundary path and B + (e0,) + C on the cone
+    path, B and C the surviving boundary and cone blocks.  e0 starts at the
+    largest exponent of its block, so each key is an orbit key of V;
+    every=True starts it at 0.  Pairings: the distinguished slot is the
+    gap's base curve and the surviving slot is the partner (the exact
+    equality with the substitution path pins this reading).
     """
-    nslots = m + n
     angle = n > 0
-    dist = m if angle else 0
-    kmax = 3 * g - 4 + nslots  # the largest moment index any cut needs
-    wden, wtab = _double_table(kmax, angle)
-    groups: List[Tuple[int, Callable]] = []  # (group denominator, push)
-    for cut in _cuts(g, m, n):
-        subs = [_sub_volume(*piece) for piece in cut.pieces]
-        if cut.kind == "nonseparating":
-            (sub,) = subs
-            push = partial(_push_nonseparating, sub, dist, wtab)
-            groups.append((sub.den * wden, push))
-        elif cut.kind == "separating":
-            sub1, sub2 = subs
-            slots = cut.slots[0] + cut.slots[1]
-            push = partial(_push_separating, sub1, sub2, slots, dist, wtab)
-            groups.append((sub1.den * sub2.den * wden, push))
-        elif cut.kind == "pairing":
-            (sub,) = subs
-            pden, ptab = _pair_table(kmax, angle, cut.partner >= m, cut.partner < dist)
-            push = partial(_push_pairing, sub, dist, cut.partner, ptab)
-            groups.append((sub.den * pden, push))
-        else:
-            cden, ctab = _cap_table(angle)
-            groups.append((cden, partial(_push_cap, ctab)))
+    ms, ns = (m, n - 1) if angle else (m - 1, 0)
+    d = 3 * g - 3 + m + n
+    mden, rows = _moment_table(3 * g - 4 + m + n)
+    groups = list(_cut_groups(g, ms, ns))
+    orbits = {p: _sub_volume(*p).orbits for group in groups for p in group.pieces}
 
-    den = math.lcm(*(d for d, _ in groups))
-    total: Dict[Exponent, int] = {}
-    for d, push in groups:
-        push(total, scale=den // d)
-    return Numerators(den, total, 3 * g - 3 + nslots)
+    # one denominator for the whole right-hand side; each group's numerators
+    # are scaled to it
+    group_dens = [
+        mden * (4 if group.kind == "cap" else 1)
+        * math.prod(orbits[p].den for p in group.pieces)
+        for group in groups
+    ]
+    den = math.lcm(*group_dens)
+    scaled = [(group, den // gd) for group, gd in zip(groups, group_dens)]
+
+    fact = [math.factorial(2 * a + 1) for a in range(d + 1)]
+    columns: Dict[tuple, List[int]] = {}
+
+    def column(piece, left: Exponent, right: Exponent) -> List[int]:
+        """(2a+1)! V[_insert(left, a) + right] of a piece for each a its
+        degree allows; one column serves many rests."""
+        key = (piece, left, right)
+        col = columns.get(key)
+        if col is None:
+            V = orbits[piece]
+            get = V.nums.get
+            top = V.degree - sum(left) - sum(right)
+            col = [fact[a] * get(_insert(left, a) + right, 0) for a in range(top + 1)]
+            columns[key] = col
+        return col
+
+    out: Dict[Exponent, int] = {}
+    for B in _blocks(ms, d):
+        for C in _blocks(ns, d - sum(B)):
+            s = sum(B) + sum(C)
+            dist_block = C if angle else B
+            lo = 0 if every or not dist_block else dist_block[0]
+            if lo > d - s:
+                continue
+            e0s = range(lo, d - s + 1)
+            S = [0] * (d - s)  # S[k] for the moment indices k < d - s
+            extra = dict.fromkeys(e0s, 0)  # pairings and cap, per e0
+            subs_b = subs_c = None
+            for group, scale in scaled:
+                kind = group.kind
+                if kind == "nonseparating":
+                    (piece,) = group.pieces
+                    for a in range(d - 1 - s):
+                        x = scale * fact[a]
+                        for k, y in enumerate(column(piece, _insert(B, a), C), a + 1):
+                            S[k] += x * y
+                elif kind == "separating":
+                    if subs_b is None:
+                        subs_b, subs_c = _sub_multisets(B), _sub_multisets(C)
+                    (p1, p2), (i, j) = group.pieces, group.taken
+                    for B1, B2, mb in subs_b[i]:
+                        for C1, C2, mc in subs_c[j]:
+                            weight = scale * mb * mc
+                            second = column(p2, B2, C2)
+                            for a, x in enumerate(column(p1, B1, C1)):
+                                if x:
+                                    x *= weight
+                                    for k, y in enumerate(second, a + 1):
+                                        S[k] += x * y
+                elif kind == "pairing":
+                    (piece,) = group.pieces
+                    cone_partner = group.taken[1]
+                    for v, count in _runs(C if cone_partner else B):
+                        if cone_partner:
+                            col = column(piece, B, _remove(C, v))
+                        else:
+                            col = column(piece, _remove(B, v), C)
+                        sign = -1 if cone_partner and v % 2 else 1
+                        weight = 2 * scale * count * sign
+                        for e0 in e0s:
+                            r = e0 + v
+                            acc = 0
+                            for k in range(max(r - 1, 0), len(col)):
+                                acc += rows[k][r] * col[k]
+                            extra[e0] += weight * math.comb(2 * r, 2 * v) * acc
+                else:  # the cap: rest is empty, e0 <= 1
+                    for e0 in e0s:
+                        extra[e0] += scale * rows[0][e0]
+            for e0 in e0s:
+                total = extra[e0]
+                for k in range(max(1, e0 - 1), d - s):
+                    total += rows[k][e0] * S[k]
+                if angle and e0 % 2:
+                    total = -total
+                out[B + (e0,) + C if angle else (e0,) + B] = total
+    return Numerators(den, out, d)
 
 
 def _invert(den: int, nums: Dict[tuple, int], slot: int):
@@ -532,10 +476,10 @@ def _invert(den: int, nums: Dict[tuple, int], slot: int):
     return den // common, {e: n // common for e, n in out.items()}
 
 
-def _assert_homogeneous(p: VolumePolynomial, degree: int) -> None:
-    """No term of the volume's working form may exceed its degree: the
+def _assert_homogeneous(nums: Dict[Exponent, int], degree: int) -> None:
+    """No term of a volume's working form may exceed its degree: the
     implied pi-power 2 * (degree - sum(e)) must be >= 0."""
-    for xexp in p.numerators.nums:
+    for xexp in nums:
         if sum(xexp) > degree:
             raise RuntimeError(
                 f"volume lost homogeneity: term {xexp} in a "
@@ -551,25 +495,22 @@ def _check_moment_cap(g: int, nslots: int, max_moment_k: Optional[int]) -> None:
 
 
 def _recurse(g: int, m: int, n: int) -> VolumePolynomial:
-    """Memoized V_{g,m,n}: the all-boundary recursion when n == 0, else the
-    direct cone path with the first cone (slot m) distinguished."""
+    """Memoized V_{g,m,n} on orbit keys: the all-boundary recursion when
+    n == 0, else the direct cone path with the first cone (slot m)
+    distinguished."""
     key = (g, m, n)
-    cached = _memo_get(_RECURSION_MEMO, key)
+    cached = _RECURSION_MEMO.get(key)
     if cached is not None:
         return cached
+    degree = 3 * g - 3 + m + n
     if g == 0 and m + n == 3:
-        result = from_numerators(3, 1, {(0, 0, 0): 1}, 0)
-    elif n:
-        rhs = from_numerators(m + n, *_rhs(g, m, n))
-        result = integrate_distinguished(rhs, m)
+        den, nums = 1, {(0, 0, 0): 1}
     else:
-        rhs = assemble_rhs(g, m, max_moment_k=None)
-        result = integrate_distinguished(rhs, 0)
-    _assert_homogeneous(result, 3 * g - 3 + m + n)
-    return _memo_put(_RECURSION_MEMO, key, result)
-
-
-# -- public entry points -------------------------------------------------------
+        rden, rnums, _ = _rhs(g, m, n)
+        den, nums = _invert(rden, rnums, m if n else 0)
+    _assert_homogeneous(nums, degree)
+    result = from_orbits(m + n, den, nums, degree, (m, n))
+    return _RECURSION_MEMO.setdefault(key, result)
 
 
 def boundary_volume(
@@ -609,7 +550,8 @@ def assemble_rhs(
     if (g, nslots) == (0, 3):
         raise ValueError("the three-holed sphere is a base case, not assembled")
     _check_moment_cap(g, nslots, max_moment_k)
-    return from_numerators(nslots, *_rhs(g, nslots, 0))
+    # keys (e0,) + rest with rest sorted: slot 0 and the rest are the blocks
+    return from_orbits(nslots, *_rhs(g, nslots, 0, every=True), (1, nslots - 1))
 
 
 def integrate_distinguished(rhs: VolumePolynomial, slot: int) -> VolumePolynomial:
@@ -678,6 +620,7 @@ def cone_volume_direct(
 
 
 # -- quadrature-backed numeric assembly (oracle path) -----------------------------
+# -- quadrature-backed numeric assembly (oracle path) -----------------------------
 
 
 def numeric_volume_value(
@@ -692,8 +635,8 @@ def numeric_volume_value(
     quadrature instead of the frozen closed forms.
 
     The right-hand side runs over the cuts of the all-boundary recursion
-    (_cuts(g, m + n, 0), slot 0 distinguished), with each cone a boundary of
-    imaginary length i*theta, but each moment F_{2k+1}(t) is an
+    (the groups of _cut_groups expanded, slot 0 distinguished), with each
+    cone a boundary of imaginary length i*theta, but each moment F_{2k+1}(t) is an
     adaptive-quadrature integral, and the final inversion
     V = (2/L1) * int_0^{L1} rhs(u) du uses Gauss-Legendre with enough nodes
     to be exact on the polynomial integrand.  Requires m >= 1 (the
@@ -715,17 +658,26 @@ def numeric_volume_value(
     # the right-hand side as sum of weight * F_{2k+1}(t), keyed by
     # (k, partner slot or None for t = u)
     moments: Dict[Tuple[int, Optional[int]], float] = {}
-    for cut in _cuts(g, nslots, 0):
-        for cut_exps, value in _numeric_pieces(cut, squares):
-            if cut.kind == "cap":
-                key, weight = (0, None), value / 16
-            elif cut.kind == "pairing":
-                key, weight = (cut_exps[0], cut.partner), 0.25 * value
-            else:
-                a, b = cut_exps
-                key = (a + b + 1, None)
-                weight = 0.25 * float(_pair_coefficient(a, b)) * value
-            moments[key] = moments.get(key, 0.0) + weight
+    survivors = tuple(range(1, nslots))
+    for group in _cut_groups(g, nslots - 1, 0):
+        for taken, _ in _choices(group, survivors, ()):
+            left = _without(survivors, taken)
+            slots = {
+                "nonseparating": (survivors,),
+                "separating": (taken, left),
+                "pairing": (left,),
+                "cap": (),
+            }[group.kind]
+            for cut_exps, value in _numeric_pieces(group.pieces, slots, squares):
+                if group.kind == "cap":
+                    key, weight = (0, None), value / 16
+                elif group.kind == "pairing":
+                    key, weight = (cut_exps[0], taken[0]), 0.25 * value
+                else:
+                    a, b = cut_exps
+                    key = (a + b + 1, None)
+                    weight = 0.25 * float(_pair_coefficient(a, b)) * value
+                moments[key] = moments.get(key, 0.0) + weight
 
     cache: Dict[tuple, float] = {}
 
@@ -752,19 +704,22 @@ def numeric_volume_value(
 
 
 def _numeric_pieces(
-    cut: _Cut, squares: Sequence[float]
+    pieces: Sequence[Tuple[int, int, int]],
+    slots: Sequence[Tuple[int, ...]],
+    squares: Sequence[float],
 ) -> Iterator[Tuple[Tuple[int, ...], float]]:
     """(exponents of the cut slots, value) for every choice of one term per
     piece, the value being the product of the chosen terms' coefficients
-    with their surviving slots set to the parent's squared values."""
+    with their surviving slots (slots[i] for piece i, after its new
+    boundaries) set to the parent's squared values."""
     per_piece = []
-    for piece, slots in zip(cut.pieces, cut.slots):
-        sub = _sub_volume(*piece)
-        new = piece[1] + piece[2] - len(slots)  # the cut slots come first
+    for piece, piece_slots in zip(pieces, slots):
+        sub = _sub_volume(*piece).numerators
+        new = piece[1] + piece[2] - len(piece_slots)  # the cut slots come first
         terms = []
         for e, num in sub.nums.items():
             value = num / sub.den * math.pi ** (2 * (sub.degree - sum(e)))
-            for slot, k in zip(slots, e[new:]):
+            for slot, k in zip(piece_slots, e[new:]):
                 value *= squares[slot] ** k
             terms.append((e[:new], value))
         per_piece.append(terms)

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from wpcone import recursion
 from wpcone.kernels import moment_integral, pairing_kernel
 from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_imaginary
 from wpcone.recursion import (
@@ -116,6 +117,41 @@ def test_splittings_come_in_mirror_pairs():
             for sp in sps
         }
         assert direct == mirrored
+
+
+def test_grouped_cut_multiplicities_sum_to_the_ungrouped_count():
+    # the multiplicities are those the assembly uses: sub-multisets of a
+    # rest with repeated exponents (separating) and counts of each distinct
+    # partner exponent (pairings)
+    for g in range(3):
+        for total in range(1, 7):
+            for m in range(total + 1):
+                n = total - m
+                if 2 * g - 2 + total <= 0:
+                    continue
+                sig = SurfaceSignature(g, m, n)
+                for slot in {0, m} & set(range(total)):
+                    ms, ns = m - (slot < m), n - (slot >= m)
+                    B = (2, 1, 1, 0, 0, 0)[:ms]
+                    C = (1, 1, 0, 0, 0)[:ns]
+                    subs_b = recursion._sub_multisets(B)
+                    subs_c = recursion._sub_multisets(C)
+                    separating = pairings = 0
+                    for group in recursion._cut_groups(g, ms, ns):
+                        i, j = group.taken
+                        if group.kind == "separating":
+                            separating += sum(mb for *_, mb in subs_b[i]) * sum(
+                                mc for *_, mc in subs_c[j]
+                            )
+                        elif group.kind == "pairing":
+                            runs = recursion._runs(C if j else B)
+                            pairings += sum(count for _, count in runs)
+                    ungrouped = len(enumerate_splittings(sig, slot))
+                    assert separating == ungrouped, (sig, slot)
+                    assert ungrouped == len(brute_force_splittings(sig, slot))
+                    # any partner leaves a genus-g piece with ms + ns slots
+                    stable_pairings = (ms + ns) * (2 * g - 2 + ms + ns > 0)
+                    assert pairings == stable_pairings, (sig, slot)
 
 
 def test_four_holed_sphere_has_no_stable_splitting():
@@ -250,6 +286,37 @@ def test_volume_symmetry_under_slot_permutations():
             perm = list(range(nslots))
             rng.shuffle(perm)
             assert permute(vol, perm) == vol, (g, nslots, perm)
+
+
+@pytest.mark.parametrize(
+    "g,m,n",
+    [(0, k, 0) for k in range(4, 8)]
+    + [(1, k, 0) for k in range(2, 6)]
+    + [(2, k, 0) for k in range(1, 5)]
+    + [(3, k, 0) for k in range(1, 4)]
+    + [(1, 2, 2)],
+)
+def test_every_exponent_of_an_orbit_gives_its_coefficient(g, m, n):
+    # V is stored once per orbit, computed with the distinguished slot
+    # taking the largest exponent of its block; inverting the right-hand
+    # side with any other exponent of the orbit as e0 must agree, which
+    # the recursion satisfies only with the right cut weights
+    vol = cone_volume_direct(g, m, n, max_moment_k=None).orbits
+    den, rhs, _ = recursion._rhs(g, m, n, every=True)
+    slot = m if n else 0
+    start, stop = (m, m + n) if n else (0, m)
+    seen = set()
+    for key, num in rhs.items():
+        e0 = key[slot]
+        block = sorted(key[start:stop], reverse=True)
+        orbit = key[:start] + tuple(block) + key[stop:]
+        got = Q(2 * num, (2 * e0 + 1) * den)
+        assert got == Q(vol.nums.get(orbit, 0), vol.den), (orbit, e0)
+        seen.add((orbit, e0))
+    every = {(o, e) for o in vol.nums for e in o[start:stop]}
+    assert every <= seen
+    if stop - start > 1:  # some orbit offers two different e0
+        assert any(len(set(o[start:stop])) > 1 for o in vol.nums)
 
 
 def test_volume_homogeneity():
