@@ -139,35 +139,7 @@ def gap_value(k: GapKernel) -> complex:
     return (g - cmath.log(ratio)) / 2
 
 
-def gap_dgamma(k: GapKernel) -> complex:
-    """Analytic derivative of gap_value in the length of gamma.
-
-    For the two-interior-geodesic pants the derivative collapses to half the
-    pairing kernel: d/dg 2*atanh(sinh(g/2)/(cosh(g/2)+e^s)) =
-    (1 + e^s cosh(g/2)) / (1 + 2 e^s cosh(g/2) + e^(2s)) = h(2s, g)/2.
-    """
-    g = k.gamma.complex_length()
-    b = k.beta.value
-    if k.alpha_interior:
-        return pairing_kernel(k.alpha.value + b, g) / 2
-    tau = _partner_tau(k.alpha)
-    plus = (g + b) / 2
-    minus = (g - b) / 2
-    bracket = (
-        cmath.sinh(plus) / (tau + cmath.cosh(plus))
-        - cmath.sinh(minus) / (tau + cmath.cosh(minus))
-    )
-    return (1 - bracket / 2) / 2
-
-
-# -- the one-cone torus kernel ------------------------------------------------
-
-
-def _check_theta_x(theta: float, x: float) -> None:
-    if not 0 < theta <= math.pi:
-        raise ValueError("cone angle must lie in (0, pi]")
-    if not x > 0:
-        raise ValueError("geodesic length must be positive")
+# -- one-holed torus kernels and the pairing kernel ---------------------------
 
 
 def cone_torus_kernel(theta: float, x: float, doubled: bool = False) -> float:
@@ -179,7 +151,10 @@ def cone_torus_kernel(theta: float, x: float, doubled: bool = False) -> float:
     factor of two; pass doubled=True for that variant.  Evaluated through
     e^(-x) so arbitrarily long geodesics cannot overflow.
     """
-    _check_theta_x(theta, x)
+    if not 0 < theta <= math.pi:
+        raise ValueError("cone angle must lie in (0, pi]")
+    if not x > 0:
+        raise ValueError("geodesic length must be positive")
     w = math.exp(-x)
     val = 2 * math.atan(
         math.sin(theta / 2) * w / (1 + math.cos(theta / 2) * w)
@@ -187,18 +162,25 @@ def cone_torus_kernel(theta: float, x: float, doubled: bool = False) -> float:
     return 2 * val if doubled else val
 
 
-def cone_torus_kernel_dtheta(theta: float, x: float) -> float:
-    """theta-derivative of cone_torus_kernel (identity normalization).
+def boundary_torus_kernel(length: float, x: float) -> float:
+    """Gap width on the boundary of a one-holed torus of boundary length L,
+    from a geodesic of length x: 2*atanh(sinh(L/2) / (cosh(L/2) + e^x)).
 
-    Equals half the conjugate-pair sum 1/(1+e^(x - i theta/2)) +
-    1/(1+e^(x + i theta/2)), i.e. pairing_kernel(2x, i*theta)/2; the
-    imaginary parts cancel exactly.
+    The twin of cone_torus_kernel: gap_value of the pants (L, x, x) with
+    both partners interior, in real arithmetic.  Summed over all simple
+    closed geodesics it recovers L/2.  The atanh argument nears 1 for long
+    boundaries and short geodesics, where atanh loses digits, so the value
+    is taken as log1p(2 sinh(L/2) e^(-x) / (1 + e^(-L/2-x))), the same
+    function with every step well conditioned.  Evaluated through e^(-x)
+    so arbitrarily long geodesics cannot overflow.
     """
-    _check_theta_x(theta, x)
-    z = pairing_kernel(2 * x, 1j * theta)
-    if abs(z.imag) > 1e-13 * max(1.0, abs(z.real)):
-        raise RuntimeError("conjugate pair failed to cancel")
-    return z.real / 2
+    if not length > 0:
+        raise ValueError("boundary length must be positive")
+    if not x > 0:
+        raise ValueError("geodesic length must be positive")
+    w = math.exp(-x)
+    half = length / 2
+    return math.log1p(2 * math.sinh(half) * w / (1 + math.exp(-half) * w))
 
 
 def pairing_kernel(x: float, t: complex) -> complex:
@@ -226,6 +208,26 @@ def pairing_kernel(x: float, t: complex) -> complex:
     num = (2 * base + eu) + ev
     den = ((base + eu) + ev) + ex
     return num / den
+
+
+def pairing_kernel_re(x: float, a: float, c: float = 1.0) -> float:
+    """Re h(x, a + i*theta) in real arithmetic, with c = cos(theta/2).
+
+    The logistic term 1/(1 + e^(p +- i*theta/2)), p = (x +- a)/2, has real
+    part (1 + w c) / (1 + 2 w c + w^2) with w = e^p; both terms share c
+    because cos is even.  Each is rescaled by v = e^(-|p|): the numerator
+    is 1 + v c for p <= 0 and v (v + c) for p > 0, and the denominator
+    1 + v (2c + v) either way.  For c >= 0 (theta in [0, pi]) every sum has
+    nonnegative terms, so nothing cancels and nothing overflows.  Real t is
+    c = 1.  pairing_kernel is the complex reference this is tested against.
+    """
+    p = (x + a) / 2
+    q = (x - a) / 2
+    v = math.exp(-abs(p))
+    w = math.exp(-abs(q))
+    re_p = (v * (v + c) if p > 0 else 1 + v * c) / (1 + v * (2 * c + v))
+    re_q = (w * (w + c) if q > 0 else 1 + w * c) / (1 + w * (2 * c + w))
+    return re_p + re_q
 
 
 # -- exact moment integrals ---------------------------------------------------
@@ -353,20 +355,59 @@ def gauss_legendre(n: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     return tuple(nodes), tuple(weights)
 
 
-#: Nodes of the coarse panel rule; the fine rule has twice as many.
-_PANEL_NODES = 10
+#: The nested (G10, K21) Gauss-Kronrod pair of QUADPACK's qk21 (Piessens
+#: et al., 1983).  Nodes on [0, 1) in descending order, ending at 0: the odd
+#: positions 1, 3, ..., 9 are the positive nodes of the 10-point Gauss rule,
+#: the others the 11 Kronrod nodes added to them.  K21 is exact for
+#: polynomials of degree up to 31, G10 up to degree 19.
+_GK21_NODES = (
+    0.995657163025808080735527280689003,
+    0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508,
+    0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042,
+    0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694,
+    0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866,
+    0.148874338981631210884826001129720,
+    0.0,
+)
+#: Kronrod weights, one per node of _GK21_NODES.
+_K21_WEIGHTS = (
+    0.011694638867371874278064396062192,
+    0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580,
+    0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366,
+    0.109387158802297641899210590325805,
+    0.123491976262065851077958109831074,
+    0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717,
+    0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+#: Gauss weights of the nodes at _GK21_NODES[1], [3], ..., [9].
+_G10_WEIGHTS = (
+    0.066671344308688137593568809893332,
+    0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163,
+    0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
 
 
 def _panel(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, float]:
-    """The fine-rule integral of f over [lo, hi] and its distance from the
-    coarse-rule integral."""
+    """The K21 integral of f over [lo, hi] and its distance from the nested
+    G10 integral, from 21 integrand calls."""
     mid = (lo + hi) / 2
     half = (hi - lo) / 2
-    coarse, fine = (
-        half * math.fsum(w * f(mid + half * x) for x, w in zip(*gauss_legendre(m)))
-        for m in (_PANEL_NODES, 2 * _PANEL_NODES)
-    )
-    return fine, abs(fine - coarse)
+    # f summed over each symmetric pair of nodes, then once at the centre
+    sums = [f(mid - half * x) + f(mid + half * x) for x in _GK21_NODES[:-1]]
+    sums.append(f(mid))
+    k21 = half * math.fsum([w * s for w, s in zip(_K21_WEIGHTS, sums)])
+    g10 = half * math.fsum([w * s for w, s in zip(_G10_WEIGHTS, sums[1::2])])
+    return k21, abs(k21 - g10)
 
 
 def integrate_decaying(
@@ -383,16 +424,17 @@ def integrate_decaying(
     geometric bound over steps of 3, the discarded tail is below 6*|f(X)|
     <= tol/13, comfortably inside the budget.
 
-    The finite integral is adaptive Gauss-Legendre on panels.  Each panel is
-    integrated by the 10-point and the 20-point rule; it contributes the
-    20-point value, and the difference of the two is its error estimate.
-    That difference is about the error of the 10-point rule, far above the
-    error of the 20-point value that is kept, so the estimate is
-    conservative.  The panel with the largest estimate is bisected first,
-    until the summed estimate is at most max(tol/10, 1e-10 * |value|) or
-    400 panels are in use.  The summed estimate must then meet tol, read
-    relative for values beyond unit size (an absolute 1e-10 on an integral
-    of size 1e8 would demand more than double precision holds).
+    The finite integral is adaptive Gauss-Kronrod on panels.  Each panel is
+    integrated by the nested (G10, K21) pair: the 21-point Kronrod rule
+    reuses the 10 Gauss nodes, so a panel costs 21 integrand calls.  It
+    contributes the K21 value, and |K21 - G10| is its error estimate.  That
+    difference is about the error of the 10-point Gauss rule, far above the
+    error of the K21 value that is kept, so the estimate is conservative.
+    The panel with the largest estimate is bisected first, until the summed
+    estimate is at most max(tol/10, 1e-10 * |value|) or 400 panels are in
+    use.  The summed estimate must then meet tol, read relative for values
+    beyond unit size (an absolute 1e-10 on an integral of size 1e8 would
+    demand more than double precision holds).
 
     Raises RuntimeError when the integrand shows no exponential decay, and
     ValueError when the error estimate misses tol: a tolerance the rule does

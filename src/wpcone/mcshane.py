@@ -36,16 +36,18 @@ from __future__ import annotations
 
 import json
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
-    BoundaryLabel,
-    GapKernel,
+    boundary_torus_kernel,
     cone_torus_kernel,
-    gap_value,
     integrate_decaying,
 )
+
+if TYPE_CHECKING:
+    from wpcone.kernels import BoundaryLabel
 
 #: Traversal safety valve: a correct walk at sane cutoffs visits a few
 #: thousand nodes, so hitting this bound means the pruning logic is broken.
@@ -278,13 +280,7 @@ def _summand(label: BoundaryLabel, length: float) -> float:
         return 1.0 / (1.0 + math.exp(length)) if length < 700 else 0.0
     if label.kind == "cone":
         return cone_torus_kernel(label.value, length)
-    gap = GapKernel(
-        gamma=label,
-        alpha=BoundaryLabel("geodesic", length),
-        beta=BoundaryLabel("geodesic", length),
-        alpha_interior=True,
-    )
-    return gap_value(gap).real
+    return boundary_torus_kernel(label.value, length)
 
 
 def mcshane_sum(
@@ -299,8 +295,9 @@ def mcshane_sum(
     geodesic twice, so the identity is a sum of one gap width per simple
     closed geodesic and converges to theta/2, L/2, or 1/2 according to the
     boundary data.  The root triple must lie on the matching Fricke
-    surface.  Each partial sum is correctly rounded (math.fsum), so the
-    report is bit-identical from call to call.
+    surface.  The terms are sorted by length once, and each checkpoint's
+    partial sum is the correctly rounded math.fsum of a sorted prefix, so
+    the report is bit-identical from call to call.
     """
     kappa = kappa_for(label)
     if root.fricke_residual(kappa) > 1e-8:
@@ -325,12 +322,14 @@ def mcshane_sum(
                 "checkpoint %g exceeds the length cutoff %g"
                 % (cuts[-1], length_cutoff)
             )
-    terms = [(geo.length, _summand(label, geo.length)) for geo in geodesics]
+    terms = sorted((geo.length, _summand(label, geo.length)) for geo in geodesics)
+    lengths = [length for length, _ in terms]
+    summands = [s for _, s in terms]
     rows = []
     for cut in cuts:
-        included = [s for length, s in terms if length <= cut]
-        total = math.fsum(included)
-        rows.append((cut, len(included), total, abs(target - total)))
+        count = bisect_right(lengths, cut)
+        total = math.fsum(summands[:count])
+        rows.append((cut, count, total, abs(target - total)))
     return ConvergenceReport(
         target=target, rows=tuple(rows), geodesic_count=len(geodesics)
     )

@@ -88,7 +88,7 @@ from wpcone.kernels import (
     gauss_legendre,
     integrate_decaying,
     moment_integral,
-    pairing_kernel,
+    pairing_kernel_re,
 )
 from wpcone.polyalg import (
     Exponent,
@@ -737,13 +737,13 @@ def _numeric_moment(k: int, t: complex, cache: Dict[tuple, float], tol: float) -
         if key not in cache:
             tr = t.real
             cache[key] = integrate_decaying(
-                lambda x: x ** (2 * k + 1) * pairing_kernel(x, tr).real, tol=tol
+                lambda x: x ** (2 * k + 1) * pairing_kernel_re(x, tr), tol=tol
             )
         return cache[key]
     key = ("c", k, round(t.real, 12), round(abs(t.imag), 12))
     if key not in cache:
-        tc = complex(t.real, abs(t.imag))
+        a, c = t.real, math.cos(t.imag / 2)
         cache[key] = integrate_decaying(
-            lambda x: x ** (2 * k + 1) * 2 * pairing_kernel(x, tc).real, tol=tol
+            lambda x: x ** (2 * k + 1) * 2 * pairing_kernel_re(x, a, c), tol=tol
         )
     return cache[key]

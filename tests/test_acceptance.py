@@ -13,12 +13,11 @@ from fractions import Fraction
 
 import pytest
 
+from test_kernels import cone_torus_kernel_dtheta, gap_dgamma
 from wpcone.kernels import (
     GapKernel,
     cone,
     cone_torus_kernel,
-    cone_torus_kernel_dtheta,
-    gap_dgamma,
     gap_value,
     geodesic,
     integrate_decaying,

@@ -10,22 +10,62 @@ import pytest
 from wpcone.kernels import (
     BoundaryLabel,
     GapKernel,
+    boundary_torus_kernel,
     cone,
     cone_torus_kernel,
-    cone_torus_kernel_dtheta,
     cusp,
     eta_even,
-    gap_dgamma,
     gauss_legendre,
     gap_value,
     geodesic,
     integrate_decaying,
     moment_integral,
     pairing_kernel,
+    pairing_kernel_re,
     zeta_even,
+    _G10_WEIGHTS,
+    _GK21_NODES,
     _bernoulli,
+    _panel,
+    _partner_tau,
 )
 from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_imaginary
+
+
+# -- analytic derivatives, the references for finite differences -------------
+
+
+def gap_dgamma(k):
+    """Analytic derivative of gap_value in the length of gamma.
+
+    For the two-interior-geodesic pants the derivative collapses to half the
+    pairing kernel: d/dg 2*atanh(sinh(g/2)/(cosh(g/2)+e^s)) =
+    (1 + e^s cosh(g/2)) / (1 + 2 e^s cosh(g/2) + e^(2s)) = h(2s, g)/2.
+    """
+    g = k.gamma.complex_length()
+    b = k.beta.value
+    if k.alpha_interior:
+        return pairing_kernel(k.alpha.value + b, g) / 2
+    tau = _partner_tau(k.alpha)
+    plus = (g + b) / 2
+    minus = (g - b) / 2
+    bracket = (
+        cmath.sinh(plus) / (tau + cmath.cosh(plus))
+        - cmath.sinh(minus) / (tau + cmath.cosh(minus))
+    )
+    return (1 - bracket / 2) / 2
+
+
+def cone_torus_kernel_dtheta(theta, x):
+    """theta-derivative of cone_torus_kernel (identity normalization).
+
+    Equals half the conjugate-pair sum 1/(1+e^(x - i theta/2)) +
+    1/(1+e^(x + i theta/2)), i.e. pairing_kernel(2x, i*theta)/2; the
+    imaginary parts cancel exactly.
+    """
+    z = pairing_kernel(2 * x, 1j * theta)
+    assert abs(z.imag) <= 1e-13 * max(1.0, abs(z.real)), "pair failed to cancel"
+    return z.real / 2
 
 
 # -- boundary labels ----------------------------------------------------------
@@ -235,6 +275,46 @@ def test_gauss_legendre_is_exact_to_degree_2n_minus_1():
         gauss_legendre(0)
 
 
+def test_gk21_embeds_the_10_point_gauss_rule():
+    nodes, weights = gauss_legendre(10)
+    # gauss_legendre ascends; the qk21 tables run from 1 down to 0
+    for got, want in zip(_GK21_NODES[1::2], reversed(nodes[5:])):
+        assert abs(got - want) <= 1e-15
+    for got, want in zip(_G10_WEIGHTS, reversed(weights[5:])):
+        assert abs(got - want) <= 1e-15
+    assert len(_GK21_NODES[1::2]) == len(_G10_WEIGHTS) == 5
+
+
+def test_k21_is_exact_to_degree_31_and_g10_to_degree_19():
+    for j in range(32):
+        exact = 2 / (j + 1) if j % 2 == 0 else 0.0
+        value, err = _panel(lambda x: x**j, -1.0, 1.0)
+        assert abs(value - exact) <= 1e-15, j
+        # |K21 - G10| vanishes while both rules are exact
+        if j < 20:
+            assert err <= 1e-15, j
+    assert _panel(lambda x: x**20, -1.0, 1.0)[1] > 1e-6
+
+
+def test_panel_costs_21_integrand_calls():
+    calls = []
+
+    def counting(x):
+        calls.append(x)
+        return math.exp(-x)
+
+    value, _ = _panel(counting, 2.0, 5.0)
+    assert len(calls) == len(set(calls)) == 21
+    assert all(2.0 < x < 5.0 for x in calls)
+    assert abs(value - (math.exp(-2) - math.exp(-5))) < 1e-15
+    calls.clear()
+    assert integrate_decaying(counting, upper=1.0) == pytest.approx(1 - math.exp(-1))
+    assert len(calls) == 21  # one panel meets the tolerance at once
+    calls.clear()
+    integrate_decaying(lambda x: counting(x) * math.sin(5 * x), upper=60.0)
+    assert len(calls) > 21 and len(calls) % 21 == 0
+
+
 def mp_quad_0_inf(f):
     """int_0^inf f by mpmath's tanh-sinh rule at 30 digits."""
     with mpmath.workdps(30):
@@ -260,8 +340,8 @@ def test_adaptive_quadrature_against_mpmath_on_moments():
             want = mp_quad_0_inf(
                 lambda x: x ** (2 * k + 1) * mp_pairing_kernel(x, t)
             )
-            # the contract is 1e-10; the kept 20-point values are far closer,
-            # which is what makes the 10/20-point error estimate conservative
+            # the contract is 1e-10; the kept K21 values are far closer,
+            # which is what makes the |K21 - G10| error estimate conservative
             assert abs(got - want) <= 1e-13 * max(1.0, abs(want)), (k, t)
 
 
@@ -301,6 +381,51 @@ def test_pairing_kernel_no_overflow():
     # still representable: h(600, 100) ~ e^(-250)
     val = pairing_kernel(600.0, 100.0).real
     assert val == pytest.approx(math.exp(-250), rel=1e-10)
+
+
+def test_pairing_kernel_re_matches_complex_reference():
+    for theta in (0.0, 0.1, math.pi / 2, math.pi):
+        c = math.cos(theta / 2)
+        for a in (0.0, 0.3, -0.3, 8.0, -8.0):
+            for x in (0.0, 0.01, 0.5, 1.0, 3.0, 10.0, 40.0, 300.0, 700.0, 1500.0):
+                got = pairing_kernel_re(x, a, c)
+                want = pairing_kernel(x, complex(a, theta)).real
+                assert math.isfinite(got)
+                assert abs(got - want) <= 1e-14 * abs(want), (x, a, theta)
+    # real t is c = 1
+    for x, t in ((0.0, 0.0), (2.0, 5.5), (600.0, 100.0)):
+        assert pairing_kernel_re(x, t) == pytest.approx(
+            pairing_kernel(x, t).real, rel=1e-14
+        )
+
+
+def test_boundary_torus_kernel_is_the_real_gap_value():
+    for length in (0.1, 1.0, 2.0, 5.0, 10.0):
+        for x in (0.05, 0.5, 1.0, 3.0, 10.0, 40.0, 300.0):
+            got = boundary_torus_kernel(length, x)
+            want = gap_value(
+                GapKernel(geodesic(length), geodesic(x), geodesic(x), alpha_interior=True)
+            ).real
+            assert abs(got - want) <= 1e-14 * abs(want), (length, x)
+    assert boundary_torus_kernel(1.0, 800.0) < 1e-300  # decays, never overflows
+
+
+def test_boundary_torus_kernel_against_high_precision():
+    # past L = 10 the atanh argument of gap_value nears 1 and the complex
+    # route loses up to 1e-13 at short x; the log1p form keeps full precision
+    with mpmath.workdps(40):
+        for length in (1e-6, 0.1, 2.0, 10.0, 20.0, 100.0):
+            half = mpmath.mpf(length) / 2
+            for x in (1e-6, 0.05, 0.5, 1.0, 3.0, 10.0, 40.0, 300.0):
+                want = 2 * mpmath.atanh(
+                    mpmath.sinh(half) / (mpmath.cosh(half) + mpmath.exp(x))
+                )
+                got = boundary_torus_kernel(length, x)
+                assert abs(got - want) <= 1e-15 * want, (length, x)
+    with pytest.raises(ValueError):
+        boundary_torus_kernel(0.0, 1.0)
+    with pytest.raises(ValueError):
+        boundary_torus_kernel(1.0, 0.0)
 
 
 def test_cone_torus_kernel_bounds_and_monotonicity():

@@ -1,15 +1,20 @@
+import hashlib
 import json
 import math
 import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from wpcone.cli import main
 from wpcone.kernels import cone, cusp, geodesic
 from wpcone.mcshane import (
     ConvergenceReport,
     Geodesic,
     TraceTriple,
+    _summand,
     enumerate_geodesics,
     integrate_volume_identity,
     kappa_for,
@@ -270,6 +275,75 @@ def test_report_serialization():
     again = mcshane_sum(root_triple(0.0), cusp(), 20.0, checkpoints=[10.0, 20.0])
     assert again.to_json() == report.to_json()
     assert again.to_csv() == csv
+
+
+def naive_rows(label, length_cutoff, checkpoints):
+    """Partial sums by rescanning every term at every checkpoint."""
+    target = 0.5 if label.kind == "cusp" else label.value / 2.0
+    geos = enumerate_geodesics(root_triple(kappa_for(label)), length_cutoff)
+    terms = [(g.length, _summand(label, g.length)) for g in geos]
+    rows = []
+    for cut in sorted(set(float(c) for c in checkpoints)):
+        included = [s for length, s in terms if length <= cut]
+        total = math.fsum(included)
+        rows.append((cut, len(included), total, abs(target - total)))
+    return tuple(rows)
+
+
+PROPERTY_LABELS = [cusp(), cone(1.0), geodesic(2.0)]
+PROPERTY_CUTOFF = 25.0
+PROPERTY_LENGTHS = sorted(
+    {
+        g.length
+        for label in PROPERTY_LABELS
+        for g in enumerate_geodesics(root_triple(kappa_for(label)), PROPERTY_CUTOFF)
+    }
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    label=st.sampled_from(PROPERTY_LABELS),
+    checkpoints=st.lists(
+        # exact geodesic lengths put checkpoints on the ties of length <= cut
+        st.one_of(
+            st.floats(min_value=0.0, max_value=PROPERTY_CUTOFF),
+            st.sampled_from(PROPERTY_LENGTHS),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_sorted_partial_sums_equal_naive_rescan(label, checkpoints):
+    root = root_triple(kappa_for(label))
+    report = mcshane_sum(root, label, PROPERTY_CUTOFF, checkpoints=checkpoints)
+    assert report.rows == naive_rows(label, PROPERTY_CUTOFF, checkpoints)
+
+
+# SHA-256 of the CLI's JSON output; these summands and sums are frozen
+PINNED_REPORTS = {
+    ("--theta", "pi"): "65fe4f5cd8edf8a2d1aedabb9650414eac6369b2ef07e3d5b607c89cb04a0bff",
+    ("--cusp",): "40506e6f3948803d502260807249367dabee0bd533b0dab6e369b42a213e55b4",
+}
+
+
+@pytest.mark.parametrize("flags", sorted(PINNED_REPORTS))
+def test_verify_mcshane_json_is_byte_pinned(flags, capsys):
+    code = main(["verify", "mcshane", *flags, "--cutoff", "300", "--format", "json"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_REPORTS[flags]
+
+
+def test_verify_mcshane_boundary_at_cutoff_300(capsys):
+    code = main(
+        ["verify", "mcshane", "--length", "2.0", "--cutoff", "300", "--format", "json"]
+    )
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["geodesic_count"] == 22002
+    assert doc["partial_sums"][-1]["count"] == 22002
+    assert doc["partial_sums"][-1]["residual"] <= 1e-15
 
 
 # -- the volume identity --------------------------------------------------------------
