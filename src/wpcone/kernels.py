@@ -131,12 +131,24 @@ def gap_value(k: GapKernel) -> complex:
     g = k.gamma.complex_length()
     b = k.beta.value
     if k.alpha_interior:
-        s = (k.alpha.value + b) / 2
-        u = cmath.sinh(g / 2) / (cmath.cosh(g / 2) + math.exp(s))
-        return 2 * cmath.atanh(u)
+        # 2 atanh(sinh(g/2) / (cosh(g/2) + e^s)), whose argument nears 1 for
+        # a long gamma and short partners, taken as the equal
+        # log1p(2 sinh(g/2) e^-s / (1 + e^(-g/2-s))), as boundary_torus_kernel
+        w = math.exp(-(k.alpha.value + b) / 2)
+        return _log1p(2 * cmath.sinh(g / 2) * w / (1 + cmath.exp(-g / 2) * w))
     tau = _partner_tau(k.alpha)
     ratio = (tau + cmath.cosh((g + b) / 2)) / (tau + cmath.cosh((g - b) / 2))
     return (g - cmath.log(ratio)) / 2
+
+
+def _log1p(z: complex) -> complex:
+    """log(1 + z) without forming 1 + z where it would cost digits: the real
+    part is log|1 + z| = log1p(2 Re z + |z|^2) / 2 (math.log1p(z) for real z),
+    the imaginary part arg(1 + z)."""
+    x, y = z.real, z.imag
+    if not y:
+        return complex(math.log1p(x))
+    return complex(0.5 * math.log1p(x * (2 + x) + y * y), math.atan2(y, 1 + x))
 
 
 # -- one-holed torus kernels and the pairing kernel ---------------------------

@@ -163,9 +163,10 @@ def _walk_subtree(
     """Collect (slope, trace) for every tree node with trace <= tmax.
 
     Traces increase strictly along branches once the newest trace dominates
-    the other two, so a dominated node above the cutoff ends its subtree;
-    the rare non-dominant node (possible only near an asymmetric root) is
-    descended regardless.
+    the other two, so a dominated node above the cutoff ends its subtree
+    and is tested before it is pushed, never visited; the rare non-dominant
+    node (possible only near an asymmetric root) is descended regardless.
+    Every computed trace is checked to be hyperbolic.
     """
     out: List[Tuple[Tuple[int, int], float]] = []
     stack = [(a, b, c, sa, sb, sc)]
@@ -179,19 +180,30 @@ def _walk_subtree(
                 % _MAX_TREE_NODES
             )
         if not c > 2.0:
-            raise RuntimeError(
-                "non-hyperbolic trace %r appeared in the tree (invalid "
-                "root data)" % c
-            )
+            raise _non_hyperbolic(c)
         if c <= tmax:
             out.append((sc, c))
         elif c >= a and c >= b:
-            continue
-        mab = (sa[0] + sc[0], sa[1] + sc[1])
-        stack.append((a, c, a * c - b, sa, sc, mab))
-        mbc = (sb[0] + sc[0], sb[1] + sc[1])
-        stack.append((b, c, b * c - a, sb, sc, mbc))
+            continue  # only a subtree root can get here
+        # each child (x, c, x*c - y) is pushed unless it dominates its
+        # parents above the cutoff; its trace is checked either way
+        t = a * c - b
+        if t <= tmax or t < a or t < c:
+            stack.append((a, c, t, sa, sc, (sa[0] + sc[0], sa[1] + sc[1])))
+        elif not t > 2.0:
+            raise _non_hyperbolic(t)
+        t = b * c - a
+        if t <= tmax or t < b or t < c:
+            stack.append((b, c, t, sb, sc, (sb[0] + sc[0], sb[1] + sc[1])))
+        elif not t > 2.0:
+            raise _non_hyperbolic(t)
     return out
+
+
+def _non_hyperbolic(trace: float) -> RuntimeError:
+    return RuntimeError(
+        "non-hyperbolic trace %r appeared in the tree (invalid root data)" % trace
+    )
 
 
 def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesic]:

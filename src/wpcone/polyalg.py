@@ -24,12 +24,17 @@ exponent vector on first read and caches the result.
   PiGraded = Dict[int, Fraction]    pi-exponent (even, >= 0) -> rational
 
 so  {(1,): {0: Fraction(-1, 48)}, (0,): {2: Fraction(1, 12)}}  is
--x/48 + pi**2/12.  The view is built on first read and cached, so a volume
-the recursion uses but no caller looks at never pays for it.  The
-constructor takes this view, checks it (slot count, nonnegative x-exponents,
-even nonnegative pi-powers, homogeneity) and converts it; from_numerators is
-the trusted entry for the recursion's own results.  Zero coefficients are
-never stored; the zero polynomial has an empty term map.
+-x/48 + pi**2/12.  The view is for callers and for equality (==); it is
+built on first read and cached, and nothing in this module reads it but
+__eq__ and substitute_imaginary, the test reference.  The serializers
+(to_json, to_latex, to_text, canonical_terms) walk the integer form in
+canonical order, reducing each distinct numerator over den once, and
+eval_numeric reads the integer form too, so serving a volume builds no
+Fraction.  The constructor takes this view, checks it (slot count,
+nonnegative x-exponents, even nonnegative pi-powers, homogeneity) and
+converts it; from_numerators is the trusted entry for the recursion's own
+results.  Zero coefficients are never stored; the zero polynomial has an
+empty term map.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 PiGraded = Dict[int, Fraction]
@@ -145,27 +150,16 @@ def _exponent(e: object) -> int:
 
 
 def from_numerators(
-    num_vars: int,
-    den: int,
-    nums: Mapping[Exponent, int],
-    degree: int,
-    negate: Sequence[int] = (),
+    num_vars: int, den: int, nums: Mapping[Exponent, int], degree: int
 ) -> VolumePolynomial:
     """The polynomial sum_e nums[e]/den x^e pi^(2(degree - sum(e))).
 
-    Each slot in `negate` gets x -> -x (substitute_imaginary on that slot),
-    so a term changes sign when its exponents on those slots sum to an odd
-    number.  Zero numerators are dropped.  The caller vouches that den > 0,
-    that every exponent vector has num_vars nonnegative entries and that no
+    Zero numerators are dropped.  The caller vouches that den > 0, that
+    every exponent vector has num_vars nonnegative entries and that no
     x-degree exceeds `degree`.
     """
-    kept: Dict[Exponent, int] = {}
-    for xexp, num in nums.items():
-        if num:
-            flip = negate and sum(xexp[s] for s in negate) % 2
-            kept[xexp] = -num if flip else num
     p = VolumePolynomial(num_vars)
-    p._numerators = Numerators(den, kept, degree)
+    p._numerators = Numerators(den, {e: n for e, n in nums.items() if n}, degree)
     return p
 
 
@@ -225,9 +219,10 @@ def _arrangements(block: Exponent, memo: Dict[Exponent, List[Exponent]]):
 def substitute_imaginary(p: VolumePolynomial, slot: int) -> VolumePolynomial:
     """Substitute l_slot = i*theta, i.e. x_slot -> -x_slot, term by term.
 
-    The reference that from_numerators(negate=) is tested against, so it
-    works on the pi-graded view and goes through the checking constructor.
-    Applying the substitution twice returns the original polynomial.
+    The reference that compute_volume's cone signs are tested against, so
+    it works on the pi-graded view and goes through the checking
+    constructor.  Applying the substitution twice returns the original
+    polynomial.
     """
     _check_slot(p, slot)
     return VolumePolynomial(
@@ -268,18 +263,41 @@ def eval_numeric(
         if not isinstance(v, complex) and v < 0:
             raise ValueError("slot values must be nonnegative")
     den, nums, degree = p.numerators
+    # each power once per call, not once per term; the values are the same
+    pis = [pi_value ** (2 * j) for j in range(degree + 1)]
+    powers = [[v ** (2 * e) for e in range(degree + 1)] for v in vals]
     total: float | complex = 0.0
     for xexp, num in nums.items():
-        coeff = num / den * pi_value ** (2 * (degree - sum(xexp)))
+        coeff = num / den * pis[degree - sum(xexp)]
         mono: float | complex = 1.0
-        for v, e in zip(vals, xexp):
+        for table, e in zip(powers, xexp):
             if e:
-                mono *= v ** (2 * e)
+                mono *= table[e]
         total += coeff * mono
     return total
 
 
 # -- canonical order and serialization ---------------------------------------
+
+
+def _canonical(p: VolumePolynomial) -> Iterator[Tuple[Exponent, int, int, int]]:
+    """(xexp, piexp, num, den) in canonical order, each coefficient num/den in
+    lowest terms with den > 0, read from the integer form.
+
+    The order is graded-lex, leading term first: higher total x-degree, then
+    the lexicographically larger exponent vector (one term per vector, so
+    the pi-power never breaks a tie).  A volume repeats one numerator across
+    every vector of an orbit, so each distinct numerator is reduced once.
+    """
+    den, nums, degree = p.numerators
+    reduced: Dict[int, Tuple[int, int]] = {}
+    for total, xexp in sorted(((sum(e), e) for e in nums), reverse=True):
+        num = nums[xexp]
+        pair = reduced.get(num)
+        if pair is None:
+            common = math.gcd(num, den)
+            pair = reduced[num] = (num // common, den // common)
+        yield xexp, 2 * (degree - total), pair[0], pair[1]
 
 
 def canonical_terms(
@@ -290,24 +308,14 @@ def canonical_terms(
     Higher total x-degree first, then lexicographically larger exponent
     vector, then higher pi-power.
     """
-    flat = [
-        (xexp, piexp, coeff)
-        for xexp, graded in p.terms.items()
-        for piexp, coeff in graded.items()
-    ]
-    flat.sort(key=lambda t: (sum(t[0]), t[0], t[1]), reverse=True)
-    return flat
+    return [(x, pe, Fraction(n, d)) for x, pe, n, d in _canonical(p)]
 
 
 def to_json(p: VolumePolynomial) -> str:
     """Canonical JSON: {"vars": N, "terms": [{"xexp", "piexp", "coeff"}...]}."""
     terms = [
-        {
-            "xexp": list(xexp),
-            "piexp": piexp,
-            "coeff": f"{coeff.numerator}/{coeff.denominator}",
-        }
-        for xexp, piexp, coeff in canonical_terms(p)
+        {"xexp": list(xexp), "piexp": piexp, "coeff": f"{num}/{den}"}
+        for xexp, piexp, num, den in _canonical(p)
     ]
     return json.dumps({"vars": p.num_vars, "terms": terms}, separators=(",", ":"))
 
@@ -348,52 +356,42 @@ def to_latex(p: VolumePolynomial, kinds: Sequence[str] | None = None) -> str:
     Subscripts below 10 are left unbraced so the degree-one cone volume
     round-trips to the exact golden string.
     """
-    names = slot_names(p.num_vars, kinds, latex=True)
-    flat = canonical_terms(p)
-    if not flat:
-        return "0"
+    # per-call tables: [e] renders x^e of a slot (l^2e or theta^2e), "" at 0
+    top = range(1, p.numerators.degree + 1)
+    pis = [""] + [_latex_pow("\\pi", 2 * j) for j in top]
+    powers = [
+        [""] + [_latex_pow(name, 2 * e) for e in top]
+        for name in slot_names(p.num_vars, kinds, latex=True)
+    ]
     pieces: List[str] = []
-    for idx, (xexp, piexp, coeff) in enumerate(flat):
-        mono = ""
-        if piexp:
-            mono += _latex_pow("\\pi", piexp)
-        for name, e in zip(names, xexp):
-            if e:
-                mono += _latex_pow(name, 2 * e)
-        num, den = abs(coeff.numerator), coeff.denominator
-        if den == 1:
-            body = (str(num) if num != 1 or not mono else "") + mono
-        else:
-            inner = (str(num) if num != 1 or not mono else "") + mono
-            body = f"\\frac{{{inner}}}{{{den}}}"
-        sign = "-" if coeff < 0 else ("+" if idx else "")
-        pieces.append(sign + body)
-    return "".join(pieces)
+    for xexp, piexp, num, den in _canonical(p):
+        mono = pis[piexp // 2] + "".join(map(list.__getitem__, powers, xexp))
+        body = (str(abs(num)) if abs(num) != 1 or not mono else "") + mono
+        if den != 1:
+            body = f"\\frac{{{body}}}{{{den}}}"
+        pieces.append(("-" if num < 0 else "+" if pieces else "") + body)
+    return "".join(pieces) or "0"
 
 
 def to_text(p: VolumePolynomial, kinds: Sequence[str] | None = None) -> str:
     """Plain-text rendering, canonical order: -1/48*theta_1^2 + 1/12*pi^2."""
     names = slot_names(p.num_vars, kinds, latex=False)
-    flat = canonical_terms(p)
-    if not flat:
-        return "0"
-    pieces = []
-    for idx, (xexp, piexp, coeff) in enumerate(flat):
+    pieces: List[str] = []
+    for xexp, piexp, num, den in _canonical(p):
         parts = []
         if piexp:
             parts.append(f"pi^{piexp}")
         for name, e in zip(names, xexp):
             if e:
                 parts.append(f"{name}^{2 * e}")
-        mag = abs(coeff)
-        if not parts or mag != 1:
-            parts.insert(0, str(mag))
+        if not parts or abs(num) != 1 or den != 1:
+            parts.insert(0, f"{abs(num)}/{den}" if den != 1 else str(abs(num)))
         body = "*".join(parts)
-        if idx == 0:
-            pieces.append(("-" if coeff < 0 else "") + body)
+        if pieces:
+            pieces.append(("- " if num < 0 else "+ ") + body)
         else:
-            pieces.append(("- " if coeff < 0 else "+ ") + body)
-    return " ".join(pieces)
+            pieces.append(("-" if num < 0 else "") + body)
+    return " ".join(pieces) or "0"
 
 
 def _check_slot(p: VolumePolynomial, slot: int) -> None:

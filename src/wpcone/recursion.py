@@ -245,10 +245,16 @@ def enumerate_splittings(
 # setdefault keeps the first.
 _RECURSION_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 
+# (g, m, n) with n > 0 -> compute_volume's cone volume, signed from the
+# all-boundary orbits.  Kept apart from _RECURSION_MEMO, which holds the
+# direct cone path under the same key: the two must stay independent.
+_SIGNED_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
+
 
 def clear_memo() -> None:
     """Drop all memoized volumes (mainly for tests and benchmarks)."""
     _RECURSION_MEMO.clear()
+    _SIGNED_MEMO.clear()
 
 
 # -- integer weight tables -------------------------------------------------------
@@ -573,11 +579,18 @@ def compute_volume(
     slots m..m+n-1 are cone angles (squared-variable convention throughout).
 
     Computed on the all-boundary recursion, then each cone slot gets the
-    imaginary substitution l -> i*theta, i.e. x -> -x, all slots in one
-    pass over the memoized working form.  The substituted polynomial is not
-    memoized: its Fraction terms, kept per (g, m, n), would cost more memory
-    than the pass saves.  The caps bound only the requested signature, not
-    the recursion's internal sub-surfaces; max_moment_k is checked as
+    imaginary substitution l -> i*theta, i.e. x -> -x.  A term's sign is
+    (-1) to the sum of its cone exponents, so it depends only on how its
+    orbit's exponents split between the boundary block and the cone block:
+    each split of each all-boundary orbit is signed once, and the result is
+    kept on orbits of the (m, n) blocks and memoized per (g, m, n), so a
+    repeated call returns the same object.  Memory stays nearly flat: per
+    cone signature the memo adds one integer per orbit split, and the full
+    exponent map once it is first read, as every memoized volume has; in
+    exchange no reader builds the Fraction `terms` view any more, which the
+    serializers used to cache on every volume they wrote.  The caps are
+    checked before the memo and bound only the requested signature, not the
+    recursion's internal sub-surfaces; max_moment_k is checked as
     3g - 4 + m + n.
     """
     if max_genus is not None and sig.genus > max_genus:
@@ -594,9 +607,17 @@ def compute_volume(
     boundary = boundary_volume(sig.genus, sig.slots, max_moment_k=None)
     if not sig.cones:
         return boundary
-    return from_numerators(
-        sig.slots, *boundary.numerators, negate=range(sig.boundaries, sig.slots)
-    )
+    key = (sig.genus, sig.boundaries, sig.cones)
+    cached = _SIGNED_MEMO.get(key)
+    if cached is not None:
+        return cached
+    den, nums, degree = boundary.orbits
+    signed: Dict[Exponent, int] = {}
+    for orbit, num in nums.items():
+        for cones, bounds, _ in _sub_multisets(orbit)[sig.cones]:
+            signed[bounds + cones] = -num if sum(cones) % 2 else num
+    result = from_orbits(sig.slots, den, signed, degree, (sig.boundaries, sig.cones))
+    return _SIGNED_MEMO.setdefault(key, result)
 
 
 def cone_volume_direct(

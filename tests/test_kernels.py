@@ -400,7 +400,7 @@ def test_pairing_kernel_re_matches_complex_reference():
 
 
 def test_boundary_torus_kernel_is_the_real_gap_value():
-    for length in (0.1, 1.0, 2.0, 5.0, 10.0):
+    for length in (0.1, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
         for x in (0.05, 0.5, 1.0, 3.0, 10.0, 40.0, 300.0):
             got = boundary_torus_kernel(length, x)
             want = gap_value(
@@ -411,8 +411,8 @@ def test_boundary_torus_kernel_is_the_real_gap_value():
 
 
 def test_boundary_torus_kernel_against_high_precision():
-    # past L = 10 the atanh argument of gap_value nears 1 and the complex
-    # route loses up to 1e-13 at short x; the log1p form keeps full precision
+    # past L = 10 the atanh argument nears 1 at short x, where the literal
+    # atanh form loses up to 1e-13; the log1p form keeps full precision
     with mpmath.workdps(40):
         for length in (1e-6, 0.1, 2.0, 10.0, 20.0, 100.0):
             half = mpmath.mpf(length) / 2
@@ -476,6 +476,29 @@ def test_gap_interior_pair_cone_specialization():
             expect = 1j * cone_torus_kernel(theta, s)
             assert abs(val - expect) < 1e-12
             assert abs(val.real) < 1e-14
+
+
+def test_interior_gap_value_against_high_precision():
+    # 2 atanh(sinh(g/2) / (cosh(g/2) + e^s)), s the partners' mean length,
+    # for a geodesic g = L and a cone g = i theta; long gammas with short
+    # partners put the atanh argument next to 1
+    partners = (0.05, 0.5, 2.0, 30.0)
+    with mpmath.workdps(40):
+        gammas = [(geodesic(L), mpmath.mpf(L)) for L in (1e-6, 2.0, 20.0, 100.0)]
+        gammas += [(cone(t), 1j * mpmath.mpf(t)) for t in (1e-6, 1.5, math.pi)]
+        for label, g in gammas:
+            for a in partners:
+                for b in partners:
+                    s = (mpmath.mpf(a) + b) / 2
+                    want = complex(
+                        2 * mpmath.atanh(
+                            mpmath.sinh(g / 2) / (mpmath.cosh(g / 2) + mpmath.exp(s))
+                        )
+                    )
+                    got = gap_value(
+                        GapKernel(label, geodesic(a), geodesic(b), alpha_interior=True)
+                    )
+                    assert abs(got - want) <= 1e-15 * abs(want), (label, a, b)
 
 
 def test_gap_vanishes_with_gamma():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wpcone import mcshane
 from wpcone.cli import main
 from wpcone.kernels import cone, cusp, geodesic
 from wpcone.mcshane import (
@@ -169,6 +170,39 @@ def test_pruned_enumeration_complete_to_depth_twelve(kappa_source):
     assert [s for s, _ in got] == [s for s, _ in want]
     for (_, t_got), (_, t_want) in zip(got, want):
         assert abs(t_got - t_want) <= 1e-9 * max(1.0, t_want)
+
+
+def test_walk_checks_every_computed_trace():
+    # the child trace 2.5 * 3 - 10 < 2 is below the cutoff, so it is pushed
+    # and refused when visited; a NaN child is neither below the cutoff nor
+    # dominated, so it is never pushed and must be refused where computed
+    with pytest.raises(RuntimeError, match="non-hyperbolic"):
+        mcshane._walk_subtree(2.5, 10.0, 3.0, (0, 1), (1, 0), (1, 1), 100.0)
+    with pytest.raises(RuntimeError, match="non-hyperbolic"):
+        mcshane._walk_subtree(3.0, math.nan, 3.0, (0, 1), (1, 0), (1, 1), 100.0)
+
+
+def test_walk_visits_only_nodes_that_can_lead_below_the_cutoff(monkeypatch):
+    # on a symmetric root every descendant of a kept node that can lead
+    # below the cutoff is itself below it, so a subtree walk visits exactly
+    # the nodes it keeps: the node valve, which counts visits per subtree,
+    # passes at the largest subtree's size and trips one below it (a walk
+    # that pushed every child before pruning it visited twice as many)
+    walk, valve = mcshane._walk_subtree, mcshane._MAX_TREE_NODES
+    for label in (cone(math.pi), geodesic(2.0), cusp()):
+        root = root_triple(kappa_for(label))
+        sizes = []
+        monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", valve)
+        monkeypatch.setattr(
+            mcshane, "_walk_subtree", lambda *args: sizes.append(len(walk(*args))) or []
+        )
+        enumerate_geodesics(root, 300.0)
+        monkeypatch.setattr(mcshane, "_walk_subtree", walk)
+        monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", max(sizes))
+        assert len(enumerate_geodesics(root, 300.0)) == sum(sizes) + 4, label
+        monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", max(sizes) - 1)
+        with pytest.raises(RuntimeError, match="pruning failed"):
+            enumerate_geodesics(root, 300.0)
 
 
 def test_fricke_relation_preserved_along_tree():

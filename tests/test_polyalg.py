@@ -128,18 +128,6 @@ def test_substitute_imaginary_is_involution_and_flips_odd_powers():
         substitute_imaginary(p, 1)
 
 
-def test_negate_matches_substitute_imaginary():
-    rng = random.Random(29)
-    for _ in range(20):
-        p = random_poly(rng, 3)
-        slots = [s for s in range(3) if rng.randrange(2)]
-        expect = p
-        for s in slots:
-            expect = substitute_imaginary(expect, s)
-        got = from_numerators(3, *p.numerators, negate=slots)
-        assert got == expect, slots
-
-
 def test_substitute_imaginary_matches_complex_evaluation():
     rng = random.Random(23)
     for _ in range(10):

@@ -436,8 +436,8 @@ def test_direct_cone_recursion_matches_substitution_small():
 
 
 def test_compute_volume_matches_slot_by_slot_substitution():
-    # compute_volume flips every cone slot in one pass (from_numerators
-    # with negate=); substitute_imaginary flips one slot at a time
+    # compute_volume signs each boundary/cone split of an all-boundary
+    # orbit once; substitute_imaginary flips one slot at a time, term by term
     for g, m, n in stable_cone_signatures(2, 4):
         expect = boundary_volume(g, m + n)
         for slot in range(m, m + n):
