@@ -24,30 +24,43 @@ exponent vector on first read and caches the result.
   PiGraded = Dict[int, Fraction]    pi-exponent (even, >= 0) -> rational
 
 so  {(1,): {0: Fraction(-1, 48)}, (0,): {2: Fraction(1, 12)}}  is
--x/48 + pi**2/12.  The view is for callers and for equality (==); it is
-built on first read and cached, and nothing in this module reads it but
-__eq__ and substitute_imaginary, the test reference.  The serializers
-(to_json, to_latex, to_text, canonical_terms) walk the integer form in
-canonical order, reducing each distinct numerator over den once, and
+-x/48 + pi**2/12.  The view is for callers; it is built on first read and
+cached, and nothing in this module reads it but substitute_imaginary, the
+test reference.  Equality (==) cross-multiplies the integer numerators; the
+serializers (to_json, to_latex, to_text, canonical_terms) walk the integer
+form in canonical order, reducing each distinct numerator over den once;
 eval_numeric reads the integer form too, so serving a volume builds no
 Fraction.  The constructor takes this view, checks it (slot count,
 nonnegative x-exponents, even nonnegative pi-powers, homogeneity) and
 converts it; from_numerators is the trusted entry for the recursion's own
 results.  Zero coefficients are never stored; the zero polynomial has an
 empty term map.
+
+What is kept per volume.  A VolumePolynomial is immutable by convention:
+no caller mutates one after construction, and the recursion memoizes its
+volumes, so one object answers every query for its signature.  A form
+derived from it is therefore a pure function of the volume and can be
+built on first read and kept on it: the expanded `numerators`, the `terms`
+view, the canonical order of the exponent vectors with each distinct
+numerator reduced over den (read by every serializer), and the nested form
+eval_numeric compiles its coefficients into (for the default pi_value
+only).  The rendered strings are not kept: each call renders afresh from
+the kept order.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 Exponent = Tuple[int, ...]
 PiGraded = Dict[int, Fraction]
 Terms = Dict[Exponent, PiGraded]
+Horner = Union[Tuple[float, ...], Tuple[Tuple[int, "Horner"], ...]]
 
 
 class Numerators(NamedTuple):
@@ -64,11 +77,18 @@ class VolumePolynomial:
 
     `numerators` is the integer form, `terms` the pi-graded view of it.
     `orbits` is None unless from_orbits built the polynomial; then
-    `numerators` is expanded from it on first read.
+    `numerators` is expanded from it on first read.  `_order` keeps the
+    serializers' canonical order and `_horner` the nested form eval_numeric
+    compiles, each built on first read.  Everything kept on a volume stays
+    valid only because nothing mutates a volume after construction; build
+    a new one instead.
     """
 
     orbits: Optional[Numerators] = None
     _blocks: Tuple[int, ...] = ()
+    _horner: Optional[Horner] = None  # eval_numeric's compiled form
+    # the serializers' canonical order and reduced numerators (_canonical)
+    _order: Optional[Tuple[List[Exponent], Dict[int, Tuple[int, int]]]] = None
 
     def __init__(
         self,
@@ -131,9 +151,21 @@ class VolumePolynomial:
         return bool(self.numerators.nums)
 
     def __eq__(self, other: object) -> bool:
+        """Equal polynomials: compared on the integer forms, num1 * den2 ==
+        num2 * den1 per exponent vector, so no Fraction view is built.  Two
+        zero polynomials are equal whatever their degree."""
         if not isinstance(other, VolumePolynomial):
             return NotImplemented
-        return self.num_vars == other.num_vars and self.terms == other.terms
+        if self.num_vars != other.num_vars:
+            return False
+        den1, nums1, degree1 = self.numerators
+        den2, nums2, degree2 = other.numerators
+        if nums1.keys() != nums2.keys():
+            return False
+        return not nums1 or (
+            degree1 == degree2
+            and all(num * den2 == nums2[e] * den1 for e, num in nums1.items())
+        )
 
     __hash__ = None  # type: ignore[assignment]
 
@@ -235,11 +267,29 @@ def substitute_imaginary(p: VolumePolynomial, slot: int) -> VolumePolynomial:
 
 
 def substitute_zero(p: VolumePolynomial, slot: int) -> VolumePolynomial:
-    """Set l_slot (or theta_slot) to 0 and drop the slot from the ring."""
+    """Set l_slot (or theta_slot) to 0 and drop the slot from the ring.
+
+    On orbits, the exponent vectors with a 0 in the slot are exactly the
+    arrangements of the orbits whose key has a 0 in the slot's block; a
+    key is sorted non-increasing there, so it ends that block in 0, and
+    dropping that 0 leaves an orbit key of the block one slot shorter.
+    """
     _check_slot(p, slot)
-    den, nums, degree = p.numerators
-    kept = {e[:slot] + e[slot + 1 :]: n for e, n in nums.items() if not e[slot]}
-    return from_numerators(p.num_vars - 1, den, kept, degree)
+    if p.orbits is None:
+        den, nums, degree = p.numerators
+        kept = {e[:slot] + e[slot + 1 :]: n for e, n in nums.items() if not e[slot]}
+        return from_numerators(p.num_vars - 1, den, kept, degree)
+    den, nums, degree = p.orbits
+    blocks = list(p._blocks)
+    end = 0
+    for i, length in enumerate(blocks):
+        end += length
+        if slot < end:
+            break
+    blocks[i] -= 1
+    last = end - 1
+    kept = {e[:last] + e[end:]: n for e, n in nums.items() if not e[last]}
+    return from_orbits(p.num_vars - 1, den, kept, degree, blocks)
 
 
 def eval_numeric(
@@ -252,7 +302,11 @@ def eval_numeric(
     Real entries must be nonnegative (they are lengths or angles); complex
     entries are allowed for the imaginary-substitution cross-checks.  Each
     coefficient is the correctly rounded quotient of its numerator and the
-    shared denominator.
+    shared denominator, times its power of pi_value.  The coefficients are
+    compiled into nested sums over the slots (_compile) on the first call
+    and kept on the volume for pi_value = math.pi; any other pi_value
+    compiles a form that is not kept, so no value of pi_value can grow what
+    a volume keeps.
     """
     vals = list(values)
     if len(vals) != p.num_vars:
@@ -262,19 +316,55 @@ def eval_numeric(
     for v in vals:
         if not isinstance(v, complex) and v < 0:
             raise ValueError("slot values must be nonnegative")
+    if pi_value != math.pi:
+        form = _compile(p, pi_value)
+    else:
+        # two threads reading first may both compile; they build equal forms
+        form = p._horner
+        if form is None:
+            form = p._horner = _compile(p, math.pi)
+    # powers of v**2 up to the degree, each once per call; a polynomial in
+    # no slot is compiled as one in a phantom slot whose value is 1
+    top = p.numerators.degree
+    tables = [
+        list(itertools.accumulate(itertools.repeat(v * v, top), operator.mul, initial=1.0))
+        for v in vals
+    ] or [[1.0]]
+    return _walk(form, tables, 0)
+
+
+def _compile(p: VolumePolynomial, pi_value: float) -> Horner:
+    """p as nested sums, one level per slot, for _walk: an inner node is a
+    tuple of (exponent, child) pairs, a leaf the tuple of the last slot's
+    coefficients indexed by its exponent, each coefficient
+    num / den * pi_value**(2 * (degree - sum(e))).  Leaves are tuples of
+    floats, not array('d'): summing products over an array boxes a new
+    float per entry on every call, which made evaluation about 1.8x slower."""
     den, nums, degree = p.numerators
-    # each power once per call, not once per term; the values are the same
     pis = [pi_value ** (2 * j) for j in range(degree + 1)]
-    powers = [[v ** (2 * e) for e in range(degree + 1)] for v in vals]
-    total: float | complex = 0.0
-    for xexp, num in nums.items():
-        coeff = num / den * pis[degree - sum(xexp)]
-        mono: float | complex = 1.0
-        for table, e in zip(powers, xexp):
-            if e:
-                mono *= table[e]
-        total += coeff * mono
-    return total
+    rows = [(e or (0,), num / den * pis[degree - sum(e)]) for e, num in nums.items()]
+    return _nest(rows, max(p.num_vars, 1))
+
+
+def _nest(rows: List[Tuple[Exponent, float]], depth: int) -> Horner:
+    """The node for the last `depth` slots of rows that agree before them."""
+    if depth == 1:
+        leaf = [0.0] * (1 + max((e[-1] for e, _ in rows), default=-1))
+        for e, coeff in rows:
+            leaf[e[-1]] = coeff
+        return tuple(leaf)
+    groups: Dict[int, List[Tuple[Exponent, float]]] = {}
+    for row in rows:
+        groups.setdefault(row[0][-depth], []).append(row)
+    return tuple((e, _nest(group, depth - 1)) for e, group in sorted(groups.items()))
+
+
+def _walk(node: Horner, tables: List[List[float | complex]], slot: int) -> float | complex:
+    """Evaluate a _compile node at the powers tables[slot][e] of each slot."""
+    table = tables[slot]
+    if slot + 1 == len(tables):
+        return sum(map(operator.mul, node, table), 0.0)
+    return sum([table[e] * _walk(child, tables, slot + 1) for e, child in node], 0.0)
 
 
 # -- canonical order and serialization ---------------------------------------
@@ -288,16 +378,24 @@ def _canonical(p: VolumePolynomial) -> Iterator[Tuple[Exponent, int, int, int]]:
     the lexicographically larger exponent vector (one term per vector, so
     the pi-power never breaks a tie).  A volume repeats one numerator across
     every vector of an orbit, so each distinct numerator is reduced once.
+    The order and the reduced numerators are built on the first walk and
+    kept on the volume; each walk after that only reads them.
     """
     den, nums, degree = p.numerators
-    reduced: Dict[int, Tuple[int, int]] = {}
-    for total, xexp in sorted(((sum(e), e) for e in nums), reverse=True):
-        num = nums[xexp]
-        pair = reduced.get(num)
-        if pair is None:
-            common = math.gcd(num, den)
-            pair = reduced[num] = (num // common, den // common)
-        yield xexp, 2 * (degree - total), pair[0], pair[1]
+    kept = p._order
+    if kept is None:
+        # two threads walking first may both build; they build equal tables
+        order = sorted(nums, key=lambda e: (sum(e), e), reverse=True)
+        reduced = {}
+        for num in nums.values():
+            if num not in reduced:
+                common = math.gcd(num, den)
+                reduced[num] = (num // common, den // common)
+        kept = p._order = (order, reduced)
+    order, reduced = kept
+    for xexp in order:
+        num, lowest = reduced[nums[xexp]]
+        yield xexp, 2 * (degree - sum(xexp)), num, lowest
 
 
 def canonical_terms(

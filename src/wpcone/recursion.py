@@ -353,6 +353,21 @@ def _sub_multisets(block: Exponent) -> Dict[int, List[Tuple[Exponent, Exponent, 
     return out
 
 
+def _splits(block: Exponent, size: int) -> List[Tuple[Exponent, Exponent, int]]:
+    """_sub_multisets(block)[size], in the same order, built alone: each run
+    picks only counts from which `size` entries can still be reached."""
+    splits: List[Tuple[Exponent, Exponent, int]] = [((), (), 1)]
+    later = len(block)  # entries in the runs after the current one
+    for v, c in _runs(block):
+        later -= c
+        splits = [
+            (first + (v,) * p, rest + (v,) * (c - p), mult * math.comb(c, p))
+            for first, rest, mult in splits
+            for p in range(max(0, size - len(first) - later), min(c, size - len(first)) + 1)
+        ]
+    return splits
+
+
 # -- the recursion -----------------------------------------------------------------
 
 
@@ -614,7 +629,7 @@ def compute_volume(
     den, nums, degree = boundary.orbits
     signed: Dict[Exponent, int] = {}
     for orbit, num in nums.items():
-        for cones, bounds, _ in _sub_multisets(orbit)[sig.cones]:
+        for cones, bounds, _ in _splits(orbit, sig.cones):
             signed[bounds + cones] = -num if sum(cones) % 2 else num
     result = from_orbits(sig.slots, den, signed, degree, (sig.boundaries, sig.cones))
     return _SIGNED_MEMO.setdefault(key, result)

@@ -156,6 +156,34 @@ def test_substitute_zero_drops_slot():
     assert substitute_zero(q, 0).terms == {(): {4: Fraction(1, 12)}}
 
 
+def test_equality_on_integer_forms_agrees_with_the_terms_view():
+    rng = random.Random(37)
+    polys = []
+    for _ in range(40):
+        num_vars = rng.randrange(3)
+        degree = rng.randrange(4)
+        p = random_poly(rng, num_vars, degree, num_terms=rng.randrange(4))
+        scale = rng.randrange(1, 5)  # the same polynomial over a larger den
+        den, nums, _ = p.numerators
+        q = from_numerators(num_vars, den * scale, {e: n * scale for e, n in nums.items()}, degree)
+        polys += [p, q, from_numerators(num_vars, 1, {}, rng.randrange(4))]
+        # the same numerators one degree up: every pi-power two higher
+        polys.append(from_numerators(num_vars, den, nums, p.numerators.degree + 1))
+    for a in polys:
+        for b in polys:
+            want = a.num_vars == b.num_vars and a.terms == b.terms
+            assert (a == b) is want, (a, b)
+    # a memoized volume, kept on orbits, against its expanded copy
+    clear_memo()
+    p = compute_volume(SurfaceSignature(1, 2, 2))
+    assert p.orbits is not None
+    copy = from_numerators(p.num_vars, *p.numerators)
+    assert p == copy and copy == p
+    off = dict(copy.numerators.nums)
+    off[next(iter(off))] += 1
+    assert p != from_numerators(p.num_vars, copy.numerators.den, off, copy.numerators.degree)
+
+
 def eval_exact(p, values):
     """{pi-exponent: exact value} at rational slot values, pi kept symbolic."""
     out = {}

@@ -1,5 +1,6 @@
-"""The read path: compute_volume's signed memo, and the serializers and
-eval_numeric reading the integer form.
+"""The read path: compute_volume's signed memo, the serializers and
+eval_numeric reading the integer form, and what a volume keeps for them
+(the canonical order, eval_numeric's compiled form).
 
 DIGESTS holds the SHA-256 of to_json, to_latex and to_text (slot kinds
 lengths then angles) of compute_volume(sig) for every stable (g, m, n) with
@@ -12,12 +13,21 @@ byte as it was.
 import hashlib
 import math
 import random
+import sys
+import threading
 
 import pytest
 
 from wpcone import recursion
 from wpcone.conepoints import cusp_limit
-from wpcone.polyalg import eval_numeric, to_json, to_latex, to_text
+from wpcone.polyalg import (
+    eval_numeric,
+    from_numerators,
+    substitute_zero,
+    to_json,
+    to_latex,
+    to_text,
+)
 from wpcone.recursion import (
     SurfaceSignature,
     boundary_volume,
@@ -324,8 +334,10 @@ def test_serializers_are_byte_identical_on_every_small_volume():
     for sig in small_signatures():
         p = compute_volume(sig)
         kinds = kinds_of(sig)
-        got = (sha(to_json(p)), sha(to_latex(p, kinds)), sha(to_text(p, kinds)))
-        assert got == DIGESTS["%d,%d,%d" % (sig.genus, sig.boundaries, sig.cones)], sig
+        assert p._order is None
+        for _ in range(2):  # the second walk reads the kept canonical order
+            got = (sha(to_json(p)), sha(to_latex(p, kinds)), sha(to_text(p, kinds)))
+            assert got == DIGESTS["%d,%d,%d" % (sig.genus, sig.boundaries, sig.cones)], sig
 
 
 def reference_value(sig, values):
@@ -355,6 +367,17 @@ def test_eval_numeric_agrees_with_the_term_by_term_formula():
             values = [rng.uniform(0.05, 3.0) for _ in range(sig.slots)]
             want = reference_value(sig, values)
             assert abs(eval_numeric(p, values) - want) <= 1e-14 * abs(want), sig
+        # complex input (a cone is a boundary of length i*theta), another pi
+        boundary = boundary_volume(sig.genus, sig.slots)
+        imaginary = values[: sig.boundaries] + [1j * v for v in values[sig.boundaries :]]
+        for poly, vals, pi_value in ((boundary, imaginary, math.pi), (p, values, 2.5)):
+            want = term_by_term(poly, vals, pi_value)
+            got = eval_numeric(poly, vals, pi_value=pi_value)
+            assert abs(got - want) <= 1e-14 * abs(want), (sig, pi_value)
+        # only the form for math.pi is kept
+        fresh = uncached(p)
+        eval_numeric(fresh, values, pi_value=2.5)
+        assert fresh._horner is None and p._horner is not None
 
 
 def test_reads_build_no_fraction_view():
@@ -365,6 +388,7 @@ def test_reads_build_no_fraction_view():
         to_latex(p, kinds_of(sig))
         to_text(p, kinds_of(sig))
         eval_numeric(p, [0.5] * sig.slots)
+        assert p == uncached(p) and p != compute_volume(SurfaceSignature(2, 2, 1))
         assert p._terms is None, sig
     cusp = cusp_limit(SurfaceSignature(1, 1, 3), 1)
     to_json(cusp)
@@ -405,3 +429,81 @@ def test_caps_raise_with_the_signed_memo_warm(sig, lift, knob):
     with pytest.raises(ValueError, match=knob):
         compute_volume(sig)
     assert compute_volume(sig, **lift) is warm
+
+
+def uncached(p):
+    """A copy of p from its integer form, with nothing kept on it yet."""
+    return from_numerators(p.num_vars, *p.numerators)
+
+
+def term_by_term(p, values, pi_value=math.pi):
+    """eval_numeric as it was before the compiled form: every term of the
+    integer form, num / den * pi^(2j) * prod v^(2e)."""
+    den, nums, degree = p.numerators
+    total = 0.0
+    for xexp, num in nums.items():
+        mono = 1.0
+        for v, e in zip(values, xexp):
+            if e:
+                mono *= v ** (2 * e)
+        total += num / den * pi_value ** (2 * (degree - sum(xexp))) * mono
+    return total
+
+
+def test_evaluator_on_the_zero_polynomial_and_on_no_slots():
+    assert eval_numeric(from_numerators(2, 1, {}, 3), [1.0, 2.0]) == 0.0
+    assert eval_numeric(from_numerators(0, 1, {}, 0), []) == 0.0
+    constant = from_numerators(0, 12, {(): 1}, 1)
+    assert eval_numeric(constant, []) == 1 / 12 * math.pi**2
+    assert eval_numeric(constant, [], pi_value=2.0) == 1 / 12 * 4.0
+    cusp = cusp_limit(SurfaceSignature(1, 0, 1), 0)  # V_{1,1}(0) = pi^2/12
+    assert cusp.num_vars == 0 and eval_numeric(cusp, []) == 1 / 12 * math.pi**2
+
+
+def test_a_warm_evaluator_still_checks_its_arguments():
+    p = compute_volume(SurfaceSignature(1, 1, 1))
+    assert eval_numeric(p, [1.0, 0.5]) > 0
+    with pytest.raises(ValueError, match="nonnegative"):
+        eval_numeric(p, [-1.0, 0.5])
+    with pytest.raises(ValueError, match="slot values"):
+        eval_numeric(p, [1.0])
+
+
+def test_cusp_limit_on_orbits_matches_the_expanded_path():
+    clear_memo()
+    for sig in small_signatures():
+        p = compute_volume(sig)
+        for k in range(sig.cones):
+            slot = sig.boundaries + k
+            fast, slow = substitute_zero(p, slot), substitute_zero(uncached(p), slot)
+            assert fast.orbits is not None and slow.orbits is None
+            assert fast.num_vars == slow.num_vars
+            assert fast.numerators == slow.numerators, (sig, k)
+
+
+def test_threads_reading_first_get_equal_results():
+    p = uncached(compute_volume(SurfaceSignature(2, 2, 3)))
+    values = [0.5, 1.5, 0.25, 1.0, 2.0]
+    start = threading.Barrier(4)
+    results = []
+
+    def read():
+        start.wait()
+        results.append((eval_numeric(p, values), to_json(p)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 4 and all(r == results[0] for r in results)
+    assert results[0] == (eval_numeric(p, values), to_json(p))
+    assert results[0][1] == to_json(uncached(p))
+    want = term_by_term(p, values)
+    assert abs(results[0][0] - want) <= 1e-14 * abs(want)
