@@ -17,25 +17,39 @@ Quick start::
     print(to_latex(volume_polynomial(spec), kinds=("angle",)))
 
 The `wpcone` console script exposes the same functionality from the shell.
+
+Importing the package loads none of its modules: each public name is
+imported from its module on first access.  So a command of the console
+script loads only what it runs -- `verify mcshane` loads kernels and
+mcshane; `verify kernel` kernels and polyalg; `verify identity` kernels,
+mcshane, polyalg and recursion; `table` and `verify recursion` kernels,
+polyalg and recursion; `volume` and `cusp-limit` those three and
+conepoints.
 """
 
-from wpcone.conepoints import (
-    ConeSurfaceSpec,
-    cusp_limit,
-    volume_polynomial,
-    volume_value,
-)
-from wpcone.polyalg import VolumePolynomial
-from wpcone.recursion import SurfaceSignature, compute_volume
-
-__all__ = [
-    "ConeSurfaceSpec",
-    "SurfaceSignature",
-    "VolumePolynomial",
-    "compute_volume",
-    "cusp_limit",
-    "volume_polynomial",
-    "volume_value",
-]
-
 __version__ = "0.1.0"
+
+#: Each public name and the module that defines it, for the PEP 562
+#: `__getattr__` below.
+_EXPORTS = {
+    "ConeSurfaceSpec": "wpcone.conepoints",
+    "SurfaceSignature": "wpcone.recursion",
+    "VolumePolynomial": "wpcone.polyalg",
+    "compute_volume": "wpcone.recursion",
+    "cusp_limit": "wpcone.conepoints",
+    "volume_polynomial": "wpcone.conepoints",
+    "volume_value": "wpcone.conepoints",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -18,7 +18,14 @@ override flags only for the settings it reads, and reads WPCONE_MAX_GENUS
 only if it reads max_genus.
 
 Commands need only the standard library, and each imports the package
-modules it uses when it runs.
+modules it uses when it runs (importing this module loads argparse and no
+package module):
+
+    verify mcshane              kernels, mcshane
+    verify kernel               kernels, polyalg
+    verify identity             kernels, mcshane, polyalg, recursion
+    verify recursion, table     kernels, polyalg, recursion
+    volume, cusp-limit          conepoints, kernels, polyalg, recursion
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ import math
 import os
 import re
 import sys
-from typing import Dict, Optional
+from typing import Dict
 
 _CONFIG_KEYS = {
     "max_genus": int,
@@ -99,15 +106,18 @@ def _read_config(path: str) -> Dict[str, object]:
 
 def _settings(args: argparse.Namespace) -> Dict[str, object]:
     """Effective caps: defaults, then config file, then env, then flags."""
-    from wpcone.kernels import DEFAULT_MAX_MOMENT_K
-    from wpcone.recursion import DEFAULT_MAX_GENUS, DEFAULT_MAX_SLOTS
+    values: Dict[str, object] = {"quad_tol": 1e-10}
+    # a cap's default lives in the module that enforces it, imported only
+    # by a command that registers the cap's flag
+    if hasattr(args, "max_genus"):
+        from wpcone.recursion import DEFAULT_MAX_GENUS, DEFAULT_MAX_SLOTS
 
-    values: Dict[str, object] = {
-        "max_genus": DEFAULT_MAX_GENUS,
-        "max_slots": DEFAULT_MAX_SLOTS,
-        "max_moment_k": DEFAULT_MAX_MOMENT_K,
-        "quad_tol": 1e-10,
-    }
+        values["max_genus"] = DEFAULT_MAX_GENUS
+        values["max_slots"] = DEFAULT_MAX_SLOTS
+    if hasattr(args, "max_moment_k"):
+        from wpcone.kernels import DEFAULT_MAX_MOMENT_K
+
+        values["max_moment_k"] = DEFAULT_MAX_MOMENT_K
     config_path = getattr(args, "config", None)
     if config_path:
         values.update(_read_config(config_path))

@@ -20,8 +20,8 @@ limit of a boundary component; `cusp_limit` exposes that degeneration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from collections import namedtuple
+from typing import Optional, Sequence
 
 from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_zero
 from wpcone.recursion import (
@@ -38,8 +38,9 @@ _ANGLE_RANGE_ERROR = (
 )
 
 
-@dataclass(frozen=True)
-class ConeSurfaceSpec:
+class ConeSurfaceSpec(
+    namedtuple("ConeSurfaceSpec", "sig cone_angles boundary_lengths")
+):
     """A surface to compute: signature plus optional numeric boundary data.
 
     `boundary_lengths` may be omitted (None) to keep the length slots
@@ -47,34 +48,37 @@ class ConeSurfaceSpec:
     per cone point.  Angles are radians.
     """
 
-    sig: SurfaceSignature
-    cone_angles: Tuple[float, ...] = ()
-    boundary_lengths: Optional[Tuple[float, ...]] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        angles = tuple(float(a) for a in self.cone_angles)
-        object.__setattr__(self, "cone_angles", angles)
-        if len(angles) != self.sig.cones:
+    def __new__(
+        cls,
+        sig: SurfaceSignature,
+        cone_angles: Sequence[float] = (),
+        boundary_lengths: Optional[Sequence[float]] = None,
+    ) -> ConeSurfaceSpec:
+        angles = tuple(float(a) for a in cone_angles)
+        if len(angles) != sig.cones:
             raise ValueError(
                 "expected %d cone angles for signature %s, got %d"
-                % (self.sig.cones, self.sig, len(angles))
+                % (sig.cones, sig, len(angles))
             )
         for a in angles:
             if not 0.0 < a <= math.pi:
                 raise ValueError(_ANGLE_RANGE_ERROR + " (got %r)" % a)
-        if self.boundary_lengths is not None:
-            lengths = tuple(float(x) for x in self.boundary_lengths)
-            object.__setattr__(self, "boundary_lengths", lengths)
-            if len(lengths) != self.sig.boundaries:
+        lengths = None
+        if boundary_lengths is not None:
+            lengths = tuple(float(x) for x in boundary_lengths)
+            if len(lengths) != sig.boundaries:
                 raise ValueError(
                     "expected %d boundary lengths for signature %s, got %d"
-                    % (self.sig.boundaries, self.sig, len(lengths))
+                    % (sig.boundaries, sig, len(lengths))
                 )
             for x in lengths:
                 if x <= 0.0:
                     raise ValueError(
                         "boundary lengths must be positive (got %r)" % x
                     )
+        return tuple.__new__(cls, (sig, angles, lengths))
 
 
 def volume_polynomial(

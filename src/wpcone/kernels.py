@@ -23,12 +23,14 @@ from __future__ import annotations
 import cmath
 import heapq
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Optional, Tuple
 
-from wpcone.polyalg import VolumePolynomial
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from wpcone.polyalg import VolumePolynomial
 
 #: Largest moment index the volume recursion will request by default.  A
 #: signature (g, m, n) needs moments up to k = 3g - 4 + m + n; raise the
@@ -39,32 +41,31 @@ DEFAULT_MAX_MOMENT_K = 12
 # -- boundary data -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundaryLabel:
+class BoundaryLabel(namedtuple("BoundaryLabel", "kind value")):
     """One end of a surface: a geodesic boundary, a cone point, or a cusp.
 
     A cone point of angle theta behaves throughout as a boundary of imaginary
     length i*theta; a cusp is the zero-length limit of either.
     """
 
-    kind: str
-    value: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind == "geodesic":
-            if not self.value > 0:
+    def __new__(cls, kind: str, value: float = 0.0) -> BoundaryLabel:
+        if kind == "geodesic":
+            if not value > 0:
                 raise ValueError("geodesic boundary length must be positive")
-        elif self.kind == "cone":
-            if not 0 < self.value <= math.pi:
+        elif kind == "cone":
+            if not 0 < value <= math.pi:
                 raise ValueError(
                     "cone angle must lie in (0, pi]; wider cones obstruct the "
                     "pants decompositions this computation relies on"
                 )
-        elif self.kind == "cusp":
-            if self.value:
+        elif kind == "cusp":
+            if value:
                 raise ValueError("a cusp carries no length or angle")
         else:
-            raise ValueError(f"unknown boundary kind {self.kind!r}")
+            raise ValueError(f"unknown boundary kind {kind!r}")
+        return tuple.__new__(cls, (kind, value))
 
     def complex_length(self) -> complex:
         """Length as a complex number: L, i*theta, or 0 for a cusp."""
@@ -87,8 +88,7 @@ def cusp() -> BoundaryLabel:
     return BoundaryLabel("cusp")
 
 
-@dataclass(frozen=True)
-class GapKernel:
+class GapKernel(namedtuple("GapKernel", "gamma alpha beta alpha_interior")):
     """A pants gap on the distinguished curve gamma.
 
     The pants has boundary gamma plus alpha and beta.  beta is always an
@@ -97,18 +97,22 @@ class GapKernel:
     boundary, a cone point, or a cusp.
     """
 
-    gamma: BoundaryLabel
-    alpha: BoundaryLabel
-    beta: BoundaryLabel
-    alpha_interior: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.gamma.kind == "cusp":
+    def __new__(
+        cls,
+        gamma: BoundaryLabel,
+        alpha: BoundaryLabel,
+        beta: BoundaryLabel,
+        alpha_interior: bool = False,
+    ) -> GapKernel:
+        if gamma.kind == "cusp":
             raise ValueError("the distinguished curve must carry a length or angle")
-        if self.beta.kind != "geodesic":
+        if beta.kind != "geodesic":
             raise ValueError("beta must be an interior simple closed geodesic")
-        if self.alpha_interior and self.alpha.kind != "geodesic":
+        if alpha_interior and alpha.kind != "geodesic":
             raise ValueError("an interior alpha must be a geodesic")
+        return tuple.__new__(cls, (gamma, alpha, beta, alpha_interior))
 
 
 def _partner_tau(alpha: BoundaryLabel) -> float:
@@ -248,6 +252,8 @@ def pairing_kernel_re(x: float, a: float, c: float = 1.0) -> float:
 @lru_cache(maxsize=None)
 def _bernoulli(n: int) -> Fraction:
     """Bernoulli number B_n (B_1 = -1/2), by the defining recurrence."""
+    from fractions import Fraction
+
     if n == 0:
         return Fraction(1)
     acc = Fraction(0)
@@ -258,6 +264,8 @@ def _bernoulli(n: int) -> Fraction:
 
 def zeta_even(m: int) -> Fraction:
     """zeta(2m) as a rational multiple of pi^(2m)."""
+    from fractions import Fraction
+
     if m < 1:
         raise ValueError("zeta_even expects m >= 1")
     sign = 1 if m % 2 else -1
@@ -268,11 +276,17 @@ def zeta_even(m: int) -> Fraction:
 
 def eta_even(m: int) -> Fraction:
     """Alternating zeta value eta(2m) = (1 - 2^(1-2m)) zeta(2m), over pi^(2m)."""
+    from fractions import Fraction
+
     return (1 - Fraction(1, 2 ** (2 * m - 1))) * zeta_even(m)
 
 
 @lru_cache(maxsize=None)
 def _moment_poly(k: int) -> VolumePolynomial:
+    from fractions import Fraction
+
+    from wpcone.polyalg import VolumePolynomial
+
     terms = {(k + 1,): {0: Fraction(1, 2 * k + 2)}}
     for i in range(k + 1):
         coeff = (

@@ -37,7 +37,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
@@ -62,26 +62,29 @@ class Geodesic(NamedTuple):
     length: float
 
 
-@dataclass(frozen=True)
-class TraceTriple:
+class TraceTriple(namedtuple("TraceTriple", "x y z level slope")):
     """Traces (x, y, z) of a marked generating pair and their product word.
 
     All three traces must exceed 2 (hyperbolic elements); the triple's
     Fricke constant is whatever x^2 + y^2 + z^2 - x*y*z evaluates to.
     """
 
-    x: float
-    y: float
-    z: float
-    level: int = 0
-    slope: Tuple[int, int] = (1, 1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for t in (self.x, self.y, self.z):
+    def __new__(
+        cls,
+        x: float,
+        y: float,
+        z: float,
+        level: int = 0,
+        slope: Tuple[int, int] = (1, 1),
+    ) -> TraceTriple:
+        for t in (x, y, z):
             if not t > 2.0:
                 raise ValueError(
                     "trace %r is not hyperbolic (must exceed 2)" % t
                 )
+        return tuple.__new__(cls, (x, y, z, level, slope))
 
     @property
     def kappa(self) -> float:
@@ -206,12 +209,12 @@ def _non_hyperbolic(trace: float) -> RuntimeError:
     )
 
 
-def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesic]:
-    """All simple closed geodesics up to the length cutoff, one per slope.
-
-    Lengths come from traces via len = 2*arccosh(trace/2).  The result is
-    sorted by slope, so it is deterministic.
-    """
+def _walk(
+    root: TraceTriple, length_cutoff: float
+) -> List[Tuple[Tuple[int, int], float]]:
+    """(slope, trace) of every simple closed geodesic up to the length
+    cutoff, one per slope, in walk order: the four roots of the two trees,
+    then their four subtrees."""
     tmax = 2.0 * math.cosh(length_cutoff / 2.0)
     x, y, z = root.x, root.y, root.z
     w = x * y - z  # mirror solution of the trace quadratic: negative slopes
@@ -239,6 +242,16 @@ def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesi
             "length cutoff %g lies below the systole %.6f; no geodesics to "
             "enumerate" % (length_cutoff, systole)
         )
+    return found
+
+
+def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesic]:
+    """All simple closed geodesics up to the length cutoff, one per slope.
+
+    Lengths come from traces via len = 2*arccosh(trace/2).  The result is
+    sorted by slope, so it is deterministic.
+    """
+    found = _walk(root, length_cutoff)
     if max(max(abs(p), abs(q)) for (p, q), _ in found) >= _EXACT_SLOPE_BOUND:
         raise RuntimeError(
             "slope beyond %d; float slope keys would no longer sort exactly"
@@ -250,8 +263,7 @@ def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesi
     ]
 
 
-@dataclass(frozen=True)
-class ConvergenceReport:
+class ConvergenceReport(NamedTuple):
     """Partial sums of a McShane identity at increasing length cutoffs."""
 
     target: float
@@ -322,7 +334,7 @@ def mcshane_sum(
         target = 0.5
     else:
         target = label.value / 2.0
-    geodesics = enumerate_geodesics(root, length_cutoff)
+    found = _walk(root, length_cutoff)
     if checkpoints is None:
         cuts = [float(c) for c in range(10, int(length_cutoff) + 1, 5)]
         if not cuts or cuts[-1] != float(length_cutoff):
@@ -334,16 +346,17 @@ def mcshane_sum(
                 "checkpoint %g exceeds the length cutoff %g"
                 % (cuts[-1], length_cutoff)
             )
-    terms = sorted((geo.length, _summand(label, geo.length)) for geo in geodesics)
-    lengths = [length for length, _ in terms]
-    summands = [s for _, s in terms]
+    # a summand is a function of its length, so this order is the order of
+    # (length, summand) pairs, and ties in length are ties in summand
+    lengths = sorted(2.0 * math.acosh(t / 2.0) for _, t in found)
+    summands = [_summand(label, length) for length in lengths]
     rows = []
     for cut in cuts:
         count = bisect_right(lengths, cut)
         total = math.fsum(summands[:count])
         rows.append((cut, count, total, abs(target - total)))
     return ConvergenceReport(
-        target=target, rows=tuple(rows), geodesic_count=len(geodesics)
+        target=target, rows=tuple(rows), geodesic_count=len(found)
     )
 
 

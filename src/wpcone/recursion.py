@@ -77,7 +77,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -104,22 +104,20 @@ DEFAULT_MAX_GENUS = 5
 DEFAULT_MAX_SLOTS = 8
 
 
-@dataclass(frozen=True)
-class SurfaceSignature:
+class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundaries cones")):
     """Topological type: genus, geodesic-boundary count, cone-point count."""
 
-    genus: int
-    boundaries: int
-    cones: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if min(self.genus, self.boundaries, self.cones) < 0:
+    def __new__(cls, genus: int, boundaries: int, cones: int) -> SurfaceSignature:
+        if min(genus, boundaries, cones) < 0:
             raise ValueError("signature components must be nonnegative")
-        if 2 * self.genus - 2 + self.boundaries + self.cones <= 0:
+        if 2 * genus - 2 + boundaries + cones <= 0:
             raise ValueError(
-                f"signature (g={self.genus}, m={self.boundaries}, "
-                f"n={self.cones}) is unstable: needs 2g - 2 + m + n > 0"
+                f"signature (g={genus}, m={boundaries}, "
+                f"n={cones}) is unstable: needs 2g - 2 + m + n > 0"
             )
+        return tuple.__new__(cls, (genus, boundaries, cones))
 
     @property
     def slots(self) -> int:
@@ -131,8 +129,7 @@ class SurfaceSignature:
         return 6 * self.genus - 6 + 2 * self.slots
 
 
-@dataclass(frozen=True)
-class Splitting:
+class Splitting(NamedTuple):
     """One ordered way a separating pants cut shares out genus and slots.
 
     Slot indices refer to the parent surface; each side additionally receives
@@ -655,7 +652,6 @@ def cone_volume_direct(
     return _recurse(g, m, n)
 
 
-# -- quadrature-backed numeric assembly (oracle path) -----------------------------
 # -- quadrature-backed numeric assembly (oracle path) -----------------------------
 
 

@@ -99,3 +99,22 @@ def test_published_four_holed_sphere_and_one_holed_torus():
         v04[tuple(int(j == i) for j in range(4))] = {0: Q(1, 2)}
     assert boundary_volume(0, 4).terms == v04
     assert boundary_volume(1, 1).terms == {(1,): {0: Q(1, 48)}, (0,): {2: Q(1, 12)}}
+
+
+def test_mirzakhani_zograf_ratio_rises_toward_one():
+    # Mirzakhani-Zograf (arXiv:1112.1151): V_{g,2}(0) / ((2g - 1) V_{g,1}(0))
+    # tends to 4 pi^2 as g grows.  V_{g,n}(0) is c_{g,n} pi^(2(3g - 3 + n)),
+    # so the ratio over 4 pi^2 is the rational c_{g,2} / (4 (2g - 1) c_{g,1}).
+    def constant_term(g, n):
+        den, nums, _ = boundary_volume(g, n, max_moment_k=None).numerators
+        return Q(nums[(0,) * n], den)
+
+    ratios = [
+        constant_term(g, 2) / (4 * (2 * g - 1) * constant_term(g, 1))
+        for g in range(1, 9)
+    ]
+    assert ratios[0] == Q(3, 4)  # V_{1,2}(0) = pi^4 / 4, V_{1,1}(0) = pi^2 / 12
+    assert all(a < b for a, b in zip(ratios, ratios[1:]))
+    assert ratios[-1] < 1
+    expected = [0.7500, 0.9046, 0.9416, 0.9580, 0.9672, 0.9731, 0.9773, 0.9803]
+    assert [round(float(r), 4) for r in ratios] == expected

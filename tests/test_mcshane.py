@@ -358,6 +358,7 @@ def test_sorted_partial_sums_equal_naive_rescan(label, checkpoints):
 PINNED_REPORTS = {
     ("--theta", "pi"): "65fe4f5cd8edf8a2d1aedabb9650414eac6369b2ef07e3d5b607c89cb04a0bff",
     ("--cusp",): "40506e6f3948803d502260807249367dabee0bd533b0dab6e369b42a213e55b4",
+    ("--length", "2.0"): "8b464376dd328290a87f1998ddcbfa554702a412d11436e311241e777dbcdedd",
 }
 
 
