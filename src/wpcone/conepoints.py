@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 
 from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_zero
 from wpcone.recursion import (
+    _CUSP_MEMO,
     DEFAULT_MAX_GENUS,
     DEFAULT_MAX_SLOTS,
     SurfaceSignature,
@@ -148,7 +149,9 @@ def cusp_limit(
     `cone_slot` indexes the cone points (0-based, so slot k is global
     variable slot m + k).  The returned polynomial has that slot removed;
     it coincides with the volume of the same signature where the cone is
-    replaced by a boundary circle whose length is set to zero.
+    replaced by a boundary circle whose length is set to zero.  The caps
+    are checked first (by compute_volume); the result is then memoized per
+    (g, m, n, cone_slot), so a repeated call returns the same object.
     """
     if not 0 <= cone_slot < sig.cones:
         raise ValueError(
@@ -161,4 +164,9 @@ def cusp_limit(
         max_genus=max_genus,
         max_slots=max_slots,
     )
-    return substitute_zero(poly, sig.boundaries + cone_slot)
+    key = (sig.genus, sig.boundaries, sig.cones, cone_slot)
+    cached = _CUSP_MEMO.get(key)
+    if cached is not None:
+        return cached
+    result = substitute_zero(poly, sig.boundaries + cone_slot)
+    return _CUSP_MEMO.setdefault(key, result)

@@ -178,6 +178,23 @@ def cone_torus_kernel(theta: float, x: float, doubled: bool = False) -> float:
     return 2 * val if doubled else val
 
 
+def cone_torus_gap(theta: float) -> Callable[[float], float]:
+    """x -> cone_torus_kernel(theta, x), bit for bit, with theta checked and
+    its half-angle sine and cosine taken once: for sums and integrals over
+    many lengths.  cone_torus_kernel is the per-call reference."""
+    if not 0 < theta <= math.pi:
+        raise ValueError("cone angle must lie in (0, pi]")
+    s, c = math.sin(theta / 2), math.cos(theta / 2)
+
+    def gap(x: float) -> float:
+        if not x > 0:
+            raise ValueError("geodesic length must be positive")
+        w = math.exp(-x)
+        return 2 * math.atan(s * w / (1 + c * w))
+
+    return gap
+
+
 def boundary_torus_kernel(length: float, x: float) -> float:
     """Gap width on the boundary of a one-holed torus of boundary length L,
     from a geodesic of length x: 2*atanh(sinh(L/2) / (cosh(L/2) + e^x)).
@@ -197,6 +214,24 @@ def boundary_torus_kernel(length: float, x: float) -> float:
     w = math.exp(-x)
     half = length / 2
     return math.log1p(2 * math.sinh(half) * w / (1 + math.exp(-half) * w))
+
+
+def boundary_torus_gap(length: float) -> Callable[[float], float]:
+    """x -> boundary_torus_kernel(length, x), bit for bit, with the length
+    checked and 2 sinh(L/2) and e^(-L/2) taken once; boundary_torus_kernel
+    is the per-call reference."""
+    if not length > 0:
+        raise ValueError("boundary length must be positive")
+    half = length / 2
+    s, e = 2 * math.sinh(half), math.exp(-half)
+
+    def gap(x: float) -> float:
+        if not x > 0:
+            raise ValueError("geodesic length must be positive")
+        w = math.exp(-x)
+        return math.log1p(s * w / (1 + e * w))
+
+    return gap
 
 
 def pairing_kernel(x: float, t: complex) -> complex:

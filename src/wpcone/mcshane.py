@@ -27,6 +27,14 @@ any error in the kernels, the trace conventions, or the enumeration makes
 the sums converge to the wrong constant -- which is what makes this module
 an effective end-to-end check of everything the volume recursion rests on.
 
+The sums never walk a subtree twice: a subtree's traces depend only on its
+start triple, and on the symmetric root x = y = z the six subtrees next to
+the roots start at the same triple, so one walk, weighted six times,
+serves them all.  Partial sums are kept as exact integer multiples
+of 2^-1074 and divided once per checkpoint, so every printed sum is the
+correctly rounded sum of one term per geodesic, whatever the order of the
+terms.
+
 The same machinery verifies the torus volume in integral form: the first
 length moment of the cone-point gap kernel equals theta times the volume
 polynomial of the one-cone torus.
@@ -38,13 +46,9 @@ import json
 import math
 from bisect import bisect_right
 from collections import namedtuple
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from wpcone.kernels import (
-    boundary_torus_kernel,
-    cone_torus_kernel,
-    integrate_decaying,
-)
+from wpcone.kernels import boundary_torus_gap, cone_torus_gap, integrate_decaying
 
 if TYPE_CHECKING:
     from wpcone.kernels import BoundaryLabel
@@ -209,12 +213,11 @@ def _non_hyperbolic(trace: float) -> RuntimeError:
     )
 
 
-def _walk(
+def _tree_roots(
     root: TraceTriple, length_cutoff: float
-) -> List[Tuple[Tuple[int, int], float]]:
-    """(slope, trace) of every simple closed geodesic up to the length
-    cutoff, one per slope, in walk order: the four roots of the two trees,
-    then their four subtrees."""
+) -> Tuple[float, List[Tuple[Tuple[int, int], float]], List[tuple]]:
+    """The trace cutoff, (slope, trace) of the four roots of the two trees
+    that lie below it, and the four subtrees hanging off those roots."""
     tmax = 2.0 * math.cosh(length_cutoff / 2.0)
     x, y, z = root.x, root.y, root.z
     w = x * y - z  # mirror solution of the trace quadratic: negative slopes
@@ -223,7 +226,7 @@ def _walk(
             "mirror trace %r is not hyperbolic; root triple does not come "
             "from a hyperbolic structure" % w
         )
-    found: List[Tuple[Tuple[int, int], float]] = [
+    found = [
         (slope, t)
         for slope, t in [((0, 1), x), ((1, 0), y), ((1, 1), z), ((-1, 1), w)]
         if t <= tmax
@@ -234,24 +237,72 @@ def _walk(
         (x, w, x * w - y, (0, 1), (-1, 1), (-1, 2)),
         (y, w, y * w - x, (-1, 0), (-1, 1), (-2, 1)),
     ]
-    for subtree in subtrees:
-        found.extend(_walk_subtree(*subtree, tmax))
-    if not found:
-        systole = 2.0 * math.acosh(min(x, y, z, w) / 2.0)
-        raise ValueError(
-            "length cutoff %g lies below the systole %.6f; no geodesics to "
-            "enumerate" % (length_cutoff, systole)
-        )
-    return found
+    return tmax, found, subtrees
+
+
+def _below_systole(root: TraceTriple, length_cutoff: float) -> ValueError:
+    x, y, z = root.x, root.y, root.z
+    systole = 2.0 * math.acosh(min(x, y, z, x * y - z) / 2.0)
+    return ValueError(
+        "length cutoff %g lies below the systole %.6f; no geodesics to "
+        "enumerate" % (length_cutoff, systole)
+    )
+
+
+def _trace_groups(
+    root: TraceTriple, length_cutoff: float
+) -> List[Tuple[List[float], int]]:
+    """The traces of every simple closed geodesic up to the length cutoff,
+    as (traces, multiplicity) groups, each subtree with a bit-identical
+    start walked once.
+
+    The first two subtree roots are expanded here, with _walk_subtree's
+    checks and pruning, into their children; with the last two subtrees
+    these are the six depth-one starts.  A subtree's traces are a function
+    of its start (a, b, c) and the cutoff alone, so starts equal as float
+    triples are walked once and weighted by how often they occur.  On a
+    symmetric root (x = y = z) all six are (x, w, x*w - x), w = x*x - x,
+    and one walk serves them all.
+    """
+    tmax, found, subtrees = _tree_roots(root, length_cutoff)
+    kept = [t for _, t in found]
+    starts = {}  # (a, b, c) -> [walk arguments, multiplicity]
+    for a, b, c, sa, sb, sc in subtrees[:2]:
+        if not c > 2.0:
+            raise _non_hyperbolic(c)
+        if c <= tmax:
+            kept.append(c)
+        elif c >= a and c >= b:
+            continue
+        for p, q, sp in ((a, b, sa), (b, a, sb)):
+            t = p * c - q
+            if t <= tmax or t < p or t < c:
+                child = (p, c, t, sp, sc, (sp[0] + sc[0], sp[1] + sc[1]))
+                starts.setdefault(child[:3], [child, 0])[1] += 1
+            elif not t > 2.0:
+                raise _non_hyperbolic(t)
+    for child in subtrees[2:]:
+        starts.setdefault(child[:3], [child, 0])[1] += 1
+    groups = [(kept, 1)]
+    for child, mult in starts.values():
+        groups.append(([t for _, t in _walk_subtree(*child, tmax)], mult))
+    if not any(traces for traces, _ in groups):
+        raise _below_systole(root, length_cutoff)
+    return groups
 
 
 def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesic]:
     """All simple closed geodesics up to the length cutoff, one per slope.
 
-    Lengths come from traces via len = 2*arccosh(trace/2).  The result is
-    sorted by slope, so it is deterministic.
+    Lengths come from traces via len = 2*arccosh(trace/2).  Every subtree
+    is walked, so this is the reference for mcshane_sum's deduplicated
+    walk.  The result is sorted by slope, so it is deterministic.
     """
-    found = _walk(root, length_cutoff)
+    tmax, found, subtrees = _tree_roots(root, length_cutoff)
+    for subtree in subtrees:
+        found.extend(_walk_subtree(*subtree, tmax))
+    if not found:
+        raise _below_systole(root, length_cutoff)
     if max(max(abs(p), abs(q)) for (p, q), _ in found) >= _EXACT_SLOPE_BOUND:
         raise RuntimeError(
             "slope beyond %d; float slope keys would no longer sort exactly"
@@ -299,12 +350,46 @@ class ConvergenceReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _summand(label: BoundaryLabel, length: float) -> float:
+def _gap(label: BoundaryLabel) -> Callable[[float], float]:
+    """The label's gap width as a function of geodesic length, with the
+    angle or length checked and its constants taken once."""
     if label.kind == "cusp":
-        return 1.0 / (1.0 + math.exp(length)) if length < 700 else 0.0
+        return lambda x: 1.0 / (1.0 + math.exp(x)) if x < 700 else 0.0
     if label.kind == "cone":
-        return cone_torus_kernel(label.value, length)
-    return boundary_torus_kernel(label.value, length)
+        return cone_torus_gap(label.value)
+    return boundary_torus_gap(label.value)
+
+
+#: Every finite double is an integer multiple of 2^-1074, the least subnormal.
+_EXACT_SCALE = 2 ** 1074
+
+
+def _exact_prefix_sums(values: List[float], stops: Sequence[int]) -> List[int]:
+    """The exact sum of values[:stop] for each stop (non-decreasing), as an
+    integer over _EXACT_SCALE.
+
+    Integer true division rounds correctly, so total / _EXACT_SCALE is
+    math.fsum(values[:stop]) bit for bit.  Each stretch between stops is
+    added exactly in a few math.fsum passes: fsum's result s is moved from
+    the stretch (appended as -s) into the integer total until the stretch
+    sums to zero.  A nonzero multiple of 2^-1074 never rounds to zero, and
+    each pass leaves a remainder at least 2^52 times smaller, so this ends
+    with the total exact; the stretches between checkpoints span a few
+    binades and need two or three passes.
+    """
+    sums, total, done = [], 0, 0
+    for stop in stops:
+        rest = values[done:stop]
+        while True:
+            s = math.fsum(rest)
+            if not s:
+                break
+            n, d = s.as_integer_ratio()
+            total += n << (1075 - d.bit_length())
+            rest.append(-s)
+        sums.append(total)
+        done = stop
+    return sums
 
 
 def mcshane_sum(
@@ -319,9 +404,16 @@ def mcshane_sum(
     geodesic twice, so the identity is a sum of one gap width per simple
     closed geodesic and converges to theta/2, L/2, or 1/2 according to the
     boundary data.  The root triple must lie on the matching Fricke
-    surface.  The terms are sorted by length once, and each checkpoint's
-    partial sum is the correctly rounded math.fsum of a sorted prefix, so
-    the report is bit-identical from call to call.
+    surface.
+
+    The trace tree is walked by _trace_groups, which walks each distinct
+    subtree start once and returns its traces with their multiplicity
+    (six on a symmetric root).  Each multiplicity's lengths are sorted
+    once, and their gap widths are added into exact running integer sums
+    (_exact_prefix_sums) at the checkpoints.  A checkpoint's sum is the
+    multiplicity-weighted total divided once, which rounds correctly, so
+    every row is bit-identical to math.fsum over one term per geodesic,
+    and the report is the same from call to call.
     """
     kappa = kappa_for(label)
     if root.fricke_residual(kappa) > 1e-8:
@@ -334,7 +426,8 @@ def mcshane_sum(
         target = 0.5
     else:
         target = label.value / 2.0
-    found = _walk(root, length_cutoff)
+    gap = _gap(label)
+    groups = _trace_groups(root, length_cutoff)
     if checkpoints is None:
         cuts = [float(c) for c in range(10, int(length_cutoff) + 1, 5)]
         if not cuts or cuts[-1] != float(length_cutoff):
@@ -346,17 +439,26 @@ def mcshane_sum(
                 "checkpoint %g exceeds the length cutoff %g"
                 % (cuts[-1], length_cutoff)
             )
-    # a summand is a function of its length, so this order is the order of
-    # (length, summand) pairs, and ties in length are ties in summand
-    lengths = sorted(2.0 * math.acosh(t / 2.0) for _, t in found)
-    summands = [_summand(label, length) for length in lengths]
+    by_mult = {}  # multiplicity -> traces
+    for traces, mult in groups:
+        by_mult.setdefault(mult, []).extend(traces)
+    counts = [0] * len(cuts)
+    totals = [0] * len(cuts)
+    for mult, traces in by_mult.items():
+        lengths = sorted(2.0 * math.acosh(t / 2.0) for t in traces)
+        stops = [bisect_right(lengths, cut) for cut in cuts]
+        sums = _exact_prefix_sums([gap(x) for x in lengths], stops)
+        for i, (stop, total) in enumerate(zip(stops, sums)):
+            counts[i] += mult * stop
+            totals[i] += mult * total
     rows = []
-    for cut in cuts:
-        count = bisect_right(lengths, cut)
-        total = math.fsum(summands[:count])
+    for cut, count, total in zip(cuts, counts, totals):
+        total /= _EXACT_SCALE
         rows.append((cut, count, total, abs(target - total)))
     return ConvergenceReport(
-        target=target, rows=tuple(rows), geodesic_count=len(found)
+        target=target,
+        rows=tuple(rows),
+        geodesic_count=sum(len(traces) * mult for traces, mult in groups),
     )
 
 
@@ -387,8 +489,9 @@ def integrate_volume_identity(
             "truncation tail bound %.3e exceeds tolerance %.3e; increase "
             "tail_cutoff" % (tail, tol)
         )
+    gap = cone_torus_gap(theta)
     moment = integrate_decaying(
-        lambda x: x * cone_torus_kernel(theta, x),
+        lambda x: x * gap(x),
         upper=tail_cutoff,
         tol=tol,
     )

@@ -247,11 +247,17 @@ _RECURSION_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 # direct cone path under the same key: the two must stay independent.
 _SIGNED_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 
+# (g, m, n, cone slot) -> conepoints.cusp_limit's polynomial, the _SIGNED_MEMO
+# volume with that cone angle set to zero.  Kept here so that clear_memo
+# drops it with the volumes it is built from.
+_CUSP_MEMO: Dict[Tuple[int, int, int, int], VolumePolynomial] = {}
+
 
 def clear_memo() -> None:
     """Drop all memoized volumes (mainly for tests and benchmarks)."""
     _RECURSION_MEMO.clear()
     _SIGNED_MEMO.clear()
+    _CUSP_MEMO.clear()
 
 
 # -- integer weight tables -------------------------------------------------------

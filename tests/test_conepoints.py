@@ -17,7 +17,12 @@ from wpcone.polyalg import (
     substitute_zero,
     to_latex,
 )
-from wpcone.recursion import SurfaceSignature, boundary_volume, compute_volume
+from wpcone.recursion import (
+    SurfaceSignature,
+    boundary_volume,
+    clear_memo,
+    compute_volume,
+)
 
 Q = Fraction
 
@@ -132,6 +137,26 @@ def test_cusp_limit_matches_zero_length_boundary():
 def test_cusp_limit_slot_range():
     with pytest.raises(ValueError, match="cone slot"):
         cusp_limit(SurfaceSignature(1, 0, 1), 1)
+
+
+def test_cusp_limit_memo_keeps_caps_and_identity():
+    sig = SurfaceSignature(2, 1, 2)  # k = 3g - 4 + m + n = 5, genus 2, 3 slots
+    clear_memo()
+    first = cusp_limit(sig, 1)
+    assert cusp_limit(sig, 1) is first
+    assert cusp_limit(sig, 0) is not first  # keyed per slot
+    # a warm memo still refuses every cap the signature exceeds
+    for caps, match in (
+        ({"max_moment_k": 4}, "max_moment_k"),
+        ({"max_genus": 1}, "max_genus"),
+        ({"max_slots": 2}, "max_slots"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            cusp_limit(sig, 1, **caps)
+    assert cusp_limit(sig, 1, max_moment_k=5, max_genus=2, max_slots=3) is first
+    clear_memo()
+    again = cusp_limit(sig, 1)
+    assert again is not first and again == first
 
 
 # -- realness, interpolation, monotonicity, positivity ------------------------------

@@ -10,8 +10,10 @@ import pytest
 from wpcone.kernels import (
     BoundaryLabel,
     GapKernel,
+    boundary_torus_gap,
     boundary_torus_kernel,
     cone,
+    cone_torus_gap,
     cone_torus_kernel,
     cusp,
     eta_even,
@@ -453,6 +455,26 @@ def test_cone_torus_kernel_closed_forms_agree():
                 math.sin(theta / 2), math.cos(theta / 2) + math.exp(x)
             )
             assert abs(doubled - atan2_form) < 1e-14
+
+
+def test_fixed_label_gaps_equal_the_per_call_kernels_bit_for_bit():
+    xs = [1e-6, 0.05, 0.5, 1.0, 2.0, 7.5, 40.0, 300.0, 700.0, 800.0]
+    for theta in (1e-12, 0.3, 1.0, 2.0, math.pi):
+        gap = cone_torus_gap(theta)
+        assert [gap(x) for x in xs] == [cone_torus_kernel(theta, x) for x in xs]
+    for length in (1e-6, 0.1, 2.0, 10.0, 100.0):
+        gap = boundary_torus_gap(length)
+        assert [gap(x) for x in xs] == [boundary_torus_kernel(length, x) for x in xs]
+    for bad in (0.0, 3.5, math.nan):
+        with pytest.raises(ValueError, match="cone angle"):
+            cone_torus_gap(bad)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="boundary length"):
+            boundary_torus_gap(bad)
+    for gap in (cone_torus_gap(1.0), boundary_torus_gap(1.0)):
+        for bad in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="geodesic length"):
+                gap(bad)
 
 
 def test_cone_torus_kernel_derivative_finite_difference():

@@ -10,12 +10,18 @@ from hypothesis import strategies as st
 
 from wpcone import mcshane
 from wpcone.cli import main
-from wpcone.kernels import cone, cusp, geodesic
+from wpcone.kernels import (
+    boundary_torus_kernel,
+    cone,
+    cone_torus_kernel,
+    cusp,
+    geodesic,
+)
 from wpcone.mcshane import (
     ConvergenceReport,
     Geodesic,
     TraceTriple,
-    _summand,
+    _exact_prefix_sums,
     enumerate_geodesics,
     integrate_volume_identity,
     kappa_for,
@@ -180,6 +186,13 @@ def test_walk_checks_every_computed_trace():
         mcshane._walk_subtree(2.5, 10.0, 3.0, (0, 1), (1, 0), (1, 1), 100.0)
     with pytest.raises(RuntimeError, match="non-hyperbolic"):
         mcshane._walk_subtree(3.0, math.nan, 3.0, (0, 1), (1, 0), (1, 1), 100.0)
+    # x*z - y = 2 roots the first subtree, whose children (100, 2, 100) are
+    # pruned at this cutoff; both walks refuse the parabolic trace, the
+    # grouped walk of mcshane_sum while expanding that root
+    root = TraceTriple(100.0, 9998.0, 100.0)
+    for walk in (enumerate_geodesics, mcshane._trace_groups):
+        with pytest.raises(RuntimeError, match="non-hyperbolic trace 2.0"):
+            walk(root, 4.0)
 
 
 def test_walk_visits_only_nodes_that_can_lead_below_the_cutoff(monkeypatch):
@@ -311,11 +324,21 @@ def test_report_serialization():
     assert again.to_csv() == csv
 
 
-def naive_rows(label, length_cutoff, checkpoints):
+def naive_summand(label, length):
+    """One gap width, through the public per-call kernels."""
+    if label.kind == "cusp":
+        return 1.0 / (1.0 + math.exp(length)) if length < 700 else 0.0
+    if label.kind == "cone":
+        return cone_torus_kernel(label.value, length)
+    return boundary_torus_kernel(label.value, length)
+
+
+def naive_rows(label, length_cutoff, checkpoints, symmetric_start):
     """Partial sums by rescanning every term at every checkpoint."""
     target = 0.5 if label.kind == "cusp" else label.value / 2.0
-    geos = enumerate_geodesics(root_triple(kappa_for(label)), length_cutoff)
-    terms = [(g.length, _summand(label, g.length)) for g in geos]
+    root = root_triple(kappa_for(label), symmetric_start=symmetric_start)
+    geos = enumerate_geodesics(root, length_cutoff)
+    terms = [(g.length, naive_summand(label, g.length)) for g in geos]
     rows = []
     for cut in sorted(set(float(c) for c in checkpoints)):
         included = [s for length, s in terms if length <= cut]
@@ -330,7 +353,11 @@ PROPERTY_LENGTHS = sorted(
     {
         g.length
         for label in PROPERTY_LABELS
-        for g in enumerate_geodesics(root_triple(kappa_for(label)), PROPERTY_CUTOFF)
+        for symmetric in (True, False)
+        for g in enumerate_geodesics(
+            root_triple(kappa_for(label), symmetric_start=symmetric),
+            PROPERTY_CUTOFF,
+        )
     }
 )
 
@@ -349,9 +376,83 @@ PROPERTY_LENGTHS = sorted(
     ),
 )
 def test_sorted_partial_sums_equal_naive_rescan(label, checkpoints):
-    root = root_triple(kappa_for(label))
-    report = mcshane_sum(root, label, PROPERTY_CUTOFF, checkpoints=checkpoints)
-    assert report.rows == naive_rows(label, PROPERTY_CUTOFF, checkpoints)
+    # the symmetric root walks one subtree for six; the asymmetric one
+    # walks all six, so both the weighted and the unweighted sums are checked
+    for symmetric in (True, False):
+        root = root_triple(kappa_for(label), symmetric_start=symmetric)
+        report = mcshane_sum(root, label, PROPERTY_CUTOFF, checkpoints=checkpoints)
+        assert report.rows == naive_rows(
+            label, PROPERTY_CUTOFF, checkpoints, symmetric
+        ), symmetric
+
+
+def test_symmetric_root_walks_one_subtree_per_label(monkeypatch):
+    walk = mcshane._walk_subtree
+    for label in (cone(math.pi), geodesic(2.0), cusp()):
+        for symmetric, walks in ((True, 1), (False, 6)):
+            root = root_triple(kappa_for(label), symmetric_start=symmetric)
+            calls = []
+            monkeypatch.setattr(
+                mcshane, "_walk_subtree", lambda *args: calls.append(args) or walk(*args)
+            )
+            report = mcshane_sum(root, label, 300.0)
+            monkeypatch.setattr(mcshane, "_walk_subtree", walk)
+            assert len(calls) == walks, (label, symmetric)
+            assert report.geodesic_count == len(enumerate_geodesics(root, 300.0))
+            assert report.rows[-1][1] == report.geodesic_count
+
+
+def test_mcshane_sum_keeps_the_node_valve(monkeypatch):
+    # each of the six subtrees holds about 4,000 nodes at cutoff 300
+    monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", 1000)
+    for symmetric in (True, False):
+        root = root_triple(0.0, symmetric_start=symmetric)
+        with pytest.raises(RuntimeError, match="pruning failed"):
+            mcshane_sum(root, cusp(), 300.0)
+
+
+def exact_prefixes_match_fsum(values, stops):
+    sums = _exact_prefix_sums(values, stops)
+    assert [total / 2 ** 1074 for total in sums] == [
+        math.fsum(values[:stop]) for stop in stops
+    ]
+
+
+def test_exact_prefix_sums_on_zeros_subnormals_and_wide_range():
+    # cusp terms vanish from length 700 on, so long tails add zeros
+    cusp_terms = [
+        1.0 / (1.0 + math.exp(x)) if x < 700 else 0.0 for x in range(680, 720)
+    ]
+    assert cusp_terms[-1] == 0.0
+    exact_prefixes_match_fsum(cusp_terms, [0, 5, 20, 20, 40])
+    exact_prefixes_match_fsum([0.0] * 5, [0, 3, 5])
+    tiny = math.ulp(0.0)  # 2^-1074, the least subnormal
+    subnormals = [tiny, 3 * tiny, 2.0 ** -1030, 2.0 ** -1022 - tiny, 1e-310]
+    exact_prefixes_match_fsum(subnormals, [1, 2, 4, 5])
+    # 1 plus subnormals: the sum needs far more than two doubles to hold
+    wide = [1.0, 1e-16, 2.0 ** -600, tiny, 1e300, -1e300, 2.0 ** -1000, 1e-20]
+    exact_prefixes_match_fsum(wide, [1, 2, 3, 4, 6, 8])
+    exact_prefixes_match_fsum(wide, [8])
+    # ties at the halfway point round to even, as fsum does
+    exact_prefixes_match_fsum([1.0, 2.0 ** -53, 2.0 ** -53, 2.0 ** -53], [2, 3, 4])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.one_of(
+            st.floats(min_value=-1e300, max_value=1e300),
+            st.floats(min_value=0.0, max_value=1e-300),
+        ),
+        max_size=40,
+    ),
+    data=st.data(),
+)
+def test_exact_prefix_sums_equal_fsum_prefixes(values, data):
+    stops = sorted(
+        data.draw(st.lists(st.integers(0, len(values)), max_size=6))
+    )
+    exact_prefixes_match_fsum(values, stops)
 
 
 # SHA-256 of the CLI's JSON output; these summands and sums are frozen
