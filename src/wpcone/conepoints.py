@@ -19,7 +19,6 @@ limit of a boundary component; `cusp_limit` exposes that degeneration.
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from typing import Optional, Sequence
 
@@ -31,12 +30,7 @@ from wpcone.recursion import (
     SurfaceSignature,
     compute_volume,
 )
-from wpcone.kernels import DEFAULT_MAX_MOMENT_K
-
-_ANGLE_RANGE_ERROR = (
-    "cone angle must lie in (0, pi]; wider cones obstruct the pants "
-    "decompositions this computation relies on"
-)
+from wpcone.kernels import DEFAULT_MAX_MOMENT_K, check_cone_angle
 
 
 class ConeSurfaceSpec(
@@ -64,8 +58,7 @@ class ConeSurfaceSpec(
                 % (sig.cones, sig, len(angles))
             )
         for a in angles:
-            if not 0.0 < a <= math.pi:
-                raise ValueError(_ANGLE_RANGE_ERROR + " (got %r)" % a)
+            check_cone_angle(a)
         lengths = None
         if boundary_lengths is not None:
             lengths = tuple(float(x) for x in boundary_lengths)

@@ -41,6 +41,16 @@ DEFAULT_MAX_MOMENT_K = 12
 # -- boundary data -----------------------------------------------------------
 
 
+def check_cone_angle(theta: float) -> None:
+    """Refuse a cone angle outside (0, pi], nan included: wider cones
+    obstruct the pants decompositions the volumes and gap sums rest on."""
+    if not 0 < theta <= math.pi:
+        raise ValueError(
+            "cone angle must lie in (0, pi]; wider cones obstruct the pants "
+            f"decompositions this computation relies on (got {theta!r})"
+        )
+
+
 class BoundaryLabel(namedtuple("BoundaryLabel", "kind value")):
     """One end of a surface: a geodesic boundary, a cone point, or a cusp.
 
@@ -55,11 +65,7 @@ class BoundaryLabel(namedtuple("BoundaryLabel", "kind value")):
             if not value > 0:
                 raise ValueError("geodesic boundary length must be positive")
         elif kind == "cone":
-            if not 0 < value <= math.pi:
-                raise ValueError(
-                    "cone angle must lie in (0, pi]; wider cones obstruct the "
-                    "pants decompositions this computation relies on"
-                )
+            check_cone_angle(value)
         elif kind == "cusp":
             if value:
                 raise ValueError("a cusp carries no length or angle")
@@ -158,32 +164,28 @@ def _log1p(z: complex) -> complex:
 # -- one-holed torus kernels and the pairing kernel ---------------------------
 
 
-def cone_torus_kernel(theta: float, x: float, doubled: bool = False) -> float:
+def cone_torus_kernel(theta: float, x: float) -> float:
     """Gap width on the cone point of a one-cone torus, from a geodesic of
     length x: 2*atan(sin(theta/2) / (cos(theta/2) + e^x)).
 
     Summed over all simple closed geodesics this normalization recovers
-    theta/2.  The logarithmic form of the same identity carries an extra
-    factor of two; pass doubled=True for that variant.  Evaluated through
-    e^(-x) so arbitrarily long geodesics cannot overflow.
+    theta/2; the logarithmic form of the same identity is twice it.
+    Evaluated through e^(-x) so arbitrarily long geodesics cannot overflow.
     """
-    if not 0 < theta <= math.pi:
-        raise ValueError("cone angle must lie in (0, pi]")
+    check_cone_angle(theta)
     if not x > 0:
         raise ValueError("geodesic length must be positive")
     w = math.exp(-x)
-    val = 2 * math.atan(
+    return 2 * math.atan(
         math.sin(theta / 2) * w / (1 + math.cos(theta / 2) * w)
     )
-    return 2 * val if doubled else val
 
 
 def cone_torus_gap(theta: float) -> Callable[[float], float]:
     """x -> cone_torus_kernel(theta, x), bit for bit, with theta checked and
     its half-angle sine and cosine taken once: for sums and integrals over
     many lengths.  cone_torus_kernel is the per-call reference."""
-    if not 0 < theta <= math.pi:
-        raise ValueError("cone angle must lie in (0, pi]")
+    check_cone_angle(theta)
     s, c = math.sin(theta / 2), math.cos(theta / 2)
 
     def gap(x: float) -> float:

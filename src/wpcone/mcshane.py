@@ -48,7 +48,12 @@ from bisect import bisect_right
 from collections import namedtuple
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from wpcone.kernels import boundary_torus_gap, cone_torus_gap, integrate_decaying
+from wpcone.kernels import (
+    boundary_torus_gap,
+    check_cone_angle,
+    cone_torus_gap,
+    integrate_decaying,
+)
 
 if TYPE_CHECKING:
     from wpcone.kernels import BoundaryLabel
@@ -66,7 +71,7 @@ class Geodesic(NamedTuple):
     length: float
 
 
-class TraceTriple(namedtuple("TraceTriple", "x y z level slope")):
+class TraceTriple(namedtuple("TraceTriple", "x y z")):
     """Traces (x, y, z) of a marked generating pair and their product word.
 
     All three traces must exceed 2 (hyperbolic elements); the triple's
@@ -75,20 +80,13 @@ class TraceTriple(namedtuple("TraceTriple", "x y z level slope")):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        x: float,
-        y: float,
-        z: float,
-        level: int = 0,
-        slope: Tuple[int, int] = (1, 1),
-    ) -> TraceTriple:
+    def __new__(cls, x: float, y: float, z: float) -> TraceTriple:
         for t in (x, y, z):
             if not t > 2.0:
                 raise ValueError(
                     "trace %r is not hyperbolic (must exceed 2)" % t
                 )
-        return tuple.__new__(cls, (x, y, z, level, slope))
+        return tuple.__new__(cls, (x, y, z))
 
     @property
     def kappa(self) -> float:
@@ -473,11 +471,7 @@ def integrate_volume_identity(
     truncation tail beyond the cutoff is bounded in closed form and must
     stay below the tolerance.
     """
-    if not 0.0 < theta <= math.pi:
-        raise ValueError(
-            "cone angle must lie in (0, pi]; wider cones obstruct the pants "
-            "decompositions this computation relies on (got %r)" % theta
-        )
+    check_cone_angle(theta)
     tail = (
         2.0
         * math.sin(theta / 2.0)

@@ -11,11 +11,13 @@ a VolumePolynomial stores its Numerators: one positive integer
 denominator, a map {exponent vector: nonzero integer numerator} and the
 degree d.  The coefficient of x^e is nums[e] / den * pi**(2 * (d - sum(e))).
 
-A volume is also symmetric in its boundary slots and, separately, in its
-cone slots, so the recursion stores it on orbits (from_orbits): one
-numerator per exponent vector sorted non-increasing within each block of
-symmetric slots, in `orbits`.  `numerators` expands the orbits to every
-exponent vector on first read and caches the result.
+Every polynomial is stored on orbits, in `orbits`: one numerator per
+exponent vector sorted non-increasing within each block of symmetric slots.
+A volume is symmetric in its boundary slots and, separately, in its cone
+slots, so the recursion stores it over those two blocks (from_orbits); a
+polynomial built from terms has one-slot blocks, where each vector is its
+own orbit key.  `numerators` expands the orbits to every exponent vector on
+first read and caches the result.
 
 `terms` is the public pi-graded view of the same polynomial:
 
@@ -32,7 +34,7 @@ form in canonical order, reducing each distinct numerator over den once;
 eval_numeric reads the integer form too, so serving a volume builds no
 Fraction.  The constructor takes this view, checks it (slot count,
 nonnegative x-exponents, even nonnegative pi-powers, homogeneity) and
-converts it; from_numerators is the trusted entry for the recursion's own
+converts it; from_orbits is the trusted entry for the recursion's own
 results.  Zero coefficients are never stored; the zero polynomial has an
 empty term map.
 
@@ -75,17 +77,17 @@ class Numerators(NamedTuple):
 class VolumePolynomial:
     """Immutable-by-convention exact polynomial; see the module docstring.
 
-    `numerators` is the integer form, `terms` the pi-graded view of it.
-    `orbits` is None unless from_orbits built the polynomial; then
-    `numerators` is expanded from it on first read.  `_order` keeps the
-    serializers' canonical order and `_horner` the nested form eval_numeric
-    compiles, each built on first read.  Everything kept on a volume stays
-    valid only because nothing mutates a volume after construction; build
-    a new one instead.
+    `orbits` is the integer form over the slot blocks, `numerators` its
+    expansion to every exponent vector (built on first read; the checking
+    constructor's one-slot blocks need none) and `terms` the pi-graded
+    view.  `_order` keeps the serializers' canonical order and `_horner`
+    the nested form eval_numeric compiles, each built on first read.
+    Everything kept on a volume stays valid only because nothing mutates a
+    volume after construction; build a new one instead.
     """
 
-    orbits: Optional[Numerators] = None
-    _blocks: Tuple[int, ...] = ()
+    orbits: Numerators
+    _blocks: Tuple[int, ...]
     _horner: Optional[Horner] = None  # eval_numeric's compiled form
     # the serializers' canonical order and reduced numerators (_canonical)
     _order: Optional[Tuple[List[Exponent], Dict[int, Tuple[int, int]]]] = None
@@ -126,7 +128,9 @@ class VolumePolynomial:
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self.num_vars = num_vars
-        self._numerators: Optional[Numerators] = Numerators(den, nums, degree or 0)
+        self.orbits = Numerators(den, nums, degree or 0)
+        self._blocks = (1,) * num_vars
+        self._numerators: Optional[Numerators] = self.orbits
         self._terms: Optional[Terms] = None
 
     @property
@@ -181,20 +185,6 @@ def _exponent(e: object) -> int:
         raise ValueError(f"exponent {e!r} is not an integer") from None
 
 
-def from_numerators(
-    num_vars: int, den: int, nums: Mapping[Exponent, int], degree: int
-) -> VolumePolynomial:
-    """The polynomial sum_e nums[e]/den x^e pi^(2(degree - sum(e))).
-
-    Zero numerators are dropped.  The caller vouches that den > 0, that
-    every exponent vector has num_vars nonnegative entries and that no
-    x-degree exceeds `degree`.
-    """
-    p = VolumePolynomial(num_vars)
-    p._numerators = Numerators(den, {e: n for e, n in nums.items() if n}, degree)
-    return p
-
-
 def from_orbits(
     num_vars: int,
     den: int,
@@ -203,10 +193,13 @@ def from_orbits(
     blocks: Sequence[int],
 ) -> VolumePolynomial:
     """The polynomial symmetric within each block of consecutive slots
-    (`blocks` gives their lengths), from one numerator per orbit: nums is
-    keyed by exponent vectors sorted non-increasing within each block.  The
-    caller vouches for what from_numerators asks, and that no two keys lie
-    in one orbit.
+    (`blocks` gives their lengths), from one numerator per orbit: the
+    coefficient of every arrangement of the key e within its blocks is
+    nums[e]/den * pi^(2(degree - sum(e))).  Zero numerators are dropped.
+    The caller vouches that den > 0, that every key has num_vars
+    nonnegative entries, sorted non-increasing within each block, that no
+    x-degree exceeds `degree` and that no two keys lie in one orbit.
+    One-slot blocks, (1,) * num_vars, give a polynomial with no symmetry.
     """
     p = VolumePolynomial(num_vars)
     p.orbits = Numerators(den, {e: n for e, n in nums.items() if n}, degree)
@@ -275,10 +268,6 @@ def substitute_zero(p: VolumePolynomial, slot: int) -> VolumePolynomial:
     dropping that 0 leaves an orbit key of the block one slot shorter.
     """
     _check_slot(p, slot)
-    if p.orbits is None:
-        den, nums, degree = p.numerators
-        kept = {e[:slot] + e[slot + 1 :]: n for e, n in nums.items() if not e[slot]}
-        return from_numerators(p.num_vars - 1, den, kept, degree)
     den, nums, degree = p.orbits
     blocks = list(p._blocks)
     end = 0

@@ -40,7 +40,7 @@ The cut structure is written once, in _cut_groups: the cuts grouped by the
 signatures of their pieces, with how many surviving boundaries and cones
 the first piece takes (or the pairing swallows) and how many cuts the group
 stands for.  The exact assembly _rhs reads the groups; the quadrature
-oracle numeric_volume_value and enumerate_splittings expand them into cuts.
+oracle numeric_volume_value expands them into cuts (_choices, _without).
 
 Working form and orbit keys.  A volume of degree d = 3g - 3 + m + n is
 homogeneous, so the term x^e carries pi^(2(d - sum(e))) and only integer
@@ -94,7 +94,6 @@ from wpcone.polyalg import (
     Exponent,
     Numerators,
     VolumePolynomial,
-    from_numerators,
     from_orbits,
 )
 
@@ -127,21 +126,6 @@ class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundaries cones"))
     def dimension(self) -> int:
         """Real dimension of the moduli space, 6g - 6 + 2(m + n)."""
         return 6 * self.genus - 6 + 2 * self.slots
-
-
-class Splitting(NamedTuple):
-    """One ordered way a separating pants cut shares out genus and slots.
-
-    Slot indices refer to the parent surface; each side additionally receives
-    one new boundary (the pants curve it meets).
-    """
-
-    genus_first: int
-    genus_second: int
-    boundaries_first: Tuple[int, ...]
-    boundaries_second: Tuple[int, ...]
-    cones_first: Tuple[int, ...]
-    cones_second: Tuple[int, ...]
 
 
 class _CutGroup(NamedTuple):
@@ -208,30 +192,6 @@ def _choices(group: _CutGroup, bounds: Sequence[int], cones: Sequence[int]):
 
 def _without(slots: Sequence[int], taken: Sequence[int]) -> Tuple[int, ...]:
     return tuple(s for s in slots if s not in taken)
-
-
-def enumerate_splittings(
-    sig: SurfaceSignature, distinguished_slot: int = 0
-) -> List[Splitting]:
-    """All ordered stable splittings, in a fixed deterministic order: the
-    separating groups of _cut_groups, expanded.
-
-    A side with genus h receiving k of the remaining slots is stable iff
-    2h + k >= 2 (it keeps the new pants boundary as well).  Ordered pairs:
-    an asymmetric split appears once per orientation.
-    """
-    if not 0 <= distinguished_slot < sig.slots:
-        raise ValueError("distinguished slot out of range")
-    bounds = _without(range(sig.boundaries), (distinguished_slot,))
-    cones = _without(range(sig.boundaries, sig.slots), (distinguished_slot,))
-    out: List[Splitting] = []
-    for group in _cut_groups(sig.genus, len(bounds), len(cones)):
-        if group.kind == "separating":
-            (g1, _, _), (g2, _, _) = group.pieces
-            for I1, J1 in _choices(group, bounds, cones):
-                I2, J2 = _without(bounds, I1), _without(cones, J1)
-                out.append(Splitting(g1, g2, I1, I2, J1, J2))
-    return out
 
 
 # -- memoization ---------------------------------------------------------------
@@ -354,21 +314,6 @@ def _sub_multisets(block: Exponent) -> Dict[int, List[Tuple[Exponent, Exponent, 
     for split in splits:
         out.setdefault(len(split[0]), []).append(split)
     return out
-
-
-def _splits(block: Exponent, size: int) -> List[Tuple[Exponent, Exponent, int]]:
-    """_sub_multisets(block)[size], in the same order, built alone: each run
-    picks only counts from which `size` entries can still be reached."""
-    splits: List[Tuple[Exponent, Exponent, int]] = [((), (), 1)]
-    later = len(block)  # entries in the runs after the current one
-    for v, c in _runs(block):
-        later -= c
-        splits = [
-            (first + (v,) * p, rest + (v,) * (c - p), mult * math.comb(c, p))
-            for first, rest, mult in splits
-            for p in range(max(0, size - len(first) - later), min(c, size - len(first)) + 1)
-        ]
-    return splits
 
 
 # -- the recursion -----------------------------------------------------------------
@@ -558,35 +503,6 @@ def boundary_volume(
     return _recurse(g, nslots, 0)
 
 
-def assemble_rhs(
-    g: int,
-    nslots: int,
-    max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
-) -> VolumePolynomial:
-    """Right-hand side of the recursion: the exact polynomial equal to
-    d(l_1 * V_{g,nslots} / 2)/dl_1, distinguished slot 0.
-
-    See the module docstring for the four term groups and their weights.
-    """
-    SurfaceSignature(g, nslots, 0)
-    if nslots < 1:
-        raise ValueError("the recursion needs a distinguished boundary")
-    if (g, nslots) == (0, 3):
-        raise ValueError("the three-holed sphere is a base case, not assembled")
-    _check_moment_cap(g, nslots, max_moment_k)
-    # keys (e0,) + rest with rest sorted: slot 0 and the rest are the blocks
-    return from_orbits(nslots, *_rhs(g, nslots, 0, every=True), (1, nslots - 1))
-
-
-def integrate_distinguished(rhs: VolumePolynomial, slot: int) -> VolumePolynomial:
-    """Invert d(l V/2)/dl on the distinguished slot (_invert on the working
-    form).  The preimage has the degree of rhs."""
-    if not 0 <= slot < rhs.num_vars:
-        raise ValueError(f"slot {slot} out of range for {rhs.num_vars} variables")
-    den, nums, degree = rhs.numerators
-    return from_numerators(rhs.num_vars, *_invert(den, nums, slot), degree)
-
-
 def compute_volume(
     sig: SurfaceSignature,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
@@ -632,7 +548,7 @@ def compute_volume(
     den, nums, degree = boundary.orbits
     signed: Dict[Exponent, int] = {}
     for orbit, num in nums.items():
-        for cones, bounds, _ in _splits(orbit, sig.cones):
+        for cones, bounds, _ in _sub_multisets(orbit).get(sig.cones, ()):
             signed[bounds + cones] = -num if sum(cones) % 2 else num
     result = from_orbits(sig.slots, den, signed, degree, (sig.boundaries, sig.cones))
     return _SIGNED_MEMO.setdefault(key, result)

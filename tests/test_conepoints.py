@@ -11,6 +11,8 @@ from wpcone.conepoints import (
     volume_polynomial,
     volume_value,
 )
+from wpcone.kernels import BoundaryLabel, check_cone_angle, cone_torus_gap, cone_torus_kernel
+from wpcone.mcshane import integrate_volume_identity
 from wpcone.polyalg import (
     VolumePolynomial,
     eval_numeric,
@@ -37,6 +39,30 @@ def test_angle_bounds():
     for bad in (0.0, -0.3, math.pi + 1e-9, 4.0):
         with pytest.raises(ValueError, match=r"\(0, pi\]"):
             ConeSurfaceSpec(sig, (bad,))
+
+
+#: Every entry point that takes a cone angle, called with one angle.
+ANGLE_ENTRY_POINTS = {
+    "check_cone_angle": check_cone_angle,
+    "ConeSurfaceSpec": lambda t: ConeSurfaceSpec(SurfaceSignature(1, 0, 1), (t,)),
+    "BoundaryLabel": lambda t: BoundaryLabel("cone", t),
+    "cone_torus_kernel": lambda t: cone_torus_kernel(t, 1.0),
+    "cone_torus_gap": cone_torus_gap,
+    "integrate_volume_identity": integrate_volume_identity,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ANGLE_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_cone_angle_with_one_message(entry):
+    call = ANGLE_ENTRY_POINTS[entry]
+    for bad in (0.0, -0.5, math.pi + 1e-9, math.nan):
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+        assert str(refused.value) == (
+            "cone angle must lie in (0, pi]; wider cones obstruct the pants "
+            "decompositions this computation relies on (got %r)" % bad
+        ), entry
+    call(math.pi)  # the closed endpoint is legal everywhere
 
 
 def test_angle_count_and_length_validation():

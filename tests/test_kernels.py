@@ -450,7 +450,7 @@ def test_cone_torus_kernel_closed_forms_agree():
     )
     for theta in [0.4, 1.3, math.pi]:
         for x in [0.2, 1.0, 4.0]:
-            doubled = cone_torus_kernel(theta, x, doubled=True)
+            doubled = 2 * cone_torus_kernel(theta, x)
             atan2_form = 4 * math.atan2(
                 math.sin(theta / 2), math.cos(theta / 2) + math.exp(x)
             )

@@ -10,19 +10,15 @@ from wpcone.polyalg import (
     VolumePolynomial,
     canonical_terms,
     eval_numeric,
-    from_numerators,
+    from_orbits,
     substitute_imaginary,
     substitute_zero,
     to_json,
     to_latex,
     to_text,
 )
-from wpcone.recursion import (
-    SurfaceSignature,
-    clear_memo,
-    compute_volume,
-    integrate_distinguished,
-)
+from wpcone import recursion
+from wpcone.recursion import SurfaceSignature, clear_memo, compute_volume
 
 
 def random_poly(rng, num_vars, degree=3, num_terms=4):
@@ -98,8 +94,8 @@ def test_constructor_rebuilds_every_small_volume_from_its_terms():
 
 
 def test_derivative_and_antiderivative_are_inverse():
-    # integrate_distinguished, the recursion's antiderivative, inverts
-    # d(l V/2)/dl, which takes l^(2e) on the slot to (2e + 1)/2 l^(2e)
+    # _invert, the recursion's antiderivative, inverts d(l V/2)/dl, which
+    # takes l^(2e) on the slot to (2e + 1)/2 l^(2e)
     rng = random.Random(7)
     for _ in range(20):
         p = random_poly(rng, 2)
@@ -114,7 +110,9 @@ def test_derivative_and_antiderivative_are_inverse():
                     for xexp, graded in p.terms.items()
                 },
             )
-            assert integrate_distinguished(derivative, slot) == p, slot
+            den, nums, degree = derivative.numerators
+            den, nums = recursion._invert(den, nums, slot)
+            assert from_orbits(2, den, nums, degree, (1, 1)) == p, slot
 
 
 def test_substitute_imaginary_is_involution_and_flips_odd_powers():
@@ -165,10 +163,12 @@ def test_equality_on_integer_forms_agrees_with_the_terms_view():
         p = random_poly(rng, num_vars, degree, num_terms=rng.randrange(4))
         scale = rng.randrange(1, 5)  # the same polynomial over a larger den
         den, nums, _ = p.numerators
-        q = from_numerators(num_vars, den * scale, {e: n * scale for e, n in nums.items()}, degree)
-        polys += [p, q, from_numerators(num_vars, 1, {}, rng.randrange(4))]
+        plain = (1,) * num_vars
+        scaled = {e: n * scale for e, n in nums.items()}
+        q = from_orbits(num_vars, den * scale, scaled, degree, plain)
+        polys += [p, q, from_orbits(num_vars, 1, {}, rng.randrange(4), plain)]
         # the same numerators one degree up: every pi-power two higher
-        polys.append(from_numerators(num_vars, den, nums, p.numerators.degree + 1))
+        polys.append(from_orbits(num_vars, den, nums, p.numerators.degree + 1, plain))
     for a in polys:
         for b in polys:
             want = a.num_vars == b.num_vars and a.terms == b.terms
@@ -177,11 +177,12 @@ def test_equality_on_integer_forms_agrees_with_the_terms_view():
     clear_memo()
     p = compute_volume(SurfaceSignature(1, 2, 2))
     assert p.orbits is not None
-    copy = from_numerators(p.num_vars, *p.numerators)
+    plain = (1,) * p.num_vars
+    copy = from_orbits(p.num_vars, *p.numerators, plain)
     assert p == copy and copy == p
     off = dict(copy.numerators.nums)
     off[next(iter(off))] += 1
-    assert p != from_numerators(p.num_vars, copy.numerators.den, off, copy.numerators.degree)
+    assert p != from_orbits(p.num_vars, copy.numerators.den, off, copy.numerators.degree, plain)
 
 
 def eval_exact(p, values):
@@ -210,7 +211,7 @@ def test_eval_exact_matches_numeric():
 
 def test_eval_numeric_rounds_each_coefficient_like_fraction():
     # num / den over an unreduced denominator rounds as float(Fraction) does
-    p = from_numerators(1, 3 * 10**40, {(1,): 10**40, (0,): -2 * 10**40}, 1)
+    p = from_orbits(1, 3 * 10**40, {(1,): 10**40, (0,): -2 * 10**40}, 1, (1,))
     want = float(Fraction(1, 3)) * 2.5**2 + float(Fraction(-2, 3)) * math.pi**2
     assert eval_numeric(p, [2.5]) == want
 

@@ -22,7 +22,7 @@ from wpcone import recursion
 from wpcone.conepoints import cusp_limit
 from wpcone.polyalg import (
     eval_numeric,
-    from_numerators,
+    from_orbits,
     substitute_zero,
     to_json,
     to_latex,
@@ -432,8 +432,9 @@ def test_caps_raise_with_the_signed_memo_warm(sig, lift, knob):
 
 
 def uncached(p):
-    """A copy of p from its integer form, with nothing kept on it yet."""
-    return from_numerators(p.num_vars, *p.numerators)
+    """A copy of p from its expanded integer form on one-slot blocks, with
+    nothing kept on it yet."""
+    return from_orbits(p.num_vars, *p.numerators, (1,) * p.num_vars)
 
 
 def term_by_term(p, values, pi_value=math.pi):
@@ -451,9 +452,9 @@ def term_by_term(p, values, pi_value=math.pi):
 
 
 def test_evaluator_on_the_zero_polynomial_and_on_no_slots():
-    assert eval_numeric(from_numerators(2, 1, {}, 3), [1.0, 2.0]) == 0.0
-    assert eval_numeric(from_numerators(0, 1, {}, 0), []) == 0.0
-    constant = from_numerators(0, 12, {(): 1}, 1)
+    assert eval_numeric(from_orbits(2, 1, {}, 3, (1, 1)), [1.0, 2.0]) == 0.0
+    assert eval_numeric(from_orbits(0, 1, {}, 0, ()), []) == 0.0
+    constant = from_orbits(0, 12, {(): 1}, 1, ())
     assert eval_numeric(constant, []) == 1 / 12 * math.pi**2
     assert eval_numeric(constant, [], pi_value=2.0) == 1 / 12 * 4.0
     cusp = cusp_limit(SurfaceSignature(1, 0, 1), 0)  # V_{1,1}(0) = pi^2/12
@@ -476,7 +477,9 @@ def test_cusp_limit_on_orbits_matches_the_expanded_path():
         for k in range(sig.cones):
             slot = sig.boundaries + k
             fast, slow = substitute_zero(p, slot), substitute_zero(uncached(p), slot)
-            assert fast.orbits is not None and slow.orbits is None
+            # slow keeps one-slot blocks: each exponent vector is its own orbit
+            assert slow.orbits.nums == slow.numerators.nums
+            assert len(fast.orbits.nums) <= len(slow.orbits.nums)
             assert fast.num_vars == slow.num_vars
             assert fast.numerators == slow.numerators, (sig, k)
 

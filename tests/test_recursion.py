@@ -8,21 +8,46 @@ import pytest
 
 from wpcone import recursion
 from wpcone.kernels import moment_integral, pairing_kernel
-from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_imaginary
+from wpcone.polyalg import VolumePolynomial, eval_numeric, from_orbits, substitute_imaginary
 from wpcone.recursion import (
-    Splitting,
     SurfaceSignature,
-    assemble_rhs,
     boundary_volume,
     clear_memo,
     compute_volume,
     cone_volume_direct,
-    enumerate_splittings,
-    integrate_distinguished,
     numeric_volume_value,
 )
 
 Q = Fraction
+
+
+def enumerate_splittings(sig, distinguished_slot):
+    """Every ordered stable splitting (g1, g2, I1, I2, J1, J2) in the
+    recursion's order: the separating groups of _cut_groups, expanded into
+    the boundary slots I and cone slots J each side receives."""
+    bounds = recursion._without(range(sig.boundaries), (distinguished_slot,))
+    cones = recursion._without(range(sig.boundaries, sig.slots), (distinguished_slot,))
+    out = []
+    for group in recursion._cut_groups(sig.genus, len(bounds), len(cones)):
+        if group.kind == "separating":
+            (g1, _, _), (g2, _, _) = group.pieces
+            for I1, J1 in recursion._choices(group, bounds, cones):
+                I2, J2 = recursion._without(bounds, I1), recursion._without(cones, J1)
+                out.append((g1, g2, I1, I2, J1, J2))
+    return out
+
+
+def assemble_rhs(g, nslots):
+    """d(l_1 V_{g,nslots} / 2)/dl_1 as a polynomial: _rhs with every e0,
+    its keys (e0,) + rest orbit keys of the blocks (1, nslots - 1)."""
+    return from_orbits(nslots, *recursion._rhs(g, nslots, 0, every=True), (1, nslots - 1))
+
+
+def integrate_distinguished(rhs, slot):
+    """Invert d(l V/2)/dl on one slot of a polynomial with _invert."""
+    den, nums, degree = rhs.numerators
+    den, nums = recursion._invert(den, nums, slot)
+    return from_orbits(rhs.num_vars, den, nums, degree, (1,) * rhs.num_vars)
 
 
 # -- signatures and splittings --------------------------------------------------
@@ -74,17 +99,7 @@ def brute_force_splittings(sig, distinguished_slot):
 )
 def test_enumerate_splittings_against_brute_force(sig, slot):
     got = enumerate_splittings(sig, slot)
-    as_tuples = {
-        (
-            sp.genus_first,
-            sp.genus_second,
-            sp.boundaries_first,
-            sp.boundaries_second,
-            sp.cones_first,
-            sp.cones_second,
-        )
-        for sp in got
-    }
+    as_tuples = set(got)
     assert len(as_tuples) == len(got)  # duplicate-free
     assert as_tuples == brute_force_splittings(sig, slot)
     # deterministic order
@@ -94,29 +109,8 @@ def test_enumerate_splittings_against_brute_force(sig, slot):
 def test_splittings_come_in_mirror_pairs():
     for sig in [SurfaceSignature(2, 3, 0), SurfaceSignature(1, 2, 2)]:
         sps = enumerate_splittings(sig, 0)
-        mirrored = {
-            (
-                sp.genus_second,
-                sp.genus_first,
-                sp.boundaries_second,
-                sp.boundaries_first,
-                sp.cones_second,
-                sp.cones_first,
-            )
-            for sp in sps
-        }
-        direct = {
-            (
-                sp.genus_first,
-                sp.genus_second,
-                sp.boundaries_first,
-                sp.boundaries_second,
-                sp.cones_first,
-                sp.cones_second,
-            )
-            for sp in sps
-        }
-        assert direct == mirrored
+        mirrored = {(g2, g1, I2, I1, J2, J1) for g1, g2, I1, I2, J1, J2 in sps}
+        assert set(sps) == mirrored
 
 
 def test_grouped_cut_multiplicities_sum_to_the_ungrouped_count():
