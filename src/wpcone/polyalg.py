@@ -156,14 +156,20 @@ class VolumePolynomial:
 
     def __eq__(self, other: object) -> bool:
         """Equal polynomials: compared on the integer forms, num1 * den2 ==
-        num2 * den1 per exponent vector, so no Fraction view is built.  Two
-        zero polynomials are equal whatever their degree."""
+        num2 * den1 per key, so no Fraction view is built.  Over the same
+        blocks the orbit maps are compared and nothing is expanded: each is
+        canonical (keys sorted within each block, zeros dropped).  Two zero
+        polynomials are equal whatever their degree."""
         if not isinstance(other, VolumePolynomial):
             return NotImplemented
         if self.num_vars != other.num_vars:
             return False
-        den1, nums1, degree1 = self.numerators
-        den2, nums2, degree2 = other.numerators
+        if self._blocks == other._blocks:
+            den1, nums1, degree1 = self.orbits
+            den2, nums2, degree2 = other.orbits
+        else:
+            den1, nums1, degree1 = self.numerators
+            den2, nums2, degree2 = other.numerators
         if nums1.keys() != nums2.keys():
             return False
         return not nums1 or (

@@ -334,7 +334,10 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
     Keys are (e0,) + B on the boundary path and B + (e0,) + C on the cone
     path, B and C the surviving boundary and cone blocks.  e0 starts at the
     largest exponent of its block, so each key is an orbit key of V;
-    every=True starts it at 0.  Pairings: the distinguished slot is the
+    every=True starts it at 0.  That flag exists only for the symmetry
+    checks in tests/test_recursion.py (its assemble_rhs helper and
+    test_every_exponent_of_an_orbit_gives_its_coefficient); _recurse never
+    sets it.  Pairings: the distinguished slot is the
     gap's base curve and the surviving slot is the partner (the exact
     equality with the substitution path pins this reading).
     """
@@ -590,13 +593,21 @@ def numeric_volume_value(
 
     The right-hand side runs over the cuts of the all-boundary recursion
     (the groups of _cut_groups expanded, slot 0 distinguished), with each
-    cone a boundary of imaginary length i*theta, but each moment F_{2k+1}(t) is an
-    adaptive-quadrature integral, and the final inversion
+    cone a boundary of imaginary length i*theta.  It is a sum of weighted
+    moments F_{2k+1}(t) = int_0^oo x^(2k+1) h(x, t) dx, t being u or u
+    shifted by a partner's length.  The weights of each partner make one odd
+    polynomial P(x) = sum_k w_k x^(2k+1), so rhs(u) is one integral of
+    sum over partners of P(x) times that partner's kernel, taken by
+    adaptive quadrature (integrate_decaying; `tol` bounds this per-u
+    integral, not each moment).  The final inversion
     V = (2/L1) * int_0^{L1} rhs(u) du uses Gauss-Legendre with enough nodes
-    to be exact on the polynomial integrand.  Requires m >= 1 (the
-    distinguished slot must be a real boundary to integrate over).
-    Sub-volumes below the top level stay symbolic: the oracle isolates the
-    top assembly step, which is the one the closed forms feed.
+    to be exact on the polynomial integrand, so one call makes one adaptive
+    integral per node.  No closed-form moment is read: the oracle checks
+    the closed-form moments and the weight table, not the cut structure.
+    Requires m >= 1 (the distinguished slot must be a real boundary to
+    integrate over).  Sub-volumes below the top level stay symbolic: the
+    oracle isolates the top assembly step, which is the one the closed
+    forms feed.  A `tol` the quadrature cannot reach raises ValueError.
     """
     if m < 1:
         raise ValueError("the numeric oracle needs at least one boundary")
@@ -633,23 +644,39 @@ def numeric_volume_value(
                     weight = 0.25 * float(_pair_coefficient(a, b)) * value
                 moments[key] = moments.get(key, 0.0) + weight
 
-    cache: Dict[tuple, float] = {}
+    # one odd polynomial P(x) = sum_k w_k x^(2k+1) per partner, against the
+    # partner's kernel: (coefficients from the top k down, shifts of u, c,
+    # scale), the kernel being scale * sum of pairing_kernel_re(x, u + shift, c)
+    by_partner: Dict[Optional[int], List[float]] = {}
+    for (k, partner), weight in moments.items():
+        coeffs = by_partner.setdefault(partner, [])
+        coeffs.extend([0.0] * (k + 1 - len(coeffs)))
+        coeffs[k] = weight
+    parts = []
+    for partner, coeffs in by_partner.items():
+        if partner is None:  # t = u
+            kernel = ((0.0,), 1.0, 1.0)
+        elif partner >= m:  # F(u + i*theta) + F(u - i*theta) = 2 Re F(u + i*theta)
+            kernel = ((0.0,), math.cos(values[partner] / 2), 2.0)
+        else:  # F(u + s) + F(u - s)
+            kernel = ((values[partner], -values[partner]), 1.0, 1.0)
+        parts.append((coeffs[::-1],) + kernel)
 
     def rhs(u: float) -> float:
-        acc = 0.0
-        for (k, partner), weight in moments.items():
-            if partner is None:
-                fnum = _numeric_moment(k, u, cache, tol)
-            elif partner >= m:
-                # F(u + i*theta) + F(u - i*theta), one conjugate-pair quad
-                fnum = _numeric_moment(k, complex(u, values[partner]), cache, tol)
-            else:
-                s_val = values[partner]
-                fnum = _numeric_moment(k, u + s_val, cache, tol) + (
-                    _numeric_moment(k, u - s_val, cache, tol)
-                )
-            acc += weight * fnum
-        return acc
+        def integrand(x: float) -> float:
+            x2 = x * x
+            acc = 0.0
+            for coeffs, shifts, c, scale in parts:
+                poly = 0.0
+                for w in coeffs:
+                    poly = poly * x2 + w
+                h = 0.0
+                for shift in shifts:
+                    h += pairing_kernel_re(x, u + shift, c)
+                acc += scale * poly * h
+            return x * acc
+
+        return integrate_decaying(integrand, tol=tol)
 
     nodes, weights = gauss_legendre(3 * g - 3 + nslots + 2)
     half = lengths[0] / 2
@@ -679,25 +706,3 @@ def _numeric_pieces(
         per_piece.append(terms)
     for choice in itertools.product(*per_piece):
         yield sum((c for c, _ in choice), ()), math.prod(v for _, v in choice)
-
-
-def _numeric_moment(k: int, t: complex, cache: Dict[tuple, float], tol: float) -> float:
-    """F_{2k+1}(t) by quadrature; complex t pairs with its conjugate, so the
-    cached value is the real integral of x^(2k+1) * 2 Re h(x, t) when t is
-    complex and of x^(2k+1) h(x, t) when t is real."""
-    t = complex(t)
-    if abs(t.imag) < 1e-15:
-        key = ("r", k, round(t.real, 12))
-        if key not in cache:
-            tr = t.real
-            cache[key] = integrate_decaying(
-                lambda x: x ** (2 * k + 1) * pairing_kernel_re(x, tr), tol=tol
-            )
-        return cache[key]
-    key = ("c", k, round(t.real, 12), round(abs(t.imag), 12))
-    if key not in cache:
-        a, c = t.real, math.cos(t.imag / 2)
-        cache[key] = integrate_decaying(
-            lambda x: x ** (2 * k + 1) * 2 * pairing_kernel_re(x, a, c), tol=tol
-        )
-    return cache[key]

@@ -185,6 +185,41 @@ def test_equality_on_integer_forms_agrees_with_the_terms_view():
     assert p != from_orbits(p.num_vars, copy.numerators.den, off, copy.numerators.degree, plain)
 
 
+def test_equality_on_orbits_agrees_with_the_expanded_compare():
+    clear_memo()
+    p = compute_volume(SurfaceSignature(1, 2, 2))
+    den, nums, degree = p.orbits
+    blocks = p._blocks
+    assert blocks == (2, 2)
+    off = dict(nums)
+    off[next(iter(off))] += 1
+    doubled = {e: 2 * n for e, n in nums.items()}
+
+    def fresh():
+        return from_orbits(4, den, nums, degree, blocks)
+
+    same_blocks = [
+        (fresh(), fresh(), True),
+        (fresh(), from_orbits(4, den, off, degree, blocks), False),
+        (fresh(), from_orbits(4, 2 * den, doubled, degree, blocks), True),
+        (from_orbits(4, 1, {}, 2, blocks), from_orbits(4, 3, {}, 5, blocks), True),
+    ]
+    for a, b, want in same_blocks:
+        assert (a == b) is want and (b == a) is want
+        # compared on the orbit maps: neither side was expanded
+        assert a._numerators is None and b._numerators is None
+        assert (a.terms == b.terms) is want  # the expanded compare
+
+    # mixed blocks: one-slot blocks against (m, n) blocks fall back to the
+    # expanded compare
+    plain = (1,) * 4
+    for other_nums, want in ((nums, True), (off, False)):
+        orbit = from_orbits(4, den, other_nums, degree, blocks)
+        flat = from_orbits(4, *fresh().numerators, plain)
+        assert (orbit == flat) is want and (flat == orbit) is want
+        assert (orbit.terms == flat.terms) is want
+
+
 def eval_exact(p, values):
     """{pi-exponent: exact value} at rational slot values, pi kept symbolic."""
     out = {}

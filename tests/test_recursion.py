@@ -485,6 +485,39 @@ def test_numeric_volume_matches_symbolic():
             assert abs(sym - num) <= 1e-8 * max(1.0, abs(sym)), (g, m, n)
 
 
+def test_numeric_volume_matches_symbolic_with_real_and_cone_partners():
+    rng = random.Random(23)
+    for g, m, n in [(0, 3, 2), (1, 1, 2), (2, 2, 0)]:
+        poly = compute_volume(SurfaceSignature(g, m, n))
+        for _ in range(3):
+            lengths = [rng.uniform(0.3, 4.0) for _ in range(m)]
+            angles = [rng.uniform(0.1, math.pi) for _ in range(n)]
+            sym = eval_numeric(poly, lengths + angles)
+            num = numeric_volume_value(g, m, n, lengths, angles)
+            assert abs(sym - num) <= 1e-8 * max(1.0, abs(sym)), (g, m, n)
+
+
+def test_numeric_volume_takes_one_integral_per_gauss_legendre_node(monkeypatch):
+    calls = []
+    integrate = recursion.integrate_decaying
+
+    def counting(f, *args, **kwargs):
+        calls.append(f)
+        return integrate(f, *args, **kwargs)
+
+    monkeypatch.setattr(recursion, "integrate_decaying", counting)
+    for g, m, n in [(0, 3, 0), (0, 4, 0), (1, 1, 0), (1, 1, 2), (0, 3, 2), (2, 1, 0)]:
+        calls.clear()
+        numeric_volume_value(g, m, n, [1.5] * m, [0.7] * n)
+        nodes = 0 if (g, m + n) == (0, 3) else 3 * g - 3 + m + n + 2
+        assert len(calls) == nodes, (g, m, n)
+
+
+def test_numeric_volume_refuses_an_unreachable_tolerance():
+    with pytest.raises(ValueError, match="tolerance"):
+        numeric_volume_value(1, 1, 0, [1.0], tol=1e-20)
+
+
 def test_numeric_volume_requires_boundary():
     with pytest.raises(ValueError, match="boundary"):
         numeric_volume_value(1, 0, 1, [], [1.0])
