@@ -283,6 +283,45 @@ def pairing_kernel_re(x: float, a: float, c: float = 1.0) -> float:
     return re_p + re_q
 
 
+def pairing_kernel_span(
+    length: float, c: float = 1.0
+) -> Callable[[float, float], float]:
+    """(x, a) -> int_0^L pairing_kernel_re(x, u + a, c) du in closed form,
+    the length checked and e^(-L/2) taken once; needs 0 <= c <= 1.
+
+    f(y) = Re 1/(1 + e^(y/2 + i theta/2)) has the antiderivative
+    -log(1 + 2wc + w^2), w = e^(-y/2).  Over a band [y, y + L] with y >= 0
+    the two logs are one log1p(w q (2c + w + wr) / (1 + wr (2c + wr))),
+    r = e^(-L/2), q = 1 - r by expm1: no term cancels or overflows at any L.
+    By f(y) = 1 - f(-y) a band left of 0 is L minus its mirror (at most
+    L/2), and a band across 0 is split there.  The u-integral is
+    band(x + a) + band(x - a - L); pairing_kernel_re is the reference.
+    """
+    if not 0 < length < math.inf:
+        raise ValueError("boundary length must be positive")
+    c2 = 2 * c
+
+    def edge(d: float) -> float:  # the integral of f over [0, d]
+        r = math.exp(-d / 2)
+        return math.log1p(-math.expm1(-d / 2) * (1 + c2 + r) / (1 + r * (c2 + r)))
+
+    r, q = math.exp(-length / 2), -math.expm1(-length / 2)
+
+    def band(y: float) -> float:
+        if -length < y < 0:
+            return edge(y + length) - y - edge(-y)
+        z = y if y >= 0 else -y - length  # the mirrored band
+        w = math.exp(-z / 2)
+        wr = w * r
+        v = math.log1p(w * q * (c2 + w + wr) / (1 + wr * (c2 + wr)))
+        return v if y >= 0 else length - v
+
+    def span(x: float, a: float) -> float:
+        return band(x + a) + band(x - a - length)
+
+    return span
+
+
 # -- exact moment integrals ---------------------------------------------------
 
 
@@ -375,47 +414,7 @@ def check_moment_index(k: int, max_k: Optional[int]) -> None:
         )
 
 
-# -- numerical quadrature oracle ----------------------------------------------
-
-
-def _legendre(n: int, x: float) -> Tuple[float, float]:
-    """P_n(x) and P_n'(x), by the three-term recurrence
-    (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}; needs |x| < 1."""
-    prev, p = 1.0, x
-    for j in range(1, n):
-        prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
-    return p, n * (x * p - prev) / (x * x - 1)
-
-
-@lru_cache(maxsize=None)
-def gauss_legendre(n: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
-    [-1, 1], exact for polynomials of degree up to 2n - 1.
-
-    Each node is a root of P_n found by Newton's method from the classical
-    guess cos(pi (i + 3/4) / (n + 1/2)) for the i-th root; the weight is
-    2 / ((1 - x^2) P_n'(x)^2).  Nodes are computed on the positive side and
-    mirrored, so the rule is exactly symmetric, and an odd rule has the node
-    0.0 exactly.
-    """
-    if n < 1:
-        raise ValueError("a Gauss-Legendre rule needs at least one node")
-    nodes = [0.0] * n
-    weights = [0.0] * n
-    for i in range((n + 1) // 2):
-        x = 0.0
-        if 2 * i + 1 < n:
-            x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
-            for _ in range(100):
-                p, dp = _legendre(n, x)
-                step = p / dp
-                x -= step
-                if abs(step) < 1e-15:
-                    break
-        _, dp = _legendre(n, x)
-        nodes[i], nodes[n - 1 - i] = -x, x
-        weights[i] = weights[n - 1 - i] = 2 / ((1 - x * x) * dp * dp)
-    return tuple(nodes), tuple(weights)
+# -- adaptive quadrature -----------------------------------------------------
 
 
 #: The nested (G10, K21) Gauss-Kronrod pair of QUADPACK's qk21 (Piessens

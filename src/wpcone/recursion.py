@@ -84,11 +84,11 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
     DEFAULT_MAX_MOMENT_K,
+    check_cone_angle,
     check_moment_index,
-    gauss_legendre,
     integrate_decaying,
     moment_integral,
-    pairing_kernel_re,
+    pairing_kernel_span,
 )
 from wpcone.polyalg import (
     Exponent,
@@ -595,25 +595,29 @@ def numeric_volume_value(
     (the groups of _cut_groups expanded, slot 0 distinguished), with each
     cone a boundary of imaginary length i*theta.  It is a sum of weighted
     moments F_{2k+1}(t) = int_0^oo x^(2k+1) h(x, t) dx, t being u or u
-    shifted by a partner's length.  The weights of each partner make one odd
-    polynomial P(x) = sum_k w_k x^(2k+1), so rhs(u) is one integral of
-    sum over partners of P(x) times that partner's kernel, taken by
-    adaptive quadrature (integrate_decaying; `tol` bounds this per-u
-    integral, not each moment).  The final inversion
-    V = (2/L1) * int_0^{L1} rhs(u) du uses Gauss-Legendre with enough nodes
-    to be exact on the polynomial integrand, so one call makes one adaptive
-    integral per node.  No closed-form moment is read: the oracle checks
-    the closed-form moments and the weight table, not the cut structure.
-    Requires m >= 1 (the distinguished slot must be a real boundary to
-    integrate over).  Sub-volumes below the top level stay symbolic: the
-    oracle isolates the top assembly step, which is the one the closed
-    forms feed.  A `tol` the quadrature cannot reach raises ValueError.
+    shifted by a partner's length; each partner's weights make one odd
+    polynomial P(x) = sum_k w_k x^(2k+1), which does not depend on u.  So
+    the inversion V = (2/L1) int_0^{L1} rhs(u) du swaps its two integrals
+    (Fubini): V = int_0^oo (2/L1) x sum_partners P(x) H(x) dx, H being the
+    partner's kernel integrated over u in closed form
+    (kernels.pairing_kernel_span).  One call is one adaptive integral
+    (integrate_decaying), and `tol` bounds the error on V, read relative
+    above 1; a `tol` it cannot reach raises ValueError.  No closed-form
+    moment is read: the oracle checks the closed-form moments and the
+    weight table, not the cut structure.  Sub-volumes below the top level
+    stay symbolic, isolating the top assembly step, the one the closed
+    forms feed.  Requires m >= 1 (a real boundary to integrate over),
+    positive finite lengths and cone angles in (0, pi].
     """
     if m < 1:
         raise ValueError("the numeric oracle needs at least one boundary")
     if len(lengths) != m or len(angles) != n:
         raise ValueError("lengths/angles must match the signature")
     SurfaceSignature(g, m, n)
+    if not all(0 < v < math.inf for v in lengths):
+        raise ValueError("boundary length must be positive")
+    for theta in angles:
+        check_cone_angle(theta)
     nslots = m + n
     if (g, nslots) == (0, 3):
         return 1.0
@@ -644,44 +648,41 @@ def numeric_volume_value(
                     weight = 0.25 * float(_pair_coefficient(a, b)) * value
                 moments[key] = moments.get(key, 0.0) + weight
 
-    # one odd polynomial P(x) = sum_k w_k x^(2k+1) per partner, against the
-    # partner's kernel: (coefficients from the top k down, shifts of u, c,
-    # scale), the kernel being scale * sum of pairing_kernel_re(x, u + shift, c)
+    # per partner: P's coefficients from the top k down, times 2/L1 (and 2
+    # for a cone), against H(x) = sum over the partner's shifts a of span(x, a)
     by_partner: Dict[Optional[int], List[float]] = {}
     for (k, partner), weight in moments.items():
         coeffs = by_partner.setdefault(partner, [])
         coeffs.extend([0.0] * (k + 1 - len(coeffs)))
         coeffs[k] = weight
+    length = lengths[0]
+    real_span = pairing_kernel_span(length)
     parts = []
     for partner, coeffs in by_partner.items():
         if partner is None:  # t = u
-            kernel = ((0.0,), 1.0, 1.0)
+            span, shifts, scale = real_span, (0.0,), 2 / length
         elif partner >= m:  # F(u + i*theta) + F(u - i*theta) = 2 Re F(u + i*theta)
-            kernel = ((0.0,), math.cos(values[partner] / 2), 2.0)
+            c = math.cos(values[partner] / 2)
+            span, shifts, scale = pairing_kernel_span(length, c), (0.0,), 4 / length
         else:  # F(u + s) + F(u - s)
-            kernel = ((values[partner], -values[partner]), 1.0, 1.0)
-        parts.append((coeffs[::-1],) + kernel)
+            s = values[partner]
+            span, shifts, scale = real_span, (s, -s), 2 / length
+        parts.append(([scale * w for w in reversed(coeffs)], span, shifts))
 
-    def rhs(u: float) -> float:
-        def integrand(x: float) -> float:
-            x2 = x * x
-            acc = 0.0
-            for coeffs, shifts, c, scale in parts:
-                poly = 0.0
-                for w in coeffs:
-                    poly = poly * x2 + w
-                h = 0.0
-                for shift in shifts:
-                    h += pairing_kernel_re(x, u + shift, c)
-                acc += scale * poly * h
-            return x * acc
+    def integrand(x: float) -> float:
+        x2 = x * x
+        acc = 0.0
+        for coeffs, span, shifts in parts:
+            poly = 0.0
+            for w in coeffs:
+                poly = poly * x2 + w
+            h = 0.0
+            for shift in shifts:
+                h += span(x, shift)
+            acc += poly * h
+        return x * acc
 
-        return integrate_decaying(integrand, tol=tol)
-
-    nodes, weights = gauss_legendre(3 * g - 3 + nslots + 2)
-    half = lengths[0] / 2
-    integral = half * sum(w * rhs(half * (x + 1)) for x, w in zip(nodes, weights))
-    return 2 / lengths[0] * integral
+    return integrate_decaying(integrand, tol=tol)
 
 
 def _numeric_pieces(

@@ -24,6 +24,7 @@ from wpcone.recursion import (
     boundary_volume,
     clear_memo,
     compute_volume,
+    numeric_volume_value,
 )
 
 Q = Fraction
@@ -49,6 +50,7 @@ ANGLE_ENTRY_POINTS = {
     "cone_torus_kernel": lambda t: cone_torus_kernel(t, 1.0),
     "cone_torus_gap": cone_torus_gap,
     "integrate_volume_identity": integrate_volume_identity,
+    "numeric_volume_value": lambda t: numeric_volume_value(1, 1, 1, [1.0], [t]),
 }
 
 

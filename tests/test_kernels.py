@@ -17,13 +17,13 @@ from wpcone.kernels import (
     cone_torus_kernel,
     cusp,
     eta_even,
-    gauss_legendre,
     gap_value,
     geodesic,
     integrate_decaying,
     moment_integral,
     pairing_kernel,
     pairing_kernel_re,
+    pairing_kernel_span,
     zeta_even,
     _G10_WEIGHTS,
     _GK21_NODES,
@@ -265,6 +265,46 @@ def test_conjugate_pair_moment_value():
     assert abs(val2 - val) < 1e-10
 
 
+def _legendre(n, x):
+    """P_n(x) and P_n'(x), by the three-term recurrence
+    (j+1) P_{j+1} = (2j+1) x P_j - j P_{j-1}; needs |x| < 1."""
+    prev, p = 1.0, x
+    for j in range(1, n):
+        prev, p = p, ((2 * j + 1) * x * p - j * prev) / (j + 1)
+    return p, n * (x * p - prev) / (x * x - 1)
+
+
+def gauss_legendre(n):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule on
+    [-1, 1], exact for polynomials of degree up to 2n - 1: the reference the
+    G10 table of the (G10, K21) pair is checked against.
+
+    Each node is a root of P_n found by Newton's method from the classical
+    guess cos(pi (i + 3/4) / (n + 1/2)) for the i-th root; the weight is
+    2 / ((1 - x^2) P_n'(x)^2).  Nodes are computed on the positive side and
+    mirrored, so the rule is exactly symmetric, and an odd rule has the node
+    0.0 exactly.
+    """
+    if n < 1:
+        raise ValueError("a Gauss-Legendre rule needs at least one node")
+    nodes = [0.0] * n
+    weights = [0.0] * n
+    for i in range((n + 1) // 2):
+        x = 0.0
+        if 2 * i + 1 < n:
+            x = math.cos(math.pi * (i + 0.75) / (n + 0.5))
+            for _ in range(100):
+                p, dp = _legendre(n, x)
+                step = p / dp
+                x -= step
+                if abs(step) < 1e-15:
+                    break
+        _, dp = _legendre(n, x)
+        nodes[i], nodes[n - 1 - i] = -x, x
+        weights[i] = weights[n - 1 - i] = 2 / ((1 - x * x) * dp * dp)
+    return tuple(nodes), tuple(weights)
+
+
 def test_gauss_legendre_is_exact_to_degree_2n_minus_1():
     for n in range(1, 41):
         nodes, weights = gauss_legendre(n)
@@ -399,6 +439,30 @@ def test_pairing_kernel_re_matches_complex_reference():
         assert pairing_kernel_re(x, t) == pytest.approx(
             pairing_kernel(x, t).real, rel=1e-14
         )
+
+
+def test_pairing_kernel_span_matches_quadrature_of_pairing_kernel_re():
+    # the closed-form u-integral against an adaptive integral of its
+    # integrand, from lengths where a naive difference of logs loses digits
+    # to lengths where the bands run far left of 0
+    for length in (1e-6, 1e-3, 1.0, 30.0):
+        for c in [1.0] + [math.cos(theta / 2) for theta in (0.01, 1.0, math.pi)]:
+            span = pairing_kernel_span(length, c)
+            for a in (0.0, 0.5, -0.5, 4.0, -4.0):
+                for x in (0.0, 0.1, length, 5.0, 60.0, 400.0):
+                    want = integrate_decaying(
+                        lambda u: pairing_kernel_re(x, u + a, c), 0.0, length
+                    )
+                    # relative everywhere, small lengths and far tails
+                    # included: tighter than absolute below 1
+                    got = span(x, a)
+                    assert abs(got - want) <= 1e-13 * abs(want), (length, c, a, x)
+
+
+def test_pairing_kernel_span_refuses_a_length_that_is_not_positive():
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="boundary length must be positive"):
+            pairing_kernel_span(bad)
 
 
 def test_boundary_torus_kernel_is_the_real_gap_value():
