@@ -52,16 +52,13 @@ _ANGLE_FORM = re.compile(r"(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?")
 def _parse_angle(text: str, degrees: bool = False) -> float:
     """Angle in radians from a decimal or a pi-literal like 'pi' or 'pi/2'."""
     s = text.strip().lower().replace(" ", "")
-    if "pi" in s:
-        match = _ANGLE_FORM.fullmatch(s)
-        if match is None:
-            raise ValueError(
-                "cannot parse angle %r; use a number or a form like "
-                "'pi', 'pi/2', '3pi/4'" % text
-            )
+    match = _ANGLE_FORM.fullmatch(s)
+    if match is not None:
         num = float(match.group(1)) if match.group(1) else 1.0
         den = float(match.group(2)) if match.group(2) else 1.0
         return num * math.pi / den
+    # no decimal that float() reads contains "pi", so a malformed pi-form
+    # fails here with the same message
     try:
         value = float(s)
     except ValueError:
@@ -107,17 +104,14 @@ def _read_config(path: str) -> Dict[str, object]:
 def _settings(args: argparse.Namespace) -> Dict[str, object]:
     """Effective caps: defaults, then config file, then env, then flags."""
     values: Dict[str, object] = {"quad_tol": 1e-10}
-    # a cap's default lives in the module that enforces it, imported only
-    # by a command that registers the cap's flag
+    # the caps' defaults live in recursion, which enforces them, imported
+    # only by a command that registers the caps' flags
     if hasattr(args, "max_genus"):
-        from wpcone.recursion import DEFAULT_MAX_GENUS, DEFAULT_MAX_SLOTS
+        from wpcone import recursion
 
-        values["max_genus"] = DEFAULT_MAX_GENUS
-        values["max_slots"] = DEFAULT_MAX_SLOTS
-    if hasattr(args, "max_moment_k"):
-        from wpcone.kernels import DEFAULT_MAX_MOMENT_K
-
-        values["max_moment_k"] = DEFAULT_MAX_MOMENT_K
+        values["max_genus"] = recursion.DEFAULT_MAX_GENUS
+        values["max_slots"] = recursion.DEFAULT_MAX_SLOTS
+        values["max_moment_k"] = recursion.DEFAULT_MAX_MOMENT_K
     config_path = getattr(args, "config", None)
     if config_path:
         values.update(_read_config(config_path))
@@ -190,8 +184,9 @@ def _cmd_volume(args: argparse.Namespace) -> int:
 
 
 def _stable_signatures(g_max: int, slot_max: int):
+    """Every stable (g, m, n) within the bounds but the closed surfaces."""
     for g in range(g_max + 1):
-        for total in range(slot_max + 1):
+        for total in range(1, slot_max + 1):
             if 2 * g - 2 + total <= 0:
                 continue
             for n in range(total + 1):
@@ -199,7 +194,6 @@ def _stable_signatures(g_max: int, slot_max: int):
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    from wpcone.polyalg import to_json, to_latex, to_text
     from wpcone.recursion import SurfaceSignature, compute_volume
 
     settings = _settings(args)
@@ -213,11 +207,13 @@ def _cmd_table(args: argparse.Namespace) -> int:
             "--slot-max %d exceeds max_slots=%d; raise the max_slots "
             "configuration knob" % (args.slot_max, settings["max_slots"])
         )
+    # csv rows carry the text form
+    fmt = "text" if args.format == "csv" else args.format
     rows = []
     for g, m, n in _stable_signatures(args.g_max, args.slot_max):
-        sig = SurfaceSignature(g, m, n)
-        poly = compute_volume(sig, **_caps(settings))
-        rows.append((g, m, n, poly))
+        poly = compute_volume(SurfaceSignature(g, m, n), **_caps(settings))
+        kinds = ("length",) * m + ("angle",) * n
+        rows.append((g, m, n, _poly_text(poly, kinds, fmt)))
     if args.format == "json":
         doc = {
             "volumes": [
@@ -225,26 +221,19 @@ def _cmd_table(args: argparse.Namespace) -> int:
                     "genus": g,
                     "boundaries": m,
                     "cones": n,
-                    "polynomial": json.loads(to_json(poly)),
+                    "polynomial": json.loads(text),
                 }
-                for g, m, n, poly in rows
+                for g, m, n, text in rows
             ]
         }
         print(json.dumps(doc, separators=(",", ":")))
         return 0
-    lines = []
-    for g, m, n, poly in rows:
-        kinds = ("length",) * m + ("angle",) * n
-        if args.format == "latex":
-            lines.append(
-                "V_{%d,%d,%d} = %s" % (g, m, n, to_latex(poly, kinds=kinds))
-            )
-        elif args.format == "csv":
-            lines.append("%d,%d,%d,%s" % (g, m, n, to_text(poly, kinds=kinds)))
-        else:
-            lines.append(
-                "V(g=%d,m=%d,n=%d) = %s" % (g, m, n, to_text(poly, kinds=kinds))
-            )
+    line = {
+        "latex": "V_{%d,%d,%d} = %s",
+        "csv": "%d,%d,%d,%s",
+        "text": "V(g=%d,m=%d,n=%d) = %s",
+    }[args.format]
+    lines = [line % row for row in rows]
     if args.format == "csv":
         lines.insert(0, "g,m,n,polynomial")
     print("\n".join(lines))
@@ -259,6 +248,15 @@ def _cmd_cusp_limit(args: argparse.Namespace) -> int:
     kinds = ("length",) * sig.boundaries + ("angle",) * (sig.cones - 1)
     print(_poly_text(poly, kinds, args.format))
     return 0
+
+
+def _require(flag: str, value: int, least: int) -> None:
+    """Refuse a verify flag value that leaves its suite nothing to check."""
+    if value < least:
+        raise ValueError(
+            "%s %d leaves nothing to check; it must be at least %d"
+            % (flag, value, least)
+        )
 
 
 def _cmd_verify_mcshane(args: argparse.Namespace) -> int:
@@ -311,6 +309,8 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
     )
     from wpcone.polyalg import eval_numeric
 
+    _require("--max-k", args.max_k, 0)
+    _require("--samples", args.samples, 1)
     settings = _settings(args)
     tol = args.tol
     quad_tol = min(float(settings["quad_tol"]), tol / 10.0)
@@ -356,6 +356,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
     from wpcone.polyalg import eval_numeric
     from wpcone.recursion import SurfaceSignature, compute_volume
 
+    _require("--grid", args.grid, 1)
     poly = compute_volume(SurfaceSignature(1, 0, 1))
     worst = 0.0
     for k in range(1, args.grid + 1):
@@ -382,29 +383,32 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
         numeric_volume_value,
     )
 
+    _require("--samples", args.samples, 1)
     settings = _settings(args)
     g_max = min(args.g_max, int(settings["max_genus"]))
     slot_max = min(args.slot_max, int(settings["max_slots"]))
+    cones = [sig for sig in _stable_signatures(g_max, slot_max) if sig[2]]
+    oracle = [(0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0)]
+    oracle = [(g, m, n) for g, m, n in oracle if g <= g_max and m + n <= slot_max]
+    if not cones and not oracle:
+        raise ValueError(
+            "--g-max %d with --slot-max %d selects no signature to check"
+            % (args.g_max, args.slot_max)
+        )
     caps = _caps(settings)
     failures = 0
-    checked = 0
-    for g, m, n in _stable_signatures(g_max, slot_max):
-        if n == 0:
-            continue
+    for g, m, n in cones:
         direct = cone_volume_direct(
             g, m, n, max_moment_k=settings["max_moment_k"]
         )
         substituted = compute_volume(SurfaceSignature(g, m, n), **caps)
         ok = direct == substituted
         failures += 0 if ok else 1
-        checked += 1
         print(
             "cone recursion (%d,%d,%d): %s" % (g, m, n, "ok" if ok else "FAIL")
         )
     rng = random.Random(args.seed)
-    for g, m, n in [(0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0)]:
-        if g > g_max or m + n > slot_max:
-            continue
+    for g, m, n in oracle:
         poly = compute_volume(SurfaceSignature(g, m, n), **caps)
         worst = 0.0
         for _ in range(args.samples):
@@ -421,7 +425,7 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
         )
     print(
         "recursion verification (%d cone signatures): %s"
-        % (checked, "pass" if failures == 0 else "FAIL")
+        % (len(cones), "pass" if failures == 0 else "FAIL")
     )
     return 0 if failures == 0 else 1
 
@@ -445,6 +449,15 @@ def _add_settings(parser: argparse.ArgumentParser, *keys: str) -> None:
         )
 
 
+def _add_signature(parser: argparse.ArgumentParser, cones: int) -> None:
+    """--g, --boundaries and --cones, which _signature reads."""
+    parser.add_argument("--g", type=int, required=True, help="genus")
+    parser.add_argument(
+        "--boundaries", type=int, default=0, help="geodesic boundary count"
+    )
+    parser.add_argument("--cones", type=int, default=cones, help="cone point count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wpcone",
@@ -459,11 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     vol = sub.add_parser(
         "volume", help="volume polynomial or value for one signature"
     )
-    vol.add_argument("--g", type=int, required=True, help="genus")
-    vol.add_argument(
-        "--boundaries", type=int, default=0, help="geodesic boundary count"
-    )
-    vol.add_argument("--cones", type=int, default=0, help="cone point count")
+    _add_signature(vol, cones=0)
     vol.add_argument(
         "--lengths", type=float, nargs="+", help="numeric boundary lengths"
     )
@@ -492,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=(
             "Signatures with more boundary-plus-cone slots than --slot-max "
             "are omitted; with --slot-max 1 that excludes the three-slot "
-            "genus-zero base cases, leaving only the one-slot tori."
+            "genus-zero base cases, leaving only the one-slot tori.  Closed "
+            "surfaces, with no boundary or cone point, are omitted too."
         ),
     )
     table.add_argument("--g-max", type=int, default=1, help="largest genus")
@@ -511,13 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     cusp_cmd = sub.add_parser(
         "cusp-limit", help="volume polynomial with one cone angle sent to 0"
     )
-    cusp_cmd.add_argument("--g", type=int, required=True, help="genus")
-    cusp_cmd.add_argument(
-        "--boundaries", type=int, default=0, help="geodesic boundary count"
-    )
-    cusp_cmd.add_argument(
-        "--cones", type=int, default=1, help="cone point count"
-    )
+    _add_signature(cusp_cmd, cones=1)
     cusp_cmd.add_argument(
         "--slot", type=int, default=0, help="cone index to degenerate"
     )

@@ -26,11 +26,12 @@ from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_zero
 from wpcone.recursion import (
     _CUSP_MEMO,
     DEFAULT_MAX_GENUS,
+    DEFAULT_MAX_MOMENT_K,
     DEFAULT_MAX_SLOTS,
     SurfaceSignature,
     compute_volume,
 )
-from wpcone.kernels import DEFAULT_MAX_MOMENT_K, check_cone_angle
+from wpcone.kernels import check_cone_angle
 
 
 class ConeSurfaceSpec(

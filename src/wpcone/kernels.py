@@ -15,7 +15,13 @@ odd powers of length.  Those moment integrals
 
 have exact closed forms: polynomials in t**2 with rational multiples of even
 pi-powers as coefficients.  They are frozen here symbolically and re-certified
-against adaptive quadrature by the test suite.
+against adaptive quadrature by the test suite.  Any index k >= 0 is served;
+the recursion caps the indices it requests (recursion.DEFAULT_MAX_MOMENT_K).
+
+The gap widths of the one-holed torus, which the McShane sums add up, come
+from two factories, cone_torus_gap and boundary_torus_gap: each checks its
+angle or length, fixes its constants once, and returns the width as a
+function of the geodesic length.
 """
 
 from __future__ import annotations
@@ -31,12 +37,6 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
     from wpcone.polyalg import VolumePolynomial
-
-#: Largest moment index the volume recursion will request by default.  A
-#: signature (g, m, n) needs moments up to k = 3g - 4 + m + n; raise the
-#: max_moment_k configuration knob to go beyond the default.
-DEFAULT_MAX_MOMENT_K = 12
-
 
 # -- boundary data -----------------------------------------------------------
 
@@ -143,7 +143,7 @@ def gap_value(k: GapKernel) -> complex:
     if k.alpha_interior:
         # 2 atanh(sinh(g/2) / (cosh(g/2) + e^s)), whose argument nears 1 for
         # a long gamma and short partners, taken as the equal
-        # log1p(2 sinh(g/2) e^-s / (1 + e^(-g/2-s))), as boundary_torus_kernel
+        # log1p(2 sinh(g/2) e^-s / (1 + e^(-g/2-s))), as boundary_torus_gap
         w = math.exp(-(k.alpha.value + b) / 2)
         return _log1p(2 * cmath.sinh(g / 2) * w / (1 + cmath.exp(-g / 2) * w))
     tau = _partner_tau(k.alpha)
@@ -164,27 +164,18 @@ def _log1p(z: complex) -> complex:
 # -- one-holed torus kernels and the pairing kernel ---------------------------
 
 
-def cone_torus_kernel(theta: float, x: float) -> float:
-    """Gap width on the cone point of a one-cone torus, from a geodesic of
-    length x: 2*atan(sin(theta/2) / (cos(theta/2) + e^x)).
+def cone_torus_gap(theta: float) -> Callable[[float], float]:
+    """The gap width on the cone point of a one-cone torus, as a function
+    of the length x of a simple closed geodesic:
+
+        x -> 2*atan(sin(theta/2) / (cos(theta/2) + e^x)).
 
     Summed over all simple closed geodesics this normalization recovers
-    theta/2; the logarithmic form of the same identity is twice it.
-    Evaluated through e^(-x) so arbitrarily long geodesics cannot overflow.
+    theta/2; the logarithmic form of the same identity is twice it.  theta
+    is checked and its half-angle sine and cosine taken once, for sums and
+    integrals over many lengths.  Evaluated through e^(-x) so arbitrarily
+    long geodesics cannot overflow.
     """
-    check_cone_angle(theta)
-    if not x > 0:
-        raise ValueError("geodesic length must be positive")
-    w = math.exp(-x)
-    return 2 * math.atan(
-        math.sin(theta / 2) * w / (1 + math.cos(theta / 2) * w)
-    )
-
-
-def cone_torus_gap(theta: float) -> Callable[[float], float]:
-    """x -> cone_torus_kernel(theta, x), bit for bit, with theta checked and
-    its half-angle sine and cosine taken once: for sums and integrals over
-    many lengths.  cone_torus_kernel is the per-call reference."""
     check_cone_angle(theta)
     s, c = math.sin(theta / 2), math.cos(theta / 2)
 
@@ -197,31 +188,21 @@ def cone_torus_gap(theta: float) -> Callable[[float], float]:
     return gap
 
 
-def boundary_torus_kernel(length: float, x: float) -> float:
-    """Gap width on the boundary of a one-holed torus of boundary length L,
-    from a geodesic of length x: 2*atanh(sinh(L/2) / (cosh(L/2) + e^x)).
+def boundary_torus_gap(length: float) -> Callable[[float], float]:
+    """The gap width on the boundary of a one-holed torus of boundary
+    length L, as a function of the length x of a simple closed geodesic:
 
-    The twin of cone_torus_kernel: gap_value of the pants (L, x, x) with
-    both partners interior, in real arithmetic.  Summed over all simple
-    closed geodesics it recovers L/2.  The atanh argument nears 1 for long
+        x -> 2*atanh(sinh(L/2) / (cosh(L/2) + e^x)).
+
+    The twin of cone_torus_gap: gap_value of the pants (L, x, x) with both
+    partners interior, in real arithmetic.  Summed over all simple closed
+    geodesics it recovers L/2.  The atanh argument nears 1 for long
     boundaries and short geodesics, where atanh loses digits, so the value
     is taken as log1p(2 sinh(L/2) e^(-x) / (1 + e^(-L/2-x))), the same
-    function with every step well conditioned.  Evaluated through e^(-x)
-    so arbitrarily long geodesics cannot overflow.
+    function with every step well conditioned.  L is checked and
+    2 sinh(L/2) and e^(-L/2) taken once.  Evaluated through e^(-x) so
+    arbitrarily long geodesics cannot overflow.
     """
-    if not length > 0:
-        raise ValueError("boundary length must be positive")
-    if not x > 0:
-        raise ValueError("geodesic length must be positive")
-    w = math.exp(-x)
-    half = length / 2
-    return math.log1p(2 * math.sinh(half) * w / (1 + math.exp(-half) * w))
-
-
-def boundary_torus_gap(length: float) -> Callable[[float], float]:
-    """x -> boundary_torus_kernel(length, x), bit for bit, with the length
-    checked and 2 sinh(L/2) and e^(-L/2) taken once; boundary_torus_kernel
-    is the per-call reference."""
     if not length > 0:
         raise ValueError("boundary length must be positive")
     half = length / 2
@@ -358,27 +339,7 @@ def eta_even(m: int) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _moment_poly(k: int) -> VolumePolynomial:
-    from fractions import Fraction
-
-    from wpcone.polyalg import VolumePolynomial
-
-    terms = {(k + 1,): {0: Fraction(1, 2 * k + 2)}}
-    for i in range(k + 1):
-        coeff = (
-            4
-            * math.comb(2 * k + 1, 2 * i + 1)
-            * 2 ** (2 * i + 1)
-            * math.factorial(2 * i + 1)
-            * eta_even(i + 1)
-        )
-        terms[(k - i,)] = {2 * i + 2: coeff}
-    return VolumePolynomial(1, terms)
-
-
-def moment_integral(
-    k: int, max_k: Optional[int] = DEFAULT_MAX_MOMENT_K
-) -> VolumePolynomial:
+def moment_integral(k: int) -> VolumePolynomial:
     """Exact value of int_0^inf x^(2k+1) h(x, t) dx as a polynomial in t.
 
     Expanding each logistic factor of h as a geometric series in e^(-x/2) and
@@ -401,17 +362,21 @@ def moment_integral(
     """
     if k < 0:
         raise ValueError("moment index must be nonnegative")
-    check_moment_index(k, max_k)
-    return _moment_poly(k)
+    from fractions import Fraction
 
+    from wpcone.polyalg import VolumePolynomial
 
-def check_moment_index(k: int, max_k: Optional[int]) -> None:
-    """Raise if moment index k exceeds the max_moment_k cap (None lifts it)."""
-    if max_k is not None and k > max_k:
-        raise ValueError(
-            f"moment index {k} exceeds max_moment_k={max_k}; raise the "
-            "max_moment_k configuration knob to allow this computation"
+    terms = {(k + 1,): {0: Fraction(1, 2 * k + 2)}}
+    for i in range(k + 1):
+        coeff = (
+            4
+            * math.comb(2 * k + 1, 2 * i + 1)
+            * 2 ** (2 * i + 1)
+            * math.factorial(2 * i + 1)
+            * eta_even(i + 1)
         )
+        terms[(k - i,)] = {2 * i + 2: coeff}
+    return VolumePolynomial(1, terms)
 
 
 # -- adaptive quadrature -----------------------------------------------------

@@ -27,13 +27,14 @@ any error in the kernels, the trace conventions, or the enumeration makes
 the sums converge to the wrong constant -- which is what makes this module
 an effective end-to-end check of everything the volume recursion rests on.
 
-The sums never walk a subtree twice: a subtree's traces depend only on its
-start triple, and on the symmetric root x = y = z the six subtrees next to
-the roots start at the same triple, so one walk, weighted six times,
-serves them all.  Partial sums are kept as exact integer multiples
-of 2^-1074 and divided once per checkpoint, so every printed sum is the
-correctly rounded sum of one term per geodesic, whatever the order of the
-terms.
+The walk carries traces only: a node's slope is fixed by its place in the
+tree, and no sum needs it.  The sums never walk a subtree twice: a
+subtree's traces depend only on its start triple, and on the symmetric
+root x = y = z the six subtrees next to the roots start at the same
+triple, so one walk, weighted six times, serves them all.  Partial sums
+are kept as exact integer multiples of 2^-1074 and divided once per
+checkpoint, so every printed sum is the correctly rounded sum of one term
+per geodesic, whatever the order of the terms.
 
 The same machinery verifies the torus volume in integral form: the first
 length moment of the cone-point gap kernel equals theta times the volume
@@ -45,12 +46,11 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_right
-from collections import namedtuple
+from collections import Counter, namedtuple
 from typing import TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
     boundary_torus_gap,
-    check_cone_angle,
     cone_torus_gap,
     integrate_decaying,
 )
@@ -61,14 +61,6 @@ if TYPE_CHECKING:
 #: Traversal safety valve: a correct walk at sane cutoffs visits a few
 #: thousand nodes, so hitting this bound means the pruning logic is broken.
 _MAX_TREE_NODES = 5_000_000
-
-
-class Geodesic(NamedTuple):
-    """A simple closed geodesic: its slope label, trace, and length."""
-
-    slope: Tuple[int, int]
-    trace: float
-    length: float
 
 
 class TraceTriple(namedtuple("TraceTriple", "x y z")):
@@ -143,29 +135,8 @@ def root_triple(kappa: float, symmetric_start: bool = True) -> TraceTriple:
     return TraceTriple(x, y, z)
 
 
-#: Slopes p/q with |p|, |q| below this bound sort exactly as floats: two
-#: distinct such fractions differ by at least 1/(q q'), which exceeds the
-#: rounding error of both quotients (at most 2^-53 (|p|/q + |p'|/q') <
-#: 1/(q q')), so rounding keeps them apart and in order.
-_EXACT_SLOPE_BOUND = 2 ** 26
-
-
-def _slope_sort_key(slope: Tuple[int, int]) -> float:
-    """p/q, with the slope 1/0 last; exact below _EXACT_SLOPE_BOUND."""
-    p, q = slope
-    return p / q if q else math.inf
-
-
-def _walk_subtree(
-    a: float,
-    b: float,
-    c: float,
-    sa: Tuple[int, int],
-    sb: Tuple[int, int],
-    sc: Tuple[int, int],
-    tmax: float,
-) -> List[Tuple[Tuple[int, int], float]]:
-    """Collect (slope, trace) for every tree node with trace <= tmax.
+def _walk_subtree(a: float, b: float, c: float, tmax: float) -> List[float]:
+    """Collect the trace of every tree node with trace <= tmax.
 
     Traces increase strictly along branches once the newest trace dominates
     the other two, so a dominated node above the cutoff ends its subtree
@@ -173,11 +144,11 @@ def _walk_subtree(
     node (possible only near an asymmetric root) is descended regardless.
     Every computed trace is checked to be hyperbolic.
     """
-    out: List[Tuple[Tuple[int, int], float]] = []
-    stack = [(a, b, c, sa, sb, sc)]
+    out: List[float] = []
+    stack = [(a, b, c)]
     visited = 0
     while stack:
-        a, b, c, sa, sb, sc = stack.pop()
+        a, b, c = stack.pop()
         visited += 1
         if visited > _MAX_TREE_NODES:
             raise RuntimeError(
@@ -187,19 +158,19 @@ def _walk_subtree(
         if not c > 2.0:
             raise _non_hyperbolic(c)
         if c <= tmax:
-            out.append((sc, c))
+            out.append(c)
         elif c >= a and c >= b:
             continue  # only a subtree root can get here
         # each child (x, c, x*c - y) is pushed unless it dominates its
         # parents above the cutoff; its trace is checked either way
         t = a * c - b
         if t <= tmax or t < a or t < c:
-            stack.append((a, c, t, sa, sc, (sa[0] + sc[0], sa[1] + sc[1])))
+            stack.append((a, c, t))
         elif not t > 2.0:
             raise _non_hyperbolic(t)
         t = b * c - a
         if t <= tmax or t < b or t < c:
-            stack.append((b, c, t, sb, sc, (sb[0] + sc[0], sb[1] + sc[1])))
+            stack.append((b, c, t))
         elif not t > 2.0:
             raise _non_hyperbolic(t)
     return out
@@ -213,9 +184,10 @@ def _non_hyperbolic(trace: float) -> RuntimeError:
 
 def _tree_roots(
     root: TraceTriple, length_cutoff: float
-) -> Tuple[float, List[Tuple[Tuple[int, int], float]], List[tuple]]:
-    """The trace cutoff, (slope, trace) of the four roots of the two trees
-    that lie below it, and the four subtrees hanging off those roots."""
+) -> Tuple[float, List[float], List[Tuple[float, float, float]]]:
+    """The trace cutoff, the traces of the four roots of the two trees that
+    lie below it, and the starts (a, b, c) of the four subtrees hanging off
+    those roots."""
     tmax = 2.0 * math.cosh(length_cutoff / 2.0)
     x, y, z = root.x, root.y, root.z
     w = x * y - z  # mirror solution of the trace quadratic: negative slopes
@@ -224,27 +196,10 @@ def _tree_roots(
             "mirror trace %r is not hyperbolic; root triple does not come "
             "from a hyperbolic structure" % w
         )
-    found = [
-        (slope, t)
-        for slope, t in [((0, 1), x), ((1, 0), y), ((1, 1), z), ((-1, 1), w)]
-        if t <= tmax
-    ]
-    subtrees = [
-        (x, z, x * z - y, (0, 1), (1, 1), (1, 2)),
-        (y, z, y * z - x, (1, 0), (1, 1), (2, 1)),
-        (x, w, x * w - y, (0, 1), (-1, 1), (-1, 2)),
-        (y, w, y * w - x, (-1, 0), (-1, 1), (-2, 1)),
-    ]
+    found = [t for t in (x, y, z, w) if t <= tmax]
+    subtrees = [(x, z, x * z - y), (y, z, y * z - x)]  # off the root (x, y, z)
+    subtrees += [(x, w, x * w - y), (y, w, y * w - x)]  # off its mirror (x, y, w)
     return tmax, found, subtrees
-
-
-def _below_systole(root: TraceTriple, length_cutoff: float) -> ValueError:
-    x, y, z = root.x, root.y, root.z
-    systole = 2.0 * math.acosh(min(x, y, z, x * y - z) / 2.0)
-    return ValueError(
-        "length cutoff %g lies below the systole %.6f; no geodesics to "
-        "enumerate" % (length_cutoff, systole)
-    )
 
 
 def _trace_groups(
@@ -262,54 +217,31 @@ def _trace_groups(
     symmetric root (x = y = z) all six are (x, w, x*w - x), w = x*x - x,
     and one walk serves them all.
     """
-    tmax, found, subtrees = _tree_roots(root, length_cutoff)
-    kept = [t for _, t in found]
-    starts = {}  # (a, b, c) -> [walk arguments, multiplicity]
-    for a, b, c, sa, sb, sc in subtrees[:2]:
+    tmax, kept, subtrees = _tree_roots(root, length_cutoff)
+    starts: Counter = Counter()  # (a, b, c) -> multiplicity
+    for a, b, c in subtrees[:2]:
         if not c > 2.0:
             raise _non_hyperbolic(c)
         if c <= tmax:
             kept.append(c)
         elif c >= a and c >= b:
             continue
-        for p, q, sp in ((a, b, sa), (b, a, sb)):
+        for p, q in ((a, b), (b, a)):
             t = p * c - q
             if t <= tmax or t < p or t < c:
-                child = (p, c, t, sp, sc, (sp[0] + sc[0], sp[1] + sc[1]))
-                starts.setdefault(child[:3], [child, 0])[1] += 1
+                starts[p, c, t] += 1
             elif not t > 2.0:
                 raise _non_hyperbolic(t)
-    for child in subtrees[2:]:
-        starts.setdefault(child[:3], [child, 0])[1] += 1
+    starts.update(subtrees[2:])
     groups = [(kept, 1)]
-    for child, mult in starts.values():
-        groups.append(([t for _, t in _walk_subtree(*child, tmax)], mult))
+    groups += [(_walk_subtree(*start, tmax), mult) for start, mult in starts.items()]
     if not any(traces for traces, _ in groups):
-        raise _below_systole(root, length_cutoff)
-    return groups
-
-
-def enumerate_geodesics(root: TraceTriple, length_cutoff: float) -> List[Geodesic]:
-    """All simple closed geodesics up to the length cutoff, one per slope.
-
-    Lengths come from traces via len = 2*arccosh(trace/2).  Every subtree
-    is walked, so this is the reference for mcshane_sum's deduplicated
-    walk.  The result is sorted by slope, so it is deterministic.
-    """
-    tmax, found, subtrees = _tree_roots(root, length_cutoff)
-    for subtree in subtrees:
-        found.extend(_walk_subtree(*subtree, tmax))
-    if not found:
-        raise _below_systole(root, length_cutoff)
-    if max(max(abs(p), abs(q)) for (p, q), _ in found) >= _EXACT_SLOPE_BOUND:
-        raise RuntimeError(
-            "slope beyond %d; float slope keys would no longer sort exactly"
-            % _EXACT_SLOPE_BOUND
+        systole = 2.0 * math.acosh(min(*root, root.x * root.y - root.z) / 2.0)
+        raise ValueError(
+            "length cutoff %g lies below the systole %.6f; no geodesics to "
+            "enumerate" % (length_cutoff, systole)
         )
-    found.sort(key=lambda item: _slope_sort_key(item[0]))
-    return [
-        Geodesic(slope, t, 2.0 * math.acosh(t / 2.0)) for slope, t in found
-    ]
+    return groups
 
 
 class ConvergenceReport(NamedTuple):
@@ -471,7 +403,7 @@ def integrate_volume_identity(
     truncation tail beyond the cutoff is bounded in closed form and must
     stay below the tolerance.
     """
-    check_cone_angle(theta)
+    gap = cone_torus_gap(theta)  # checks theta
     tail = (
         2.0
         * math.sin(theta / 2.0)
@@ -483,7 +415,6 @@ def integrate_volume_identity(
             "truncation tail bound %.3e exceeds tolerance %.3e; increase "
             "tail_cutoff" % (tail, tol)
         )
-    gap = cone_torus_gap(theta)
     moment = integrate_decaying(
         lambda x: x * gap(x),
         upper=tail_cutoff,

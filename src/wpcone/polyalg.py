@@ -45,9 +45,8 @@ derived from it is therefore a pure function of the volume and can be
 built on first read and kept on it: the expanded `numerators`, the `terms`
 view, the canonical order of the exponent vectors with each distinct
 numerator reduced over den (read by every serializer), and the nested form
-eval_numeric compiles its coefficients into (for the default pi_value
-only).  The rendered strings are not kept: each call renders afresh from
-the kept order.
+eval_numeric compiles its coefficients into.  The rendered strings are
+not kept: each call renders afresh from the kept order.
 """
 
 from __future__ import annotations
@@ -288,20 +287,16 @@ def substitute_zero(p: VolumePolynomial, slot: int) -> VolumePolynomial:
 
 
 def eval_numeric(
-    p: VolumePolynomial,
-    values: Sequence[float | complex],
-    pi_value: float = math.pi,
+    p: VolumePolynomial, values: Sequence[float | complex]
 ) -> float | complex:
-    """Substitute l_i = values[i] and pi = pi_value, floating evaluation.
+    """Substitute l_i = values[i], floating evaluation.
 
     Real entries must be nonnegative (they are lengths or angles); complex
     entries are allowed for the imaginary-substitution cross-checks.  Each
     coefficient is the correctly rounded quotient of its numerator and the
-    shared denominator, times its power of pi_value.  The coefficients are
+    shared denominator, times its power of pi.  The coefficients are
     compiled into nested sums over the slots (_compile) on the first call
-    and kept on the volume for pi_value = math.pi; any other pi_value
-    compiles a form that is not kept, so no value of pi_value can grow what
-    a volume keeps.
+    and kept on the volume.
     """
     vals = list(values)
     if len(vals) != p.num_vars:
@@ -311,13 +306,10 @@ def eval_numeric(
     for v in vals:
         if not isinstance(v, complex) and v < 0:
             raise ValueError("slot values must be nonnegative")
-    if pi_value != math.pi:
-        form = _compile(p, pi_value)
-    else:
-        # two threads reading first may both compile; they build equal forms
-        form = p._horner
-        if form is None:
-            form = p._horner = _compile(p, math.pi)
+    # two threads reading first may both compile; they build equal forms
+    form = p._horner
+    if form is None:
+        form = p._horner = _compile(p)
     # powers of v**2 up to the degree, each once per call; a polynomial in
     # no slot is compiled as one in a phantom slot whose value is 1
     top = p.numerators.degree
@@ -328,15 +320,15 @@ def eval_numeric(
     return _walk(form, tables, 0)
 
 
-def _compile(p: VolumePolynomial, pi_value: float) -> Horner:
+def _compile(p: VolumePolynomial) -> Horner:
     """p as nested sums, one level per slot, for _walk: an inner node is a
     tuple of (exponent, child) pairs, a leaf the tuple of the last slot's
     coefficients indexed by its exponent, each coefficient
-    num / den * pi_value**(2 * (degree - sum(e))).  Leaves are tuples of
+    num / den * pi**(2 * (degree - sum(e))).  Leaves are tuples of
     floats, not array('d'): summing products over an array boxes a new
     float per entry on every call, which made evaluation about 1.8x slower."""
     den, nums, degree = p.numerators
-    pis = [pi_value ** (2 * j) for j in range(degree + 1)]
+    pis = [math.pi ** (2 * j) for j in range(degree + 1)]
     rows = [(e or (0,), num / den * pis[degree - sum(e)]) for e, num in nums.items()]
     return _nest(rows, max(p.num_vars, 1))
 

@@ -83,9 +83,7 @@ from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
-    DEFAULT_MAX_MOMENT_K,
     check_cone_angle,
-    check_moment_index,
     integrate_decaying,
     moment_integral,
     pairing_kernel_span,
@@ -101,6 +99,9 @@ from wpcone.polyalg import (
 #: limit, these keep accidental inputs from launching week-long computations.
 DEFAULT_MAX_GENUS = 5
 DEFAULT_MAX_SLOTS = 8
+#: Largest moment index a requested signature may need: (g, m, n) reads
+#: moments up to k = 3g - 4 + m + n.
+DEFAULT_MAX_MOMENT_K = 12
 
 
 class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundaries cones")):
@@ -252,7 +253,7 @@ def _moment_table(kmax: int):
     """
     rows = []
     for k in range(kmax + 1):
-        den, nums, degree = moment_integral(k, max_k=None).numerators
+        den, nums, degree = moment_integral(k).numerators
         if degree != k + 1:
             raise RuntimeError(f"moment F_{2 * k + 1} has degree {degree}, not {k + 1}")
         row = [Fraction(0)] * (k + 2)
@@ -463,7 +464,12 @@ def _check_moment_cap(g: int, nslots: int, max_moment_k: Optional[int]) -> None:
     """The recursion for (g, m + n = nslots) reads moments up to
     k = 3g - 4 + nslots; checked from the signature, never from memo state,
     so the recursion inside runs uncapped."""
-    check_moment_index(3 * g - 4 + nslots, max_moment_k)
+    k = 3 * g - 4 + nslots
+    if max_moment_k is not None and k > max_moment_k:
+        raise ValueError(
+            f"moment index {k} exceeds max_moment_k={max_moment_k}; raise the "
+            "max_moment_k configuration knob to allow this computation"
+        )
 
 
 def _recurse(g: int, m: int, n: int) -> VolumePolynomial:

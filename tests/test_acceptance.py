@@ -17,7 +17,7 @@ from test_kernels import cone_torus_kernel_dtheta, gap_dgamma
 from wpcone.kernels import (
     GapKernel,
     cone,
-    cone_torus_kernel,
+    cone_torus_gap,
     gap_value,
     geodesic,
     integrate_decaying,
@@ -247,7 +247,7 @@ def test_criterion_8_property_suites():
     worst = 0.0
     for theta, x in [(1.0, 0.7), (2.5, 1.3), (math.pi / 2, 2.0)]:
         fd = (
-            cone_torus_kernel(theta + h, x) - cone_torus_kernel(theta - h, x)
+            cone_torus_gap(theta + h)(x) - cone_torus_gap(theta - h)(x)
         ) / (2 * h)
         analytic = cone_torus_kernel_dtheta(theta, x)
         worst = max(worst, abs(fd - analytic))

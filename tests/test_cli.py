@@ -141,6 +141,16 @@ def test_table_csv_and_json(capsys):
         assert set(entry["polynomial"]) == {"vars", "terms"}
 
 
+def test_table_omits_closed_surfaces(capsys):
+    # genus 2 is the first with a stable closed surface, (2, 0, 0), which
+    # has no slot to recurse on
+    code, out, err = run(capsys, "table", "--g-max", "2", "--slot-max", "2")
+    assert code == 0, err
+    sigs = [line.split(" = ")[0] for line in out.splitlines()]
+    assert "V(g=2,m=1,n=0)" in sigs and "V(g=2,m=0,n=2)" in sigs
+    assert not [sig for sig in sigs if sig.endswith("m=0,n=0)")]
+
+
 def test_table_cap_guard(capsys):
     code, _, err = run(capsys, "table", "--g-max", "9")
     assert code == 2
@@ -217,6 +227,34 @@ def test_verify_kernel(capsys):
     )
     assert code == 0
     assert out.strip().endswith("pass")
+
+
+def test_verify_kernel_runs_past_the_recursion_moment_cap(capsys):
+    # max_moment_k caps the recursion, not the kernel suite
+    code, out, err = run(
+        capsys, "verify", "kernel", "--max-k", "13", "--samples", "1"
+    )
+    assert code == 0, err
+    assert "moment k=13: 1 samples" in out
+    assert out.strip().endswith("pass")
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["identity", "--grid", "0"], "--grid"),
+        (["kernel", "--samples", "0"], "--samples"),
+        (["kernel", "--max-k", "-1"], "--max-k"),
+        (["recursion", "--samples", "0"], "--samples"),
+        (["recursion", "--g-max", "-1"], "--g-max"),
+        (["recursion", "--g-max", "0", "--slot-max", "2"], "--slot-max"),
+    ],
+)
+def test_verify_suite_that_checks_nothing_is_refused(argv, flag, capsys):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
 
 
 def test_verify_recursion(capsys):

@@ -11,7 +11,7 @@ from wpcone.conepoints import (
     volume_polynomial,
     volume_value,
 )
-from wpcone.kernels import BoundaryLabel, check_cone_angle, cone_torus_gap, cone_torus_kernel
+from wpcone.kernels import BoundaryLabel, check_cone_angle, cone_torus_gap
 from wpcone.mcshane import integrate_volume_identity
 from wpcone.polyalg import (
     VolumePolynomial,
@@ -47,7 +47,6 @@ ANGLE_ENTRY_POINTS = {
     "check_cone_angle": check_cone_angle,
     "ConeSurfaceSpec": lambda t: ConeSurfaceSpec(SurfaceSignature(1, 0, 1), (t,)),
     "BoundaryLabel": lambda t: BoundaryLabel("cone", t),
-    "cone_torus_kernel": lambda t: cone_torus_kernel(t, 1.0),
     "cone_torus_gap": cone_torus_gap,
     "integrate_volume_identity": integrate_volume_identity,
     "numeric_volume_value": lambda t: numeric_volume_value(1, 1, 1, [1.0], [t]),

@@ -20,10 +20,7 @@ PACKAGE = ROOT / "src" / "wpcone"
 KEPT_FOR_TESTS = (
     "gap_value",  # the paper's gap width, general boundary data
     "pairing_kernel",  # complex reference for pairing_kernel_re
-    "cone_torus_kernel",  # per-call references for the gap factories
-    "boundary_torus_kernel",
     "substitute_imaginary",  # term-by-term reference for compute_volume's signs
-    "enumerate_geodesics",  # full slope walk behind mcshane_sum's dedupe
     "canonical_terms",  # Fraction view of the serializers' order
     "clear_memo",  # tests and the benchmark start cold with it
 )

@@ -11,10 +11,8 @@ from wpcone.kernels import (
     BoundaryLabel,
     GapKernel,
     boundary_torus_gap,
-    boundary_torus_kernel,
     cone,
     cone_torus_gap,
-    cone_torus_kernel,
     cusp,
     eta_even,
     gap_value,
@@ -59,7 +57,7 @@ def gap_dgamma(k):
 
 
 def cone_torus_kernel_dtheta(theta, x):
-    """theta-derivative of cone_torus_kernel (identity normalization).
+    """theta-derivative of the cone_torus_gap width (identity normalization).
 
     Equals half the conjugate-pair sum 1/(1+e^(x - i theta/2)) +
     1/(1+e^(x + i theta/2)), i.e. pairing_kernel(2x, i*theta)/2; the
@@ -193,9 +191,9 @@ def test_moment_integral_homogeneous_and_even():
 
 
 def test_moment_integral_k_cap():
-    with pytest.raises(ValueError, match="max_moment_k"):
-        moment_integral(13)
-    assert moment_integral(13, max_k=None).numerators.degree == 14
+    # the cap on moment indices is the recursion's (max_moment_k); kernels
+    # serves any index k >= 0
+    assert moment_integral(13).numerators.degree == 14
     with pytest.raises(ValueError):
         moment_integral(-1)
 
@@ -389,7 +387,7 @@ def test_adaptive_quadrature_against_mpmath_on_moments():
 
 def test_adaptive_quadrature_against_mpmath_on_cone_torus_kernel():
     for theta in (0.1, 1.0, 2.5, math.pi):
-        got = integrate_decaying(lambda x: x * cone_torus_kernel(theta, x))
+        got = integrate_decaying(lambda x: x * cone_torus_gap(theta)(x))
         half = mpmath.mpf(theta) / 2
         want = mp_quad_0_inf(
             lambda x: x
@@ -468,12 +466,12 @@ def test_pairing_kernel_span_refuses_a_length_that_is_not_positive():
 def test_boundary_torus_kernel_is_the_real_gap_value():
     for length in (0.1, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0):
         for x in (0.05, 0.5, 1.0, 3.0, 10.0, 40.0, 300.0):
-            got = boundary_torus_kernel(length, x)
+            got = boundary_torus_gap(length)(x)
             want = gap_value(
                 GapKernel(geodesic(length), geodesic(x), geodesic(x), alpha_interior=True)
             ).real
             assert abs(got - want) <= 1e-14 * abs(want), (length, x)
-    assert boundary_torus_kernel(1.0, 800.0) < 1e-300  # decays, never overflows
+    assert boundary_torus_gap(1.0)(800.0) < 1e-300  # decays, never overflows
 
 
 def test_boundary_torus_kernel_against_high_precision():
@@ -486,49 +484,42 @@ def test_boundary_torus_kernel_against_high_precision():
                 want = 2 * mpmath.atanh(
                     mpmath.sinh(half) / (mpmath.cosh(half) + mpmath.exp(x))
                 )
-                got = boundary_torus_kernel(length, x)
+                got = boundary_torus_gap(length)(x)
                 assert abs(got - want) <= 1e-15 * want, (length, x)
     with pytest.raises(ValueError):
-        boundary_torus_kernel(0.0, 1.0)
+        boundary_torus_gap(0.0)(1.0)
     with pytest.raises(ValueError):
-        boundary_torus_kernel(1.0, 0.0)
+        boundary_torus_gap(1.0)(0.0)
 
 
 def test_cone_torus_kernel_bounds_and_monotonicity():
     for theta in [0.3, 1.0, math.pi]:
-        values = [cone_torus_kernel(theta, x) for x in (0.1, 0.5, 1, 2, 5, 20)]
+        values = [cone_torus_gap(theta)(x) for x in (0.1, 0.5, 1, 2, 5, 20)]
         assert all(0 < v < theta for v in values)
         assert all(a > b for a, b in zip(values, values[1:]))
-    assert cone_torus_kernel(1.0, 800.0) < 1e-300  # decays, never overflows
-    assert cone_torus_kernel(1e-12, 1.0) < 1e-11  # vanishing angle
+    assert cone_torus_gap(1.0)(800.0) < 1e-300  # decays, never overflows
+    assert cone_torus_gap(1e-12)(1.0) < 1e-11  # vanishing angle
     with pytest.raises(ValueError):
-        cone_torus_kernel(0.0, 1.0)
+        cone_torus_gap(0.0)(1.0)
     with pytest.raises(ValueError):
-        cone_torus_kernel(1.0, -1.0)
+        cone_torus_gap(1.0)(-1.0)
 
 
 def test_cone_torus_kernel_closed_forms_agree():
     # at theta = pi the half-angle cosine vanishes
-    assert cone_torus_kernel(math.pi, 1.0) == pytest.approx(
+    assert cone_torus_gap(math.pi)(1.0) == pytest.approx(
         2 * math.atan(math.exp(-1)), abs=1e-14
     )
     for theta in [0.4, 1.3, math.pi]:
         for x in [0.2, 1.0, 4.0]:
-            doubled = 2 * cone_torus_kernel(theta, x)
+            doubled = 2 * cone_torus_gap(theta)(x)
             atan2_form = 4 * math.atan2(
                 math.sin(theta / 2), math.cos(theta / 2) + math.exp(x)
             )
             assert abs(doubled - atan2_form) < 1e-14
 
 
-def test_fixed_label_gaps_equal_the_per_call_kernels_bit_for_bit():
-    xs = [1e-6, 0.05, 0.5, 1.0, 2.0, 7.5, 40.0, 300.0, 700.0, 800.0]
-    for theta in (1e-12, 0.3, 1.0, 2.0, math.pi):
-        gap = cone_torus_gap(theta)
-        assert [gap(x) for x in xs] == [cone_torus_kernel(theta, x) for x in xs]
-    for length in (1e-6, 0.1, 2.0, 10.0, 100.0):
-        gap = boundary_torus_gap(length)
-        assert [gap(x) for x in xs] == [boundary_torus_kernel(length, x) for x in xs]
+def test_torus_gap_factories_refuse_bad_input():
     for bad in (0.0, 3.5, math.nan):
         with pytest.raises(ValueError, match="cone angle"):
             cone_torus_gap(bad)
@@ -545,7 +536,7 @@ def test_cone_torus_kernel_derivative_finite_difference():
     h = 1e-5
     for theta, x in [(1.0, 1.0), (2.0, 0.5), (3.0, 2.0)]:
         fd = (
-            cone_torus_kernel(theta + h, x) - cone_torus_kernel(theta - h, x)
+            cone_torus_gap(theta + h)(x) - cone_torus_gap(theta - h)(x)
         ) / (2 * h)
         assert abs(fd - cone_torus_kernel_dtheta(theta, x)) < 5 * h * h
 
@@ -559,7 +550,7 @@ def test_gap_interior_pair_cone_specialization():
         for s in [0.3, 1.0, 2.5]:
             k = GapKernel(cone(theta), geodesic(s), geodesic(s), alpha_interior=True)
             val = gap_value(k)
-            expect = 1j * cone_torus_kernel(theta, s)
+            expect = 1j * cone_torus_gap(theta)(s)
             assert abs(val - expect) < 1e-12
             assert abs(val.real) < 1e-14
 

@@ -2,7 +2,9 @@ import hashlib
 import json
 import math
 import sys
+from collections import namedtuple
 from fractions import Fraction
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -11,18 +13,16 @@ from hypothesis import strategies as st
 from wpcone import mcshane
 from wpcone.cli import main
 from wpcone.kernels import (
-    boundary_torus_kernel,
+    boundary_torus_gap,
     cone,
-    cone_torus_kernel,
+    cone_torus_gap,
     cusp,
     geodesic,
 )
 from wpcone.mcshane import (
     ConvergenceReport,
-    Geodesic,
     TraceTriple,
     _exact_prefix_sums,
-    enumerate_geodesics,
     integrate_volume_identity,
     kappa_for,
     mcshane_sum,
@@ -94,8 +94,55 @@ def test_non_hyperbolic_trace_rejected():
 # -- geodesic enumeration -----------------------------------------------------------
 
 
+Geodesic = namedtuple("Geodesic", "slope trace length")
+
+
+@cmp_to_key
+def slope_key(first, second):
+    """Exact order of slopes p/q with q >= 0, the slope 1/0 last: p/q < r/s
+    exactly when p*s < r*q, in integers."""
+    (p, q), (r, s) = first, second
+    return p * s - r * q
+
+
+def slope_walk(root, length_cutoff):
+    """Reference enumeration: every simple closed geodesic up to the length
+    cutoff, one per slope, sorted by slope.
+
+    Written apart from the package's walk: each node carries its slope
+    label (the Farey sum of its parents'), every child is pushed and a
+    node is pruned only when visited, and every subtree of both roots is
+    walked, with no start shared.  The traces are the same float
+    expressions, so they agree with mcshane._trace_groups bit for bit.
+    """
+    tmax = 2.0 * math.cosh(length_cutoff / 2.0)
+    x, y, z = root
+    w = x * y - z
+    found = [
+        (slope, t)
+        for slope, t in [((0, 1), x), ((1, 0), y), ((1, 1), z), ((-1, 1), w)]
+        if t <= tmax
+    ]
+    stack = [
+        (x, z, x * z - y, (0, 1), (1, 1), (1, 2)),
+        (y, z, y * z - x, (1, 0), (1, 1), (2, 1)),
+        (x, w, x * w - y, (0, 1), (-1, 1), (-1, 2)),
+        (y, w, y * w - x, (-1, 0), (-1, 1), (-2, 1)),
+    ]
+    while stack:
+        a, b, c, sa, sb, sc = stack.pop()
+        if c <= tmax:
+            found.append((sc, c))
+        elif c >= a and c >= b:
+            continue  # dominant above the cutoff, and so is its whole subtree
+        stack.append((a, c, a * c - b, sa, sc, (sa[0] + sc[0], sa[1] + sc[1])))
+        stack.append((b, c, b * c - a, sb, sc, (sb[0] + sc[0], sb[1] + sc[1])))
+    found.sort(key=lambda item: slope_key(item[0]))
+    return [Geodesic(slope, t, 2.0 * math.acosh(t / 2.0)) for slope, t in found]
+
+
 def test_exactly_three_shortest_geodesics_on_markov_torus():
-    geos = enumerate_geodesics(root_triple(0.0), 2.0)
+    geos = slope_walk(root_triple(0.0), 2.0)
     assert [g.slope for g in geos] == [(0, 1), (1, 1), (1, 0)]
     expected = 2.0 * math.acosh(1.5)
     for g in geos:
@@ -104,7 +151,7 @@ def test_exactly_three_shortest_geodesics_on_markov_torus():
 
 
 def test_next_length_level_brings_mirror_slope():
-    geos = enumerate_geodesics(root_triple(0.0), 3.6)
+    geos = slope_walk(root_triple(0.0), 3.6)
     by_slope = {g.slope: g for g in geos}
     assert len(geos) == 6
     assert set(by_slope) == {(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (-1, 1)}
@@ -113,20 +160,23 @@ def test_next_length_level_brings_mirror_slope():
         assert abs(by_slope[slope].length - 2.0 * math.acosh(3.0)) < 1e-12
 
 
-def test_slope_order_is_the_exact_rational_order_at_cutoff_300():
-    def fraction_key(slope):
-        p, q = slope
-        return (1, Fraction(0)) if q == 0 else (0, Fraction(p, q))
-
-    for label in (cone(math.pi), geodesic(2.0), cusp()):
-        geos = enumerate_geodesics(root_triple(kappa_for(label)), 300.0)
-        slopes = [g.slope for g in geos]
-        assert slopes == sorted(slopes, key=fraction_key), label
-
-
 def test_cutoff_below_systole():
     with pytest.raises(ValueError, match="systole"):
-        enumerate_geodesics(root_triple(0.0), 1.5)
+        mcshane._trace_groups(root_triple(0.0), 1.5)
+
+
+@pytest.mark.parametrize("label", [cone(math.pi), geodesic(2.0), cusp()])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_deduplicated_walk_equals_the_slope_walk_at_cutoff_300(label, symmetric):
+    # every group's traces repeated by its multiplicity, against one trace
+    # per slope from the independent walk: equal as sorted float lists
+    root = root_triple(kappa_for(label), symmetric_start=symmetric)
+    grouped = sorted(
+        t for traces, mult in mcshane._trace_groups(root, 300.0) for t in traces * mult
+    )
+    reference = sorted(g.trace for g in slope_walk(root, 300.0))
+    assert len(reference) > 20_000
+    assert grouped == reference
 
 
 def unpruned_walk(a, b, c, sa, sb, sc, depth, out):
@@ -172,7 +222,7 @@ def test_pruned_enumeration_complete_to_depth_twelve(kappa_source):
     want = sorted(
         (s, t) for s, t in reference if t <= tmax
     )
-    got = sorted((g.slope, g.trace) for g in enumerate_geodesics(root, cutoff))
+    got = sorted((g.slope, g.trace) for g in slope_walk(root, cutoff))
     assert [s for s, _ in got] == [s for s, _ in want]
     for (_, t_got), (_, t_want) in zip(got, want):
         assert abs(t_got - t_want) <= 1e-9 * max(1.0, t_want)
@@ -183,16 +233,15 @@ def test_walk_checks_every_computed_trace():
     # and refused when visited; a NaN child is neither below the cutoff nor
     # dominated, so it is never pushed and must be refused where computed
     with pytest.raises(RuntimeError, match="non-hyperbolic"):
-        mcshane._walk_subtree(2.5, 10.0, 3.0, (0, 1), (1, 0), (1, 1), 100.0)
+        mcshane._walk_subtree(2.5, 10.0, 3.0, 100.0)
     with pytest.raises(RuntimeError, match="non-hyperbolic"):
-        mcshane._walk_subtree(3.0, math.nan, 3.0, (0, 1), (1, 0), (1, 1), 100.0)
+        mcshane._walk_subtree(3.0, math.nan, 3.0, 100.0)
     # x*z - y = 2 roots the first subtree, whose children (100, 2, 100) are
-    # pruned at this cutoff; both walks refuse the parabolic trace, the
-    # grouped walk of mcshane_sum while expanding that root
+    # pruned at this cutoff; the grouped walk of mcshane_sum refuses the
+    # parabolic trace while expanding that root
     root = TraceTriple(100.0, 9998.0, 100.0)
-    for walk in (enumerate_geodesics, mcshane._trace_groups):
-        with pytest.raises(RuntimeError, match="non-hyperbolic trace 2.0"):
-            walk(root, 4.0)
+    with pytest.raises(RuntimeError, match="non-hyperbolic trace 2.0"):
+        mcshane._trace_groups(root, 4.0)
 
 
 def test_walk_visits_only_nodes_that_can_lead_below_the_cutoff(monkeypatch):
@@ -209,13 +258,14 @@ def test_walk_visits_only_nodes_that_can_lead_below_the_cutoff(monkeypatch):
         monkeypatch.setattr(
             mcshane, "_walk_subtree", lambda *args: sizes.append(len(walk(*args))) or []
         )
-        enumerate_geodesics(root, 300.0)
+        kept = mcshane._trace_groups(root, 300.0)[0][0]  # the walks add nothing
         monkeypatch.setattr(mcshane, "_walk_subtree", walk)
         monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", max(sizes))
-        assert len(enumerate_geodesics(root, 300.0)) == sum(sizes) + 4, label
+        groups = mcshane._trace_groups(root, 300.0)
+        assert [len(traces) for traces, _ in groups] == [len(kept)] + sizes, label
         monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", max(sizes) - 1)
         with pytest.raises(RuntimeError, match="pruning failed"):
-            enumerate_geodesics(root, 300.0)
+            mcshane._trace_groups(root, 300.0)
 
 
 def test_fricke_relation_preserved_along_tree():
@@ -325,19 +375,19 @@ def test_report_serialization():
 
 
 def naive_summand(label, length):
-    """One gap width, through the public per-call kernels."""
+    """One gap width, through the public gap factories, one per term."""
     if label.kind == "cusp":
         return 1.0 / (1.0 + math.exp(length)) if length < 700 else 0.0
     if label.kind == "cone":
-        return cone_torus_kernel(label.value, length)
-    return boundary_torus_kernel(label.value, length)
+        return cone_torus_gap(label.value)(length)
+    return boundary_torus_gap(label.value)(length)
 
 
 def naive_rows(label, length_cutoff, checkpoints, symmetric_start):
     """Partial sums by rescanning every term at every checkpoint."""
     target = 0.5 if label.kind == "cusp" else label.value / 2.0
     root = root_triple(kappa_for(label), symmetric_start=symmetric_start)
-    geos = enumerate_geodesics(root, length_cutoff)
+    geos = slope_walk(root, length_cutoff)
     terms = [(g.length, naive_summand(label, g.length)) for g in geos]
     rows = []
     for cut in sorted(set(float(c) for c in checkpoints)):
@@ -354,7 +404,7 @@ PROPERTY_LENGTHS = sorted(
         g.length
         for label in PROPERTY_LABELS
         for symmetric in (True, False)
-        for g in enumerate_geodesics(
+        for g in slope_walk(
             root_triple(kappa_for(label), symmetric_start=symmetric),
             PROPERTY_CUTOFF,
         )
@@ -398,7 +448,7 @@ def test_symmetric_root_walks_one_subtree_per_label(monkeypatch):
             report = mcshane_sum(root, label, 300.0)
             monkeypatch.setattr(mcshane, "_walk_subtree", walk)
             assert len(calls) == walks, (label, symmetric)
-            assert report.geodesic_count == len(enumerate_geodesics(root, 300.0))
+            assert report.geodesic_count == len(slope_walk(root, 300.0))
             assert report.rows[-1][1] == report.geodesic_count
 
 

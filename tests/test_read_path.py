@@ -367,17 +367,12 @@ def test_eval_numeric_agrees_with_the_term_by_term_formula():
             values = [rng.uniform(0.05, 3.0) for _ in range(sig.slots)]
             want = reference_value(sig, values)
             assert abs(eval_numeric(p, values) - want) <= 1e-14 * abs(want), sig
-        # complex input (a cone is a boundary of length i*theta), another pi
+        # complex input (a cone is a boundary of length i*theta)
         boundary = boundary_volume(sig.genus, sig.slots)
         imaginary = values[: sig.boundaries] + [1j * v for v in values[sig.boundaries :]]
-        for poly, vals, pi_value in ((boundary, imaginary, math.pi), (p, values, 2.5)):
-            want = term_by_term(poly, vals, pi_value)
-            got = eval_numeric(poly, vals, pi_value=pi_value)
-            assert abs(got - want) <= 1e-14 * abs(want), (sig, pi_value)
-        # only the form for math.pi is kept
-        fresh = uncached(p)
-        eval_numeric(fresh, values, pi_value=2.5)
-        assert fresh._horner is None and p._horner is not None
+        want = term_by_term(boundary, imaginary)
+        assert abs(eval_numeric(boundary, imaginary) - want) <= 1e-14 * abs(want), sig
+        assert p._horner is not None  # the compiled form is kept on the volume
 
 
 def test_reads_build_no_fraction_view():
@@ -437,7 +432,7 @@ def uncached(p):
     return from_orbits(p.num_vars, *p.numerators, (1,) * p.num_vars)
 
 
-def term_by_term(p, values, pi_value=math.pi):
+def term_by_term(p, values):
     """eval_numeric as it was before the compiled form: every term of the
     integer form, num / den * pi^(2j) * prod v^(2e)."""
     den, nums, degree = p.numerators
@@ -447,7 +442,7 @@ def term_by_term(p, values, pi_value=math.pi):
         for v, e in zip(values, xexp):
             if e:
                 mono *= v ** (2 * e)
-        total += num / den * pi_value ** (2 * (degree - sum(xexp))) * mono
+        total += num / den * math.pi ** (2 * (degree - sum(xexp))) * mono
     return total
 
 
@@ -456,7 +451,6 @@ def test_evaluator_on_the_zero_polynomial_and_on_no_slots():
     assert eval_numeric(from_orbits(0, 1, {}, 0, ()), []) == 0.0
     constant = from_orbits(0, 12, {(): 1}, 1, ())
     assert eval_numeric(constant, []) == 1 / 12 * math.pi**2
-    assert eval_numeric(constant, [], pi_value=2.0) == 1 / 12 * 4.0
     cusp = cusp_limit(SurfaceSignature(1, 0, 1), 0)  # V_{1,1}(0) = pi^2/12
     assert cusp.num_vars == 0 and eval_numeric(cusp, []) == 1 / 12 * math.pi**2
 

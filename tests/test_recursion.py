@@ -337,8 +337,12 @@ def test_memoization_purity():
 
 def test_moment_cap_propagates_with_clear_message():
     clear_memo()
-    with pytest.raises(ValueError, match="max_moment_k"):
+    with pytest.raises(ValueError) as capped:
         boundary_volume(2, 1, max_moment_k=2)
+    assert str(capped.value) == (
+        "moment index 3 exceeds max_moment_k=2; raise the max_moment_k "
+        "configuration knob to allow this computation"
+    )
     clear_memo()
     assert boundary_volume(2, 1, max_moment_k=3) == boundary_volume(2, 1)
 
