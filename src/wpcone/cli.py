@@ -11,11 +11,11 @@ Subcommands:
 Exit codes: 0 on success, 1 when an internal invariant or a verification
 fails, 2 on invalid input (the message names the violated constraint).
 
-Caps and tolerances come from defaults, an optional key=value config file
-(--config), the WPCONE_MAX_GENUS environment variable, and command-line
-flags, in increasing order of precedence.  A command takes --config and the
-override flags only for the settings it reads, and reads WPCONE_MAX_GENUS
-only if it reads max_genus.
+The caps max_genus, max_slots and max_moment_k come from their defaults,
+an optional key=value config file (--config), and command-line flags, in
+increasing order of precedence.  Only the commands that compute volumes
+(volume, table, cusp-limit, verify recursion) take --config and the cap
+flags; the other verify suites read no settings.
 
 Commands need only the standard library, and each imports the package
 modules it uses when it runs (importing this module loads argparse and no
@@ -33,18 +33,15 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import re
 import sys
 from typing import Dict
 
 _CONFIG_KEYS = {
-    "max_genus": int,
-    "max_slots": int,
-    "max_moment_k": int,
-    "quad_tol": float,
+    "max_genus": "genus cap override",
+    "max_slots": "slot-count cap override",
+    "max_moment_k": "moment-index cap override",
 }
-_CAPS = ("max_genus", "max_slots", "max_moment_k")
 
 _ANGLE_FORM = re.compile(r"(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?")
 
@@ -69,8 +66,8 @@ def _parse_angle(text: str, degrees: bool = False) -> float:
     return math.radians(value) if degrees else value
 
 
-def _read_config(path: str) -> Dict[str, object]:
-    values: Dict[str, object] = {}
+def _read_config(path: str) -> Dict[str, int]:
+    values: Dict[str, int] = {}
     try:
         with open(path) as handle:
             lines = handle.readlines()
@@ -92,47 +89,32 @@ def _read_config(path: str) -> Dict[str, object]:
                 % (path, lineno, key, ", ".join(sorted(_CONFIG_KEYS)))
             )
         try:
-            values[key] = _CONFIG_KEYS[key](text.strip())
+            values[key] = int(text.strip())
         except ValueError:
             raise ValueError(
-                "%s:%d: cannot parse %r as %s"
-                % (path, lineno, text.strip(), _CONFIG_KEYS[key].__name__)
+                "%s:%d: cannot parse %r as int" % (path, lineno, text.strip())
             ) from None
     return values
 
 
-def _settings(args: argparse.Namespace) -> Dict[str, object]:
-    """Effective caps: defaults, then config file, then env, then flags."""
-    values: Dict[str, object] = {"quad_tol": 1e-10}
-    # the caps' defaults live in recursion, which enforces them, imported
-    # only by a command that registers the caps' flags
-    if hasattr(args, "max_genus"):
-        from wpcone import recursion
+def _settings(args: argparse.Namespace) -> Dict[str, int]:
+    """Effective caps, the keyword arguments of compute_volume: defaults,
+    then the config file, then flags."""
+    # the caps' defaults live in recursion, which enforces them
+    from wpcone import recursion
 
-        values["max_genus"] = recursion.DEFAULT_MAX_GENUS
-        values["max_slots"] = recursion.DEFAULT_MAX_SLOTS
-        values["max_moment_k"] = recursion.DEFAULT_MAX_MOMENT_K
-    config_path = getattr(args, "config", None)
-    if config_path:
-        values.update(_read_config(config_path))
-    env_genus = os.environ.get("WPCONE_MAX_GENUS")
-    if env_genus is not None and hasattr(args, "max_genus"):
-        try:
-            values["max_genus"] = int(env_genus)
-        except ValueError:
-            raise ValueError(
-                "WPCONE_MAX_GENUS=%r is not an integer" % env_genus
-            ) from None
+    values = {
+        "max_genus": recursion.DEFAULT_MAX_GENUS,
+        "max_slots": recursion.DEFAULT_MAX_SLOTS,
+        "max_moment_k": recursion.DEFAULT_MAX_MOMENT_K,
+    }
+    if args.config:
+        values.update(_read_config(args.config))
     for key in _CONFIG_KEYS:
-        flag = getattr(args, key, None)
+        flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
     return values
-
-
-def _caps(settings: Dict[str, object]) -> Dict[str, object]:
-    """The cap keyword arguments of compute_volume."""
-    return {key: settings[key] for key in _CAPS}
 
 
 def _poly_text(poly, kinds, fmt: str) -> str:
@@ -155,7 +137,7 @@ def _cmd_volume(args: argparse.Namespace) -> int:
     from wpcone.conepoints import ConeSurfaceSpec, volume_value
     from wpcone.recursion import compute_volume
 
-    caps = _caps(_settings(args))
+    caps = _settings(args)
     sig = _signature(args)
     have_lengths = args.lengths is not None
     have_angles = args.angles is not None
@@ -211,7 +193,7 @@ def _cmd_table(args: argparse.Namespace) -> int:
     fmt = "text" if args.format == "csv" else args.format
     rows = []
     for g, m, n in _stable_signatures(args.g_max, args.slot_max):
-        poly = compute_volume(SurfaceSignature(g, m, n), **_caps(settings))
+        poly = compute_volume(SurfaceSignature(g, m, n), **settings)
         kinds = ("length",) * m + ("angle",) * n
         rows.append((g, m, n, _poly_text(poly, kinds, fmt)))
     if args.format == "json":
@@ -244,7 +226,7 @@ def _cmd_cusp_limit(args: argparse.Namespace) -> int:
     from wpcone.conepoints import cusp_limit
 
     sig = _signature(args)
-    poly = cusp_limit(sig, args.slot, **_caps(_settings(args)))
+    poly = cusp_limit(sig, args.slot, **_settings(args))
     kinds = ("length",) * sig.boundaries + ("angle",) * (sig.cones - 1)
     print(_poly_text(poly, kinds, args.format))
     return 0
@@ -311,9 +293,8 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
 
     _require("--max-k", args.max_k, 0)
     _require("--samples", args.samples, 1)
-    settings = _settings(args)
     tol = args.tol
-    quad_tol = min(float(settings["quad_tol"]), tol / 10.0)
+    quad_tol = tol / 10.0  # the quadrature's own error: a tenth of the check's
     failures = 0
     for theta in (0.1, 0.5, 1.0, 2.0, math.pi):
         c = math.cos(theta / 2.0)
@@ -395,13 +376,12 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
             "--g-max %d with --slot-max %d selects no signature to check"
             % (args.g_max, args.slot_max)
         )
-    caps = _caps(settings)
     failures = 0
     for g, m, n in cones:
         direct = cone_volume_direct(
             g, m, n, max_moment_k=settings["max_moment_k"]
         )
-        substituted = compute_volume(SurfaceSignature(g, m, n), **caps)
+        substituted = compute_volume(SurfaceSignature(g, m, n), **settings)
         ok = direct == substituted
         failures += 0 if ok else 1
         print(
@@ -409,7 +389,7 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
         )
     rng = random.Random(args.seed)
     for g, m, n in oracle:
-        poly = compute_volume(SurfaceSignature(g, m, n), **caps)
+        poly = compute_volume(SurfaceSignature(g, m, n), **settings)
         worst = 0.0
         for _ in range(args.samples):
             lengths = [rng.uniform(0.3, 4.0) for _ in range(m)]
@@ -430,23 +410,11 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
     return 0 if failures == 0 else 1
 
 
-_SETTING_HELP = {
-    "max_genus": "genus cap override",
-    "max_slots": "slot-count cap override",
-    "max_moment_k": "moment-index cap override",
-    "quad_tol": "quadrature tolerance override",
-}
-
-
-def _add_settings(parser: argparse.ArgumentParser, *keys: str) -> None:
-    """--config plus an override flag for each setting the command reads."""
-    parser.add_argument("--config", help="key=value file for caps/tolerances")
-    for key in keys:
-        parser.add_argument(
-            "--" + key.replace("_", "-"),
-            type=_CONFIG_KEYS[key],
-            help=_SETTING_HELP[key],
-        )
+def _add_settings(parser: argparse.ArgumentParser) -> None:
+    """--config plus an override flag for each cap, which _settings reads."""
+    parser.add_argument("--config", help="key=value file for caps")
+    for key, text in _CONFIG_KEYS.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=int, help=text)
 
 
 def _add_signature(parser: argparse.ArgumentParser, cones: int) -> None:
@@ -492,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="latex",
         help="output format (default latex)",
     )
-    _add_settings(vol, *_CAPS)
+    _add_settings(vol)
     vol.set_defaults(func=_cmd_volume)
 
     table = sub.add_parser(
@@ -515,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text)",
     )
-    _add_settings(table, *_CAPS)
+    _add_settings(table)
     table.set_defaults(func=_cmd_table)
 
     cusp_cmd = sub.add_parser(
@@ -528,7 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     cusp_cmd.add_argument(
         "--format", choices=("latex", "text", "json"), default="latex"
     )
-    _add_settings(cusp_cmd, *_CAPS)
+    _add_settings(cusp_cmd)
     cusp_cmd.set_defaults(func=_cmd_cusp_limit)
 
     verify = sub.add_parser("verify", help="numerical certification suites")
@@ -562,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
     vk.add_argument("--samples", type=int, default=20)
     vk.add_argument("--tol", type=float, default=1e-9)
     vk.add_argument("--seed", type=int, default=20260817)
-    _add_settings(vk, "quad_tol")
     vk.set_defaults(func=_cmd_verify_kernel)
 
     vi = vsub.add_parser(
@@ -581,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--samples", type=int, default=5)
     vr.add_argument("--tol", type=float, default=1e-8)
     vr.add_argument("--seed", type=int, default=20260817)
-    _add_settings(vr, *_CAPS)
+    _add_settings(vr)
     vr.set_defaults(func=_cmd_verify_recursion)
 
     return parser

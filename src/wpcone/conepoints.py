@@ -31,7 +31,7 @@ from wpcone.recursion import (
     SurfaceSignature,
     compute_volume,
 )
-from wpcone.kernels import check_cone_angle
+from wpcone.kernels import check_cone_angle, check_length
 
 
 class ConeSurfaceSpec(
@@ -69,10 +69,7 @@ class ConeSurfaceSpec(
                     % (sig.boundaries, sig, len(lengths))
                 )
             for x in lengths:
-                if x <= 0.0:
-                    raise ValueError(
-                        "boundary lengths must be positive (got %r)" % x
-                    )
+                check_length(x)
         return tuple.__new__(cls, (sig, angles, lengths))
 
 

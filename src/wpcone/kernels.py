@@ -51,6 +51,14 @@ def check_cone_angle(theta: float) -> None:
         )
 
 
+def check_length(length: float) -> None:
+    """Refuse a boundary length outside (0, inf), nan included."""
+    if not 0 < length < math.inf:
+        raise ValueError(
+            f"boundary length must be positive and finite (got {length!r})"
+        )
+
+
 class BoundaryLabel(namedtuple("BoundaryLabel", "kind value")):
     """One end of a surface: a geodesic boundary, a cone point, or a cusp.
 
@@ -62,8 +70,7 @@ class BoundaryLabel(namedtuple("BoundaryLabel", "kind value")):
 
     def __new__(cls, kind: str, value: float = 0.0) -> BoundaryLabel:
         if kind == "geodesic":
-            if not value > 0:
-                raise ValueError("geodesic boundary length must be positive")
+            check_length(value)
         elif kind == "cone":
             check_cone_angle(value)
         elif kind == "cusp":
@@ -203,8 +210,7 @@ def boundary_torus_gap(length: float) -> Callable[[float], float]:
     2 sinh(L/2) and e^(-L/2) taken once.  Evaluated through e^(-x) so
     arbitrarily long geodesics cannot overflow.
     """
-    if not length > 0:
-        raise ValueError("boundary length must be positive")
+    check_length(length)
     half = length / 2
     s, e = 2 * math.sinh(half), math.exp(-half)
 
@@ -278,8 +284,7 @@ def pairing_kernel_span(
     L/2), and a band across 0 is split there.  The u-integral is
     band(x + a) + band(x - a - L); pairing_kernel_re is the reference.
     """
-    if not 0 < length < math.inf:
-        raise ValueError("boundary length must be positive")
+    check_length(length)
     c2 = 2 * c
 
     def edge(d: float) -> float:  # the integral of f over [0, d]
@@ -439,11 +444,10 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, fl
 
 def integrate_decaying(
     f: Callable[[float], float],
-    a: float = 0.0,
     upper: Optional[float] = None,
     tol: float = 1e-10,
 ) -> float:
-    """Integrate a smooth, exponentially decaying integrand on [a, upper].
+    """Integrate a smooth, exponentially decaying integrand on [0, upper].
 
     With upper=None the truncation point is chosen adaptively: starting from
     X = 40, X grows until both |f(X+3)| <= |f(X)|/2 (the decay is actually
@@ -479,9 +483,9 @@ def integrate_decaying(
                 )
             x = x * 2 if x < 2000 else x * 1.5
         upper = x + 3
-    value, err = _panel(f, a, upper)
+    value, err = _panel(f, 0.0, upper)
     # max-heap on the error estimate: (-err, lo, hi, value)
-    panels = [(-err, a, upper, value)]
+    panels = [(-err, 0.0, upper, value)]
     while err > max(tol / 10, 1e-10 * abs(value)) and len(panels) < 400:
         _, lo, hi, _ = heapq.heappop(panels)
         mid = (lo + hi) / 2

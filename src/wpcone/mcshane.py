@@ -392,16 +392,14 @@ def mcshane_sum(
     )
 
 
-def integrate_volume_identity(
-    theta: float, tail_cutoff: float = 40.0, tol: float = 1e-10
-) -> float:
+def integrate_volume_identity(theta: float, tail_cutoff: float = 40.0) -> float:
     """Torus volume recovered from the first moment of the gap kernel.
 
     Integrating x times the cone-point gap width over all x and dividing
     by theta reproduces the volume polynomial of the one-cone torus,
     -theta^2/48 + pi^2/12.  The integrand decays like x*exp(-x), so the
-    truncation tail beyond the cutoff is bounded in closed form and must
-    stay below the tolerance.
+    truncation tail beyond the cutoff is bounded in closed form; a cutoff
+    that leaves it above the quadrature tolerance 1e-10 raises ValueError.
     """
     gap = cone_torus_gap(theta)  # checks theta
     tail = (
@@ -410,14 +408,11 @@ def integrate_volume_identity(
         * (tail_cutoff + 1.0)
         * math.exp(-tail_cutoff)
     )
+    tol = 1e-10
     if tail > tol:
-        raise RuntimeError(
+        raise ValueError(
             "truncation tail bound %.3e exceeds tolerance %.3e; increase "
             "tail_cutoff" % (tail, tol)
         )
-    moment = integrate_decaying(
-        lambda x: x * gap(x),
-        upper=tail_cutoff,
-        tol=tol,
-    )
+    moment = integrate_decaying(lambda x: x * gap(x), upper=tail_cutoff, tol=tol)
     return moment / theta

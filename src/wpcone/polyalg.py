@@ -151,7 +151,7 @@ class VolumePolynomial:
         return self._terms
 
     def __bool__(self) -> bool:
-        return bool(self.numerators.nums)
+        return bool(self.orbits.nums)  # empty exactly when its expansion is
 
     def __eq__(self, other: object) -> bool:
         """Equal polynomials: compared on the integer forms, num1 * den2 ==

@@ -84,6 +84,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from wpcone.kernels import (
     check_cone_angle,
+    check_length,
     integrate_decaying,
     moment_integral,
     pairing_kernel_span,
@@ -620,8 +621,8 @@ def numeric_volume_value(
     if len(lengths) != m or len(angles) != n:
         raise ValueError("lengths/angles must match the signature")
     SurfaceSignature(g, m, n)
-    if not all(0 < v < math.inf for v in lengths):
-        raise ValueError("boundary length must be positive")
+    for length in lengths:
+        check_length(length)
     for theta in angles:
         check_cone_angle(theta)
     nslots = m + n

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import wpcone
-from wpcone.cli import _parse_angle, main
+from wpcone.cli import _parse_angle, build_parser, main
 
 CONE_TORUS_LATEX = "-\\frac{\\theta_1^2}{48}+\\frac{\\pi^2}{12}"
 
@@ -101,6 +102,21 @@ def test_volume_rejects_wide_angle(capsys):
     assert code == 2 and out == ""
     assert "(0, pi]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--g", "0", "--boundaries", "4", "--lengths", "1", "1", "1"],
+        ["volume", "--g", "0", "--boundaries", "3", "--lengths", "1", "1"],
+        ["verify", "mcshane", "--length"],
+    ],
+)
+def test_length_that_is_not_positive_and_finite_is_refused(argv, bad, capsys):
+    code, out, err = run(capsys, *argv, bad)
+    assert code == 2 and out == ""
+    assert "boundary length must be positive and finite" in err
 
 
 def test_volume_unstable_signature(capsys):
@@ -221,6 +237,12 @@ def test_verify_identity(capsys):
     assert "pass" in out
 
 
+def test_verify_identity_cutoff_too_short_is_refused(capsys):
+    code, out, err = run(capsys, "verify", "identity", "--cutoff", "5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "increase tail_cutoff" in err
+
+
 def test_verify_kernel(capsys):
     code, out, _ = run(
         capsys, "verify", "kernel", "--max-k", "2", "--samples", "3"
@@ -300,6 +322,8 @@ def test_verify_recursion_reads_max_moment_k(tmp_path, capsys):
         ["volume", "--g", "1", "--cones", "1", "--threads", "2"],
         ["table", "--threads", "2"],
         ["verify", "mcshane", "--cusp", "--threads", "2"],
+        ["verify", "kernel", "--config", "wpcone.cfg"],
+        ["verify", "kernel", "--quad-tol", "1e-9"],
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(argv, capsys):
@@ -309,17 +333,13 @@ def test_flags_a_command_does_not_read_are_refused(argv, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
-def test_verify_kernel_reads_quad_tol(tmp_path, capsys):
-    # a quadrature tolerance tighter than the integrator reaches is bad input
+def test_verify_kernel_tolerance_the_quadrature_cannot_reach_is_refused(capsys):
+    # the quadrature runs at a tenth of --tol; a tolerance tighter than the
+    # integrator reaches is bad input
     argv = ["verify", "kernel", "--max-k", "0", "--samples", "1"]
     code, out, _ = run(capsys, *argv)
     assert code == 0 and out.strip().endswith("pass")
-    code, _, err = run(capsys, *argv, "--quad-tol", "1e-12")
-    assert code == 2 and err.startswith("error: ")
-    assert "exceeds tolerance 1.000e-12" in err
-    config = tmp_path / "wpcone.cfg"
-    config.write_text("quad_tol = 1e-12\n")
-    code, _, err = run(capsys, *argv, "--config", str(config))
+    code, _, err = run(capsys, *argv, "--tol", "1e-11")
     assert code == 2 and err.startswith("error: ")
     assert "exceeds tolerance 1.000e-12" in err
 
@@ -351,37 +371,46 @@ def test_config_rejects_unknown_key(tmp_path, capsys):
     assert "max_wings" in err
 
 
-def test_env_cap(monkeypatch, capsys):
+def test_environment_sets_no_cap(monkeypatch, capsys):
     monkeypatch.setenv("WPCONE_MAX_GENUS", "1")
     code, _, err = run(capsys, "volume", "--g", "2", "--boundaries", "1")
-    assert code == 2 and "max_genus=1" in err
-    # an explicit flag outranks the environment
-    code, _, _ = run(
-        capsys,
-        "volume", "--g", "2", "--boundaries", "1", "--max-genus", "2",
-    )
-    assert code == 0
-    monkeypatch.setenv("WPCONE_MAX_GENUS", "three")
-    code, _, err = run(capsys, "volume", "--g", "1", "--cones", "1")
-    assert code == 2
-    assert "WPCONE_MAX_GENUS" in err
-
-
-def test_env_cap_is_read_only_by_commands_that_take_max_genus(monkeypatch, capsys):
-    monkeypatch.setenv("WPCONE_MAX_GENUS", "three")
-    # verify kernel reads only quad_tol, so a malformed cap is not its concern
-    code, out, err = run(
-        capsys, "verify", "kernel", "--max-k", "0", "--samples", "1"
-    )
     assert code == 0, err
-    assert out.strip().endswith("pass")
-    code, _, err = run(capsys, "volume", "--g", "1", "--cones", "1")
-    assert code == 2 and "WPCONE_MAX_GENUS='three'" in err
-    monkeypatch.setenv("WPCONE_MAX_GENUS", "1")
-    code, _, err = run(capsys, "volume", "--g", "2", "--boundaries", "1")
-    assert code == 2 and "max_genus=1" in err
-    code, out, _ = run(capsys, "volume", "--g", "1", "--cones", "1")
-    assert code == 0 and out.strip() == CONE_TORUS_LATEX
+
+
+def _commands(parser, prefix=()):
+    """(command, parser) for every leaf subcommand under parser."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _commands(sub, prefix + (name,))
+            return
+    yield " ".join(prefix), parser
+
+
+CAP_OPTIONS = {"--config", "--max-genus", "--max-slots", "--max-moment-k"}
+SIGNATURE_OPTIONS = {"--g", "--boundaries", "--cones"}
+
+
+def test_option_inventory():
+    # every option each command takes: a knob added or removed shows here
+    got = {
+        name: {s for a in sub._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, sub in _commands(build_parser())
+    }
+    assert got == {
+        "volume": SIGNATURE_OPTIONS | CAP_OPTIONS
+        | {"--lengths", "--angles", "--degrees", "--format"},
+        "table": CAP_OPTIONS | {"--g-max", "--slot-max", "--format"},
+        "cusp-limit": SIGNATURE_OPTIONS | CAP_OPTIONS | {"--slot", "--format"},
+        "verify mcshane": {
+            "--theta", "--length", "--cusp", "--degrees", "--cutoff", "--tol",
+            "--asymmetric", "--format",
+        },
+        "verify kernel": {"--max-k", "--samples", "--tol", "--seed"},
+        "verify identity": {"--grid", "--tol", "--cutoff"},
+        "verify recursion": CAP_OPTIONS
+        | {"--g-max", "--slot-max", "--samples", "--tol", "--seed"},
+    }
 
 
 # -- process-level behavior ----------------------------------------------------------

@@ -11,7 +11,15 @@ from wpcone.conepoints import (
     volume_polynomial,
     volume_value,
 )
-from wpcone.kernels import BoundaryLabel, check_cone_angle, cone_torus_gap
+from wpcone.kernels import (
+    BoundaryLabel,
+    boundary_torus_gap,
+    check_cone_angle,
+    check_length,
+    cone_torus_gap,
+    geodesic,
+    pairing_kernel_span,
+)
 from wpcone.mcshane import integrate_volume_identity
 from wpcone.polyalg import (
     VolumePolynomial,
@@ -64,6 +72,32 @@ def test_every_entry_point_refuses_a_cone_angle_with_one_message(entry):
             "decompositions this computation relies on (got %r)" % bad
         ), entry
     call(math.pi)  # the closed endpoint is legal everywhere
+
+
+#: Every entry point that takes a boundary length, called with one length.
+LENGTH_ENTRY_POINTS = {
+    "check_length": check_length,
+    "ConeSurfaceSpec": lambda x: ConeSurfaceSpec(
+        SurfaceSignature(0, 3, 0), (), (1.0, x, 1.0)
+    ),
+    "geodesic": geodesic,
+    "boundary_torus_gap": boundary_torus_gap,
+    "pairing_kernel_span": pairing_kernel_span,
+    "numeric_volume_value": lambda x: numeric_volume_value(0, 3, 0, [1.0, x, 1.0]),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(LENGTH_ENTRY_POINTS))
+def test_every_entry_point_refuses_a_length_with_one_message(entry):
+    call = LENGTH_ENTRY_POINTS[entry]
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError) as refused:
+            call(bad)
+        assert str(refused.value) == (
+            "boundary length must be positive and finite (got %r)" % bad
+        ), entry
+    call(1e-9)
+    call(30.0)
 
 
 def test_angle_count_and_length_validation():

@@ -449,7 +449,7 @@ def test_pairing_kernel_span_matches_quadrature_of_pairing_kernel_re():
             for a in (0.0, 0.5, -0.5, 4.0, -4.0):
                 for x in (0.0, 0.1, length, 5.0, 60.0, 400.0):
                     want = integrate_decaying(
-                        lambda u: pairing_kernel_re(x, u + a, c), 0.0, length
+                        lambda u: pairing_kernel_re(x, u + a, c), upper=length
                     )
                     # relative everywhere, small lengths and far tails
                     # included: tighter than absolute below 1

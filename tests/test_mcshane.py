@@ -568,7 +568,8 @@ def test_volume_identity_cusp_degeneration():
 def test_volume_identity_validation():
     with pytest.raises(ValueError, match=r"\(0, pi\]"):
         integrate_volume_identity(3.5)
-    with pytest.raises(RuntimeError, match="tail"):
+    # the cutoff is the caller's choice, so too short a one is bad input
+    with pytest.raises(ValueError, match="tail"):
         integrate_volume_identity(1.0, tail_cutoff=5.0)
 
 

@@ -388,6 +388,9 @@ def test_reads_build_no_fraction_view():
     cusp = cusp_limit(SurfaceSignature(1, 1, 3), 1)
     to_json(cusp)
     assert cusp._terms is None
+    clear_memo()
+    p = compute_volume(SurfaceSignature(1, 3, 1))
+    assert bool(p) and p._numerators is None  # truth expands no orbit
 
 
 def test_signed_memo_returns_one_object_apart_from_the_direct_path():
