@@ -66,6 +66,17 @@ def _parse_angle(text: str, degrees: bool = False) -> float:
     return math.radians(value) if degrees else value
 
 
+def _positive(text: str) -> float:
+    """The argparse type of every --tol and --cutoff: a float in (0, inf)."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite (got %r)" % text)
+    return value
+
+
 def _read_config(path: str) -> Dict[str, int]:
     values: Dict[str, int] = {}
     try:
@@ -165,34 +176,32 @@ def _cmd_volume(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stable_signatures(g_max: int, slot_max: int):
-    """Every stable (g, m, n) within the bounds but the closed surfaces."""
-    for g in range(g_max + 1):
-        for total in range(1, slot_max + 1):
-            if 2 * g - 2 + total <= 0:
-                continue
-            for n in range(total + 1):
-                yield g, total - n, n
+def _stable_signatures(args: argparse.Namespace, caps: Dict[str, int]):
+    """Every stable (g, m, n) within --g-max and --slot-max but the closed
+    surfaces; a bound beyond its cap is refused."""
+    for flag, cap in (("--g-max", "max_genus"), ("--slot-max", "max_slots")):
+        bound = getattr(args, flag[2:].replace("-", "_"))
+        if bound > caps[cap]:
+            raise ValueError(
+                "%s %d exceeds %s=%d; raise the %s configuration knob"
+                % (flag, bound, cap, caps[cap], cap)
+            )
+    return [
+        (g, total - n, n)
+        for g in range(args.g_max + 1)
+        for total in range(max(1, 3 - 2 * g), args.slot_max + 1)
+        for n in range(total + 1)
+    ]
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
     from wpcone.recursion import SurfaceSignature, compute_volume
 
     settings = _settings(args)
-    if args.g_max > settings["max_genus"]:
-        raise ValueError(
-            "--g-max %d exceeds max_genus=%d; raise the max_genus "
-            "configuration knob" % (args.g_max, settings["max_genus"])
-        )
-    if args.slot_max > settings["max_slots"]:
-        raise ValueError(
-            "--slot-max %d exceeds max_slots=%d; raise the max_slots "
-            "configuration knob" % (args.slot_max, settings["max_slots"])
-        )
     # csv rows carry the text form
     fmt = "text" if args.format == "csv" else args.format
     rows = []
-    for g, m, n in _stable_signatures(args.g_max, args.slot_max):
+    for g, m, n in _stable_signatures(args, settings):
         poly = compute_volume(SurfaceSignature(g, m, n), **settings)
         kinds = ("length",) * m + ("angle",) * n
         rows.append((g, m, n, _poly_text(poly, kinds, fmt)))
@@ -293,8 +302,7 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
 
     _require("--max-k", args.max_k, 0)
     _require("--samples", args.samples, 1)
-    tol = args.tol
-    quad_tol = tol / 10.0  # the quadrature's own error: a tenth of the check's
+    quad_tol = args.tol / 10.0  # the quadrature's own error: a tenth of the check's
     failures = 0
     for theta in (0.1, 0.5, 1.0, 2.0, math.pi):
         c = math.cos(theta / 2.0)
@@ -304,7 +312,7 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
         )
         want = math.pi ** 2 / 6.0 - theta ** 2 / 8.0
         err = abs(got - want)
-        ok = err <= tol
+        ok = err <= args.tol
         failures += 0 if ok else 1
         print(
             "pair moment theta=%-8.5f err=%.3e %s"
@@ -322,7 +330,7 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
                 tol=quad_tol,
             )
             worst = max(worst, abs(quad - exact) / max(1.0, abs(exact)))
-        ok = worst <= tol
+        ok = worst <= args.tol
         failures += 0 if ok else 1
         print(
             "moment k=%d: %d samples, worst err=%.3e %s"
@@ -342,7 +350,7 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
     worst = 0.0
     for k in range(1, args.grid + 1):
         theta = k * math.pi / args.grid
-        got = integrate_volume_identity(theta, tail_cutoff=args.cutoff)
+        got = integrate_volume_identity(theta)
         want = eval_numeric(poly, [theta])
         worst = max(worst, abs(got - want))
     ok = worst <= args.tol
@@ -366,11 +374,9 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
 
     _require("--samples", args.samples, 1)
     settings = _settings(args)
-    g_max = min(args.g_max, int(settings["max_genus"]))
-    slot_max = min(args.slot_max, int(settings["max_slots"]))
-    cones = [sig for sig in _stable_signatures(g_max, slot_max) if sig[2]]
-    oracle = [(0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0)]
-    oracle = [(g, m, n) for g, m, n in oracle if g <= g_max and m + n <= slot_max]
+    sigs = _stable_signatures(args, settings)
+    cones = [sig for sig in sigs if sig[2]]
+    oracle = [s for s in sigs if s in ((0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0))]
     if not cones and not oracle:
         raise ValueError(
             "--g-max %d with --slot-max %d selects no signature to check"
@@ -511,8 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     vm.add_argument(
         "--degrees", action="store_true", help="plain numbers are degrees"
     )
-    vm.add_argument("--cutoff", type=float, default=40.0)
-    vm.add_argument("--tol", type=float, default=1e-6)
+    vm.add_argument("--cutoff", type=_positive, default=40.0)
+    vm.add_argument("--tol", type=_positive, default=1e-6)
     vm.add_argument(
         "--asymmetric",
         action="store_true",
@@ -528,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     vk.add_argument("--max-k", type=int, default=6)
     vk.add_argument("--samples", type=int, default=20)
-    vk.add_argument("--tol", type=float, default=1e-9)
+    vk.add_argument("--tol", type=_positive, default=1e-9)
     vk.add_argument("--seed", type=int, default=20260817)
     vk.set_defaults(func=_cmd_verify_kernel)
 
@@ -536,8 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
         "identity", help="torus volume from the gap-kernel moment"
     )
     vi.add_argument("--grid", type=int, default=20)
-    vi.add_argument("--tol", type=float, default=1e-8)
-    vi.add_argument("--cutoff", type=float, default=40.0)
+    vi.add_argument("--tol", type=_positive, default=1e-8)
     vi.set_defaults(func=_cmd_verify_identity)
 
     vr = vsub.add_parser(
@@ -546,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr.add_argument("--g-max", type=int, default=2)
     vr.add_argument("--slot-max", type=int, default=4)
     vr.add_argument("--samples", type=int, default=5)
-    vr.add_argument("--tol", type=float, default=1e-8)
+    vr.add_argument("--tol", type=_positive, default=1e-8)
     vr.add_argument("--seed", type=int, default=20260817)
     _add_settings(vr)
     vr.set_defaults(func=_cmd_verify_recursion)

@@ -31,7 +31,7 @@ import heapq
 import math
 from collections import namedtuple
 from functools import lru_cache
-from typing import TYPE_CHECKING, Callable, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Tuple
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -442,18 +442,14 @@ def _panel(f: Callable[[float], float], lo: float, hi: float) -> Tuple[float, fl
     return k21, abs(k21 - g10)
 
 
-def integrate_decaying(
-    f: Callable[[float], float],
-    upper: Optional[float] = None,
-    tol: float = 1e-10,
-) -> float:
-    """Integrate a smooth, exponentially decaying integrand on [0, upper].
+def integrate_decaying(f: Callable[[float], float], tol: float = 1e-10) -> float:
+    """Integrate a smooth, exponentially decaying integrand on [0, inf).
 
-    With upper=None the truncation point is chosen adaptively: starting from
-    X = 40, X grows until both |f(X+3)| <= |f(X)|/2 (the decay is actually
-    exponential there) and |f| <= tol/80 at both probes.  Summing the implied
-    geometric bound over steps of 3, the discarded tail is below 6*|f(X)|
-    <= tol/13, comfortably inside the budget.
+    The truncation point is chosen adaptively: starting from X = 40, X grows
+    until both |f(X+3)| <= |f(X)|/2 (the decay is actually exponential
+    there) and |f| <= tol/80 at both probes.  Summing the implied geometric
+    bound over steps of 3, the discarded tail is below 6*|f(X)| <= tol/13,
+    comfortably inside the budget.  The integral is then taken on [0, X+3].
 
     The finite integral is adaptive Gauss-Kronrod on panels.  Each panel is
     integrated by the nested (G10, K21) pair: the 21-point Kronrod rule
@@ -471,18 +467,17 @@ def integrate_decaying(
     ValueError when the error estimate misses tol: a tolerance the rule does
     not reach on this integrand is an input it cannot honour.
     """
-    if upper is None:
-        x = 40.0
-        while True:
-            fx, fx3 = abs(f(x)), abs(f(x + 3))
-            if fx3 <= 0.5 * fx and max(fx, fx3) <= tol / 80:
-                break
-            if x > 100000:
-                raise RuntimeError(
-                    "integrand does not exhibit exponential decay; cannot truncate"
-                )
-            x = x * 2 if x < 2000 else x * 1.5
-        upper = x + 3
+    x = 40.0
+    while True:
+        fx, fx3 = abs(f(x)), abs(f(x + 3))
+        if fx3 <= 0.5 * fx and max(fx, fx3) <= tol / 80:
+            break
+        if x > 100000:
+            raise RuntimeError(
+                "integrand does not exhibit exponential decay; cannot truncate"
+            )
+        x = x * 2 if x < 2000 else x * 1.5
+    upper = x + 3
     value, err = _panel(f, 0.0, upper)
     # max-heap on the error estimate: (-err, lo, hi, value)
     panels = [(-err, 0.0, upper, value)]

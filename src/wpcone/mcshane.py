@@ -92,13 +92,25 @@ class TraceTriple(namedtuple("TraceTriple", "x y z")):
         return abs(self.kappa - kappa) / scale
 
 
+def _length_trace(length: float, name: str) -> float:
+    """2cosh(L/2), the trace of a geodesic of length L; refused, under the
+    given name, unless a finite double (it overflows from L = 1419.57 on)."""
+    # math.cosh raises past 710.48, and 2cosh(710) is already inf
+    trace = 2.0 * math.cosh(min(abs(length), 1420.0) / 2.0)
+    if not trace < math.inf:
+        raise ValueError(
+            "the trace 2cosh(L/2) of %s %r is not a finite double" % (name, length)
+        )
+    return trace
+
+
 def kappa_for(label: BoundaryLabel) -> float:
     """Fricke constant matching a boundary circle, cone point, or cusp."""
     if label.kind == "cusp":
         return 0.0
     if label.kind == "cone":
         return 2.0 - 2.0 * math.cos(label.value / 2.0)
-    return 2.0 - 2.0 * math.cosh(label.value / 2.0)
+    return 2.0 - _length_trace(label.value, "boundary length")
 
 
 def root_triple(kappa: float, symmetric_start: bool = True) -> TraceTriple:
@@ -188,7 +200,7 @@ def _tree_roots(
     """The trace cutoff, the traces of the four roots of the two trees that
     lie below it, and the starts (a, b, c) of the four subtrees hanging off
     those roots."""
-    tmax = 2.0 * math.cosh(length_cutoff / 2.0)
+    tmax = _length_trace(length_cutoff, "length cutoff")
     x, y, z = root.x, root.y, root.z
     w = x * y - z  # mirror solution of the trace quadratic: negative slopes
     if not w > 2.0:
@@ -392,27 +404,13 @@ def mcshane_sum(
     )
 
 
-def integrate_volume_identity(theta: float, tail_cutoff: float = 40.0) -> float:
+def integrate_volume_identity(theta: float) -> float:
     """Torus volume recovered from the first moment of the gap kernel.
 
-    Integrating x times the cone-point gap width over all x and dividing
+    Integrating x times the cone-point gap width over [0, inf) and dividing
     by theta reproduces the volume polynomial of the one-cone torus,
-    -theta^2/48 + pi^2/12.  The integrand decays like x*exp(-x), so the
-    truncation tail beyond the cutoff is bounded in closed form; a cutoff
-    that leaves it above the quadrature tolerance 1e-10 raises ValueError.
+    -theta^2/48 + pi^2/12.  The integrand decays like x*exp(-x), so
+    integrate_decaying truncates it itself, at its default tolerance 1e-10.
     """
     gap = cone_torus_gap(theta)  # checks theta
-    tail = (
-        2.0
-        * math.sin(theta / 2.0)
-        * (tail_cutoff + 1.0)
-        * math.exp(-tail_cutoff)
-    )
-    tol = 1e-10
-    if tail > tol:
-        raise ValueError(
-            "truncation tail bound %.3e exceeds tolerance %.3e; increase "
-            "tail_cutoff" % (tail, tol)
-        )
-    moment = integrate_decaying(lambda x: x * gap(x), upper=tail_cutoff, tol=tol)
-    return moment / theta
+    return integrate_decaying(lambda x: x * gap(x)) / theta

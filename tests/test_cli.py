@@ -231,16 +231,62 @@ def test_verify_mcshane_selection_required(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["--length", "1e6"], "boundary length 1000000.0"),
+        (["--cusp", "--cutoff", "1420"], "length cutoff 1420.0"),
+        (["--cusp", "--cutoff", "1e4"], "length cutoff 10000.0"),
+    ],
+)
+def test_verify_mcshane_trace_that_overflows_is_refused(argv, name, capsys):
+    code, out, err = run(capsys, "verify", "mcshane", *argv)
+    assert code == 2 and out == ""
+    assert err == "error: the trace 2cosh(L/2) of %s is not a finite double\n" % name
+
+
+# 2cosh(L/2) is a finite double up to L = 1419.5655
+SWEEP = [1400 + 0.25 * i for i in range(101)] + [2000.0, 1e6]
+
+
+@pytest.mark.parametrize("flags", [["--length"], ["--length", "100", "--cutoff"]])
+def test_verify_mcshane_sweep_past_the_largest_trace(flags, capsys):
+    # every length and cutoff is summed or refused as bad input: never a
+    # failed check, never a traceback
+    for value in SWEEP:
+        code, out, err = run(capsys, "verify", "mcshane", *flags, repr(value))
+        overflows = "is not a finite double" in err
+        assert overflows == (value > 1419.5655), value
+        if code == 0:
+            assert "result: pass" in out and err == ""
+        else:
+            assert code == 2 and out == "", value
+            assert overflows or "lies below the systole" in err, value
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mcshane", "--cusp", "--tol"],
+        ["mcshane", "--cusp", "--cutoff"],
+        ["kernel", "--tol"],
+        ["identity", "--tol"],
+        ["recursion", "--tol"],
+    ],
+)
+def test_tolerance_or_cutoff_not_positive_and_finite_is_refused(argv, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument %s: must be positive and finite (got %r)" % (argv[-1], value) in err
+
+
 def test_verify_identity(capsys):
     code, out, _ = run(capsys, "verify", "identity", "--grid", "4")
     assert code == 0
     assert "pass" in out
-
-
-def test_verify_identity_cutoff_too_short_is_refused(capsys):
-    code, out, err = run(capsys, "verify", "identity", "--cutoff", "5")
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and "increase tail_cutoff" in err
 
 
 def test_verify_kernel(capsys):
@@ -289,6 +335,27 @@ def test_verify_recursion(capsys):
     assert "pass" in out
 
 
+@pytest.mark.parametrize(
+    "bounds, message",
+    [
+        (
+            ["--g-max", "7", "--slot-max", "1"],
+            "--g-max 7 exceeds max_genus=5; raise the max_genus configuration knob",
+        ),
+        (
+            ["--slot-max", "9"],
+            "--slot-max 9 exceeds max_slots=8; raise the max_slots configuration knob",
+        ),
+    ],
+)
+def test_verify_recursion_refuses_bounds_beyond_the_caps_like_table(
+    bounds, message, capsys
+):
+    refused = (2, "", "error: %s\n" % message)
+    assert run(capsys, "table", *bounds) == refused
+    assert run(capsys, "verify", "recursion", *bounds) == refused
+
+
 def test_verify_recursion_reads_max_moment_k(tmp_path, capsys):
     # (5, 1, 1) and (5, 0, 2) read moments up to k = 3g - 4 + m + n = 13,
     # past the default cap of 12
@@ -324,6 +391,7 @@ def test_verify_recursion_reads_max_moment_k(tmp_path, capsys):
         ["verify", "mcshane", "--cusp", "--threads", "2"],
         ["verify", "kernel", "--config", "wpcone.cfg"],
         ["verify", "kernel", "--quad-tol", "1e-9"],
+        ["verify", "identity", "--cutoff", "5"],
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(argv, capsys):
@@ -407,7 +475,7 @@ def test_option_inventory():
             "--asymmetric", "--format",
         },
         "verify kernel": {"--max-k", "--samples", "--tol", "--seed"},
-        "verify identity": {"--grid", "--tol", "--cutoff"},
+        "verify identity": {"--grid", "--tol"},
         "verify recursion": CAP_OPTIONS
         | {"--g-max", "--slot-max", "--samples", "--tol", "--seed"},
     }

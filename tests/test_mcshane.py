@@ -41,6 +41,19 @@ def test_kappa_conventions():
     assert kappa_for(geodesic(1.0)) < 0.0 < kappa_for(cone(1.0))
 
 
+def test_length_whose_trace_overflows_is_refused():
+    # 2cosh(L/2) is finite up to L = 1419.5655: the last sweep point below
+    # it keeps its exact kappa, and every length past it is bad input
+    assert kappa_for(geodesic(1419.5)) == 2.0 - 2.0 * math.cosh(709.75)
+    for length in (1419.75, 2000.0, 1e6):
+        with pytest.raises(ValueError, match="boundary length .* not a finite double"):
+            kappa_for(geodesic(length))
+    root = root_triple(0.0)
+    for cutoff in (1419.75, 1e4, math.inf, math.nan):
+        with pytest.raises(ValueError, match="length cutoff .* not a finite double"):
+            mcshane_sum(root, cusp(), length_cutoff=cutoff)
+
+
 def test_markov_root():
     root = root_triple(0.0)
     assert (root.x, root.y, root.z) == (3.0, 3.0, 3.0)
@@ -568,9 +581,6 @@ def test_volume_identity_cusp_degeneration():
 def test_volume_identity_validation():
     with pytest.raises(ValueError, match=r"\(0, pi\]"):
         integrate_volume_identity(3.5)
-    # the cutoff is the caller's choice, so too short a one is bad input
-    with pytest.raises(ValueError, match="tail"):
-        integrate_volume_identity(1.0, tail_cutoff=5.0)
 
 
 if __name__ == "__main__":
