@@ -463,10 +463,13 @@ def integrate_decaying(f: Callable[[float], float], tol: float = 1e-10) -> float
     beyond unit size (an absolute 1e-10 on an integral of size 1e8 would
     demand more than double precision holds).
 
-    Raises RuntimeError when the integrand shows no exponential decay, and
-    ValueError when the error estimate misses tol: a tolerance the rule does
-    not reach on this integrand is an input it cannot honour.
+    Raises ValueError when tol is not positive and finite, RuntimeError
+    when the integrand shows no exponential decay, and ValueError when the
+    error estimate misses tol: a tolerance the rule does not reach on this
+    integrand is an input it cannot honour.
     """
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
     x = 40.0
     while True:
         fx, fx3 = abs(f(x)), abs(f(x + 3))

@@ -44,9 +44,10 @@ volumes, so one object answers every query for its signature.  A form
 derived from it is therefore a pure function of the volume and can be
 built on first read and kept on it: the expanded `numerators`, the `terms`
 view, the canonical order of the exponent vectors with each distinct
-numerator reduced over den (read by every serializer), and the nested form
-eval_numeric compiles its coefficients into.  The rendered strings are
-not kept: each call renders afresh from the kept order.
+numerator reduced over den (read by every serializer), and eval_numeric's
+flat form: its float coefficients and one column of exponents per slot.
+The rendered strings are not kept: each call renders afresh from the kept
+order.
 """
 
 from __future__ import annotations
@@ -56,12 +57,11 @@ import json
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 PiGraded = Dict[int, Fraction]
 Terms = Dict[Exponent, PiGraded]
-Horner = Union[Tuple[float, ...], Tuple[Tuple[int, "Horner"], ...]]
 
 
 class Numerators(NamedTuple):
@@ -79,15 +79,16 @@ class VolumePolynomial:
     `orbits` is the integer form over the slot blocks, `numerators` its
     expansion to every exponent vector (built on first read; the checking
     constructor's one-slot blocks need none) and `terms` the pi-graded
-    view.  `_order` keeps the serializers' canonical order and `_horner`
-    the nested form eval_numeric compiles, each built on first read.
-    Everything kept on a volume stays valid only because nothing mutates a
-    volume after construction; build a new one instead.
+    view.  `_order` keeps the serializers' canonical order and `_flat`
+    eval_numeric's coefficients and exponent columns, each built on first
+    read.  Everything kept on a volume stays valid only because nothing
+    mutates a volume after construction; build a new one instead.
     """
 
     orbits: Numerators
     _blocks: Tuple[int, ...]
-    _horner: Optional[Horner] = None  # eval_numeric's compiled form
+    # eval_numeric's float coefficients and one exponent column per slot
+    _flat: Optional[Tuple[List[float], List[Exponent]]] = None
     # the serializers' canonical order and reduced numerators (_canonical)
     _order: Optional[Tuple[List[Exponent], Dict[int, Tuple[int, int]]]] = None
 
@@ -294,9 +295,12 @@ def eval_numeric(
     Real entries must be nonnegative (they are lengths or angles); complex
     entries are allowed for the imaginary-substitution cross-checks.  Each
     coefficient is the correctly rounded quotient of its numerator and the
-    shared denominator, times its power of pi.  The coefficients are
-    compiled into nested sums over the slots (_compile) on the first call
-    and kept on the volume.
+    shared denominator, times its power of pi.  The coefficients and one
+    column of exponents per slot are built on the first call and kept on
+    the volume; each call multiplies every coefficient by its powers of the
+    values and sums the products.  A real sum is taken with math.fsum, which
+    rounds the exact sum of the products once, so terms that cancel lose
+    nothing; ValueError is raised when that sum is not a finite double.
     """
     vals = list(values)
     if len(vals) != p.num_vars:
@@ -304,54 +308,31 @@ def eval_numeric(
             f"expected {p.num_vars} slot values, got {len(vals)}"
         )
     for v in vals:
-        if not isinstance(v, complex) and v < 0:
+        if not isinstance(v, complex) and not v >= 0:  # refuses nan too
             raise ValueError("slot values must be nonnegative")
-    # two threads reading first may both compile; they build equal forms
-    form = p._horner
+    # two threads reading first may both build; they build equal forms
+    form = p._flat
     if form is None:
-        form = p._horner = _compile(p)
-    # powers of v**2 up to the degree, each once per call; a polynomial in
-    # no slot is compiled as one in a phantom slot whose value is 1
+        den, nums, degree = p.numerators
+        pis = [math.pi ** (2 * j) for j in range(degree + 1)]
+        coeffs = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
+        form = p._flat = (coeffs, list(zip(*nums)))
+    coeffs, columns = form
+    # powers of v**2 up to the degree, each once per call
     top = p.numerators.degree
-    tables = [
-        list(itertools.accumulate(itertools.repeat(v * v, top), operator.mul, initial=1.0))
-        for v in vals
-    ] or [[1.0]]
-    return _walk(form, tables, 0)
-
-
-def _compile(p: VolumePolynomial) -> Horner:
-    """p as nested sums, one level per slot, for _walk: an inner node is a
-    tuple of (exponent, child) pairs, a leaf the tuple of the last slot's
-    coefficients indexed by its exponent, each coefficient
-    num / den * pi**(2 * (degree - sum(e))).  Leaves are tuples of
-    floats, not array('d'): summing products over an array boxes a new
-    float per entry on every call, which made evaluation about 1.8x slower."""
-    den, nums, degree = p.numerators
-    pis = [math.pi ** (2 * j) for j in range(degree + 1)]
-    rows = [(e or (0,), num / den * pis[degree - sum(e)]) for e, num in nums.items()]
-    return _nest(rows, max(p.num_vars, 1))
-
-
-def _nest(rows: List[Tuple[Exponent, float]], depth: int) -> Horner:
-    """The node for the last `depth` slots of rows that agree before them."""
-    if depth == 1:
-        leaf = [0.0] * (1 + max((e[-1] for e, _ in rows), default=-1))
-        for e, coeff in rows:
-            leaf[e[-1]] = coeff
-        return tuple(leaf)
-    groups: Dict[int, List[Tuple[Exponent, float]]] = {}
-    for row in rows:
-        groups.setdefault(row[0][-depth], []).append(row)
-    return tuple((e, _nest(group, depth - 1)) for e, group in sorted(groups.items()))
-
-
-def _walk(node: Horner, tables: List[List[float | complex]], slot: int) -> float | complex:
-    """Evaluate a _compile node at the powers tables[slot][e] of each slot."""
-    table = tables[slot]
-    if slot + 1 == len(tables):
-        return sum(map(operator.mul, node, table), 0.0)
-    return sum([table[e] * _walk(child, tables, slot + 1) for e, child in node], 0.0)
+    products: Iterable[float | complex] = coeffs
+    for v, column in zip(vals, columns):
+        table = list(itertools.accumulate(itertools.repeat(v * v, top), operator.mul, initial=1.0))
+        products = map(operator.mul, products, map(table.__getitem__, column))
+    if any(isinstance(v, complex) for v in vals):
+        return sum(products, 0.0)
+    try:
+        total = math.fsum(products)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("the value is not a finite double at these slot values")
+    return total
 
 
 # -- canonical order and serialization ---------------------------------------

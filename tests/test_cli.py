@@ -119,6 +119,17 @@ def test_length_that_is_not_positive_and_finite_is_refused(argv, bad, capsys):
     assert "boundary length must be positive and finite" in err
 
 
+def test_volume_that_overflows_is_refused(capsys):
+    code, out, err = run(
+        capsys,
+        "volume", "--g", "1", "--boundaries", "2", "--cones", "1",
+        "--lengths", "1e200", "1e200", "--angles", "3",
+    )
+    assert code == 2 and out == ""
+    assert "the value is not a finite double at these slot values" in err
+    assert "Traceback" not in err
+
+
 def test_volume_unstable_signature(capsys):
     code, _, err = run(capsys, "volume", "--g", "0", "--boundaries", "2")
     assert code == 2

@@ -1,6 +1,6 @@
 """The read path: compute_volume's signed memo, the serializers and
 eval_numeric reading the integer form, and what a volume keeps for them
-(the canonical order, eval_numeric's compiled form).
+(the canonical order, eval_numeric's flat form).
 
 DIGESTS holds the SHA-256 of to_json, to_latex and to_text (slot kinds
 lengths then angles) of compute_volume(sig) for every stable (g, m, n) with
@@ -15,6 +15,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 
 import pytest
 
@@ -372,7 +373,7 @@ def test_eval_numeric_agrees_with_the_term_by_term_formula():
         imaginary = values[: sig.boundaries] + [1j * v for v in values[sig.boundaries :]]
         want = term_by_term(boundary, imaginary)
         assert abs(eval_numeric(boundary, imaginary) - want) <= 1e-14 * abs(want), sig
-        assert p._horner is not None  # the compiled form is kept on the volume
+        assert p._flat is not None  # the flat form is kept on the volume
 
 
 def test_reads_build_no_fraction_view():
@@ -436,7 +437,7 @@ def uncached(p):
 
 
 def term_by_term(p, values):
-    """eval_numeric as it was before the compiled form: every term of the
+    """eval_numeric term by term, the plain reference: every term of the
     integer form, num / den * pi^(2j) * prod v^(2e)."""
     den, nums, degree = p.numerators
     total = 0.0
@@ -465,6 +466,56 @@ def test_a_warm_evaluator_still_checks_its_arguments():
         eval_numeric(p, [-1.0, 0.5])
     with pytest.raises(ValueError, match="slot values"):
         eval_numeric(p, [1.0])
+
+
+def test_nan_slot_value_is_refused():
+    p = compute_volume(SurfaceSignature(1, 1, 0))
+    with pytest.raises(ValueError, match="slot values must be nonnegative"):
+        eval_numeric(p, [math.nan])
+    assert eval_numeric(p, [-0.0]) == eval_numeric(p, [0.0])
+
+
+def test_terms_that_cancel_lose_nothing():
+    # 10**20 x_1 + pi^2 - 10**20 x_2 at x = (1, 1) is exactly pi^2
+    p = from_orbits(2, 1, {(1, 0): 10**20, (0, 0): 1, (0, 1): -(10**20)}, 1, (1, 1))
+    assert eval_numeric(p, [1.0, 1.0]) == math.pi**2
+
+
+def exact_value(p, values):
+    """p at real values in rational arithmetic, pi read as Fraction(math.pi).
+    p is homogeneous of degree d in (pi^2, v_1^2, ...), so over one common
+    denominator `scale` of pi^2 and every v^2 the sum is over integers."""
+    den, nums, degree = p.numerators
+    squares = [Fraction(math.pi) ** 2] + [Fraction(v) ** 2 for v in values]
+    scale = math.lcm(*(q.denominator for q in squares))
+    pi2, *ys = [int(q * scale) for q in squares]
+    total = 0
+    for xexp, num in nums.items():
+        term = num * pi2 ** (degree - sum(xexp))
+        for y, e in zip(ys, xexp):
+            term *= y**e
+        total += term
+    return Fraction(total, den * scale**degree)
+
+
+@pytest.mark.parametrize("sig", [(0, 10, 0), (1, 7, 0), (8, 1, 0)])
+def test_eval_numeric_on_the_ladder_ends_is_within_a_few_roundings(sig):
+    """Positive terms: each product is off by at most one rounding per
+    factor and per multiplication, and math.fsum adds one more."""
+    sig = SurfaceSignature(*sig)
+    p = compute_volume(sig, max_moment_k=None, max_genus=None, max_slots=None)
+    bound = (p.numerators.degree + sig.slots + 3) * 2.0**-53
+    rng = random.Random(19)
+    for _ in range(2):
+        values = [rng.uniform(0.05, 3.0) for _ in range(sig.slots)]
+        want = exact_value(p, values)
+        assert abs(Fraction(eval_numeric(p, values)) - want) <= bound * want, (sig, values)
+
+
+def test_a_value_that_overflows_is_refused():
+    p = compute_volume(SurfaceSignature(1, 2, 1))
+    with pytest.raises(ValueError, match="not a finite double"):
+        eval_numeric(p, [1e200, 1e200, 3.0])
 
 
 def test_cusp_limit_on_orbits_matches_the_expanded_path():

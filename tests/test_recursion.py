@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from wpcone import recursion
-from wpcone.kernels import moment_integral, pairing_kernel
+from wpcone.kernels import integrate_decaying, moment_integral, pairing_kernel
 from wpcone.polyalg import VolumePolynomial, eval_numeric, from_orbits, substitute_imaginary
 from wpcone.recursion import (
     SurfaceSignature,
@@ -576,6 +576,20 @@ def test_numeric_volume_refuses_a_length_that_is_not_positive():
 def test_numeric_volume_refuses_an_unreachable_tolerance():
     with pytest.raises(ValueError, match="tolerance"):
         numeric_volume_value(1, 1, 0, [1.0], tol=1e-20)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, 0.0, math.inf])
+@pytest.mark.parametrize(
+    "integrate",
+    [
+        lambda tol: integrate_decaying(lambda x: math.exp(-x), tol),
+        lambda tol: numeric_volume_value(1, 1, 0, [1.0], tol=tol),
+    ],
+    ids=["integrate_decaying", "numeric_volume_value"],
+)
+def test_tolerance_that_is_not_positive_and_finite_is_refused(integrate, tol):
+    with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+        integrate(tol)
 
 
 def test_numeric_volume_requires_boundary():
