@@ -11,11 +11,10 @@ Subcommands:
 Exit codes: 0 on success, 1 when an internal invariant or a verification
 fails, 2 on invalid input (the message names the violated constraint).
 
-The caps max_genus, max_slots and max_moment_k come from their defaults,
-an optional key=value config file (--config), and command-line flags, in
-increasing order of precedence.  Only the commands that compute volumes
-(volume, table, cusp-limit, verify recursion) take --config and the cap
-flags; the other verify suites read no settings.
+The caps max_genus, max_slots and max_moment_k keep their defaults from
+recursion unless a flag (--max-genus, --max-slots, --max-moment-k) sets
+them.  Only the commands that compute volumes (volume, table, cusp-limit,
+verify recursion) take the cap flags; the other verify suites read no caps.
 
 Commands need only the standard library, and each imports the package
 modules it uses when it runs (importing this module loads argparse and no
@@ -37,7 +36,7 @@ import re
 import sys
 from typing import Dict
 
-_CONFIG_KEYS = {
+_CAPS = {
     "max_genus": "genus cap override",
     "max_slots": "slot-count cap override",
     "max_moment_k": "moment-index cap override",
@@ -53,9 +52,10 @@ def _parse_angle(text: str, degrees: bool = False) -> float:
     if match is not None:
         num = float(match.group(1)) if match.group(1) else 1.0
         den = float(match.group(2)) if match.group(2) else 1.0
-        return num * math.pi / den
-    # no decimal that float() reads contains "pi", so a malformed pi-form
-    # fails here with the same message
+        if den:
+            return num * math.pi / den
+    # no decimal that float() reads contains "pi", so a malformed pi-form,
+    # or one that divides by zero, fails here with the same message
     try:
         value = float(s)
     except ValueError:
@@ -77,40 +77,9 @@ def _positive(text: str) -> float:
     return value
 
 
-def _read_config(path: str) -> Dict[str, int]:
-    values: Dict[str, int] = {}
-    try:
-        with open(path) as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        raise ValueError("cannot read config file %s: %s" % (path, exc))
-    for lineno, raw in enumerate(lines, 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(
-                "%s:%d: expected key=value, got %r" % (path, lineno, line)
-            )
-        key, _, text = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_KEYS:
-            raise ValueError(
-                "%s:%d: unknown config key %r (known: %s)"
-                % (path, lineno, key, ", ".join(sorted(_CONFIG_KEYS)))
-            )
-        try:
-            values[key] = int(text.strip())
-        except ValueError:
-            raise ValueError(
-                "%s:%d: cannot parse %r as int" % (path, lineno, text.strip())
-            ) from None
-    return values
-
-
 def _settings(args: argparse.Namespace) -> Dict[str, int]:
-    """Effective caps, the keyword arguments of compute_volume: defaults,
-    then the config file, then flags."""
+    """Effective caps, the keyword arguments of compute_volume: the
+    defaults, each overridden by its flag."""
     # the caps' defaults live in recursion, which enforces them
     from wpcone import recursion
 
@@ -119,9 +88,7 @@ def _settings(args: argparse.Namespace) -> Dict[str, int]:
         "max_slots": recursion.DEFAULT_MAX_SLOTS,
         "max_moment_k": recursion.DEFAULT_MAX_MOMENT_K,
     }
-    if args.config:
-        values.update(_read_config(args.config))
-    for key in _CONFIG_KEYS:
+    for key in _CAPS:
         flag = getattr(args, key)
         if flag is not None:
             values[key] = flag
@@ -178,7 +145,8 @@ def _cmd_volume(args: argparse.Namespace) -> int:
 
 def _stable_signatures(args: argparse.Namespace, caps: Dict[str, int]):
     """Every stable (g, m, n) within --g-max and --slot-max but the closed
-    surfaces; a bound beyond its cap is refused."""
+    surfaces; a bound beyond its cap, or bounds that select none, are
+    refused."""
     for flag, cap in (("--g-max", "max_genus"), ("--slot-max", "max_slots")):
         bound = getattr(args, flag[2:].replace("-", "_"))
         if bound > caps[cap]:
@@ -186,12 +154,18 @@ def _stable_signatures(args: argparse.Namespace, caps: Dict[str, int]):
                 "%s %d exceeds %s=%d; raise the %s configuration knob"
                 % (flag, bound, cap, caps[cap], cap)
             )
-    return [
+    sigs = [
         (g, total - n, n)
         for g in range(args.g_max + 1)
         for total in range(max(1, 3 - 2 * g), args.slot_max + 1)
         for n in range(total + 1)
     ]
+    if not sigs:
+        raise ValueError(
+            "--g-max %d with --slot-max %d selects no signature to check"
+            % (args.g_max, args.slot_max)
+        )
+    return sigs
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -377,11 +351,6 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
     sigs = _stable_signatures(args, settings)
     cones = [sig for sig in sigs if sig[2]]
     oracle = [s for s in sigs if s in ((0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0))]
-    if not cones and not oracle:
-        raise ValueError(
-            "--g-max %d with --slot-max %d selects no signature to check"
-            % (args.g_max, args.slot_max)
-        )
     failures = 0
     for g, m, n in cones:
         direct = cone_volume_direct(
@@ -417,9 +386,8 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
 
 
 def _add_settings(parser: argparse.ArgumentParser) -> None:
-    """--config plus an override flag for each cap, which _settings reads."""
-    parser.add_argument("--config", help="key=value file for caps")
-    for key, text in _CONFIG_KEYS.items():
+    """An override flag for each cap, which _settings reads."""
+    for key, text in _CAPS.items():
         parser.add_argument("--" + key.replace("_", "-"), type=int, help=text)
 
 

@@ -59,6 +59,12 @@ def check_length(length: float) -> None:
         )
 
 
+def check_tolerance(tol: float) -> None:
+    """Refuse a quadrature tolerance outside (0, inf), nan included."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+
+
 class BoundaryLabel(namedtuple("BoundaryLabel", "kind value")):
     """One end of a surface: a geodesic boundary, a cone point, or a cusp.
 
@@ -468,8 +474,7 @@ def integrate_decaying(f: Callable[[float], float], tol: float = 1e-10) -> float
     error estimate misses tol: a tolerance the rule does not reach on this
     integrand is an input it cannot honour.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+    check_tolerance(tol)
     x = 40.0
     while True:
         fx, fx3 = abs(f(x)), abs(f(x + 3))

@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -85,6 +86,7 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 from wpcone.kernels import (
     check_cone_angle,
     check_length,
+    check_tolerance,
     integrate_decaying,
     moment_integral,
     pairing_kernel_span,
@@ -105,12 +107,26 @@ DEFAULT_MAX_SLOTS = 8
 DEFAULT_MAX_MOMENT_K = 12
 
 
+def _component(name: str, value: object) -> int:
+    """A signature component as an int; refuses a float such as 1.5 or
+    1.0 rather than truncating it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(
+            f"signature component {name} must be an integer (got {value!r})"
+        ) from None
+
+
 class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundaries cones")):
     """Topological type: genus, geodesic-boundary count, cone-point count."""
 
     __slots__ = ()
 
     def __new__(cls, genus: int, boundaries: int, cones: int) -> SurfaceSignature:
+        genus, boundaries, cones = map(
+            _component, cls._fields, (genus, boundaries, cones)
+        )
         if min(genus, boundaries, cones) < 0:
             raise ValueError("signature components must be nonnegative")
         if 2 * genus - 2 + boundaries + cones <= 0:
@@ -609,12 +625,13 @@ def numeric_volume_value(
     partner's kernel integrated over u in closed form
     (kernels.pairing_kernel_span).  One call is one adaptive integral
     (integrate_decaying), and `tol` bounds the error on V, read relative
-    above 1; a `tol` it cannot reach raises ValueError.  No closed-form
-    moment is read: the oracle checks the closed-form moments and the
-    weight table, not the cut structure.  Sub-volumes below the top level
-    stay symbolic, isolating the top assembly step, the one the closed
-    forms feed.  Requires m >= 1 (a real boundary to integrate over),
-    positive finite lengths and cone angles in (0, pi].
+    above 1; a `tol` that is not positive and finite, or that it cannot
+    reach, raises ValueError.  No closed-form moment is read: the oracle
+    checks the closed-form moments and the weight table, not the cut
+    structure.  Sub-volumes below the top level stay symbolic, isolating
+    the top assembly step, the one the closed forms feed.  Requires m >= 1
+    (a real boundary to integrate over), positive finite lengths and cone
+    angles in (0, pi].
     """
     if m < 1:
         raise ValueError("the numeric oracle needs at least one boundary")
@@ -625,6 +642,7 @@ def numeric_volume_value(
         check_length(length)
     for theta in angles:
         check_cone_angle(theta)
+    check_tolerance(tol)
     nslots = m + n
     if (g, nslots) == (0, 3):
         return 1.0

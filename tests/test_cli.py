@@ -33,7 +33,7 @@ def test_parse_angle_forms():
     assert _parse_angle("1.5") == 1.5
     assert abs(_parse_angle("90", degrees=True) - math.pi / 2) < 1e-15
     assert _parse_angle("pi", degrees=True) == math.pi  # literals stay radian
-    for bad in ("pie", "pi+1", "2+pi", "one"):
+    for bad in ("pie", "pi+1", "2+pi", "one", "pi/0", "3pi/0.0"):
         with pytest.raises(ValueError, match="cannot parse angle"):
             _parse_angle(bad)
 
@@ -102,6 +102,20 @@ def test_volume_rejects_wide_angle(capsys):
     assert code == 2 and out == ""
     assert "(0, pi]" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--g", "1", "--cones", "1", "--angles", "pi/0"],
+        ["volume", "--g", "1", "--cones", "1", "--angles", "pi/0.0"],
+        ["verify", "mcshane", "--theta", "pi/0"],
+    ],
+)
+def test_angle_that_divides_by_zero_is_refused(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse angle 'pi/0")
 
 
 @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
@@ -176,6 +190,19 @@ def test_table_omits_closed_surfaces(capsys):
     sigs = [line.split(" = ")[0] for line in out.splitlines()]
     assert "V(g=2,m=1,n=0)" in sigs and "V(g=2,m=0,n=2)" in sigs
     assert not [sig for sig in sigs if sig.endswith("m=0,n=0)")]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [["--g-max", "-1", "--slot-max", "3"], ["--g-max", "0", "--slot-max", "2"]],
+)
+def test_table_and_verify_recursion_refuse_bounds_that_select_nothing(
+    bounds, capsys
+):
+    message = "%s %s with %s %s selects no signature to check" % tuple(bounds)
+    refused = (2, "", "error: %s\n" % message)
+    assert run(capsys, "table", *bounds) == refused
+    assert run(capsys, "verify", "recursion", *bounds) == refused
 
 
 def test_table_cap_guard(capsys):
@@ -367,7 +394,7 @@ def test_verify_recursion_refuses_bounds_beyond_the_caps_like_table(
     assert run(capsys, "verify", "recursion", *bounds) == refused
 
 
-def test_verify_recursion_reads_max_moment_k(tmp_path, capsys):
+def test_verify_recursion_reads_max_moment_k(capsys):
     # (5, 1, 1) and (5, 0, 2) read moments up to k = 3g - 4 + m + n = 13,
     # past the default cap of 12
     argv = ["verify", "recursion", "--g-max", "5", "--slot-max", "2",
@@ -377,13 +404,9 @@ def test_verify_recursion_reads_max_moment_k(tmp_path, capsys):
     code, out, err = run(capsys, *argv, "--max-moment-k", "13")
     assert code == 0, err
     assert "cone recursion (5,0,2): ok" in out
-    config = tmp_path / "wpcone.cfg"
-    config.write_text("max_moment_k = 13\n")
-    code, _, err = run(capsys, *argv, "--config", str(config))
-    assert code == 0, err
 
 
-# -- configuration sources ----------------------------------------------------------
+# -- options ------------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -403,6 +426,10 @@ def test_verify_recursion_reads_max_moment_k(tmp_path, capsys):
         ["verify", "kernel", "--config", "wpcone.cfg"],
         ["verify", "kernel", "--quad-tol", "1e-9"],
         ["verify", "identity", "--cutoff", "5"],
+        ["volume", "--g", "1", "--cones", "1", "--config", "wpcone.cfg"],
+        ["table", "--config", "wpcone.cfg"],
+        ["cusp-limit", "--g", "1", "--config", "wpcone.cfg"],
+        ["verify", "recursion", "--config", "wpcone.cfg"],
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(argv, capsys):
@@ -423,31 +450,18 @@ def test_verify_kernel_tolerance_the_quadrature_cannot_reach_is_refused(capsys):
     assert "exceeds tolerance 1.000e-12" in err
 
 
-def test_config_file_and_flag_precedence(tmp_path, capsys):
-    config = tmp_path / "wpcone.cfg"
-    config.write_text("# caps\nmax_genus = 1\n")
+def test_cap_flag_sets_the_cap(capsys):
     code, _, err = run(
-        capsys,
-        "volume", "--g", "2", "--boundaries", "1", "--config", str(config),
+        capsys, "volume", "--g", "2", "--boundaries", "1", "--max-genus", "1"
     )
     assert code == 2 and "max_genus=1" in err
     code, out, _ = run(
         capsys,
         "volume", "--g", "2", "--boundaries", "1",
-        "--config", str(config), "--max-genus", "2", "--format", "text",
+        "--max-genus", "2", "--format", "text",
     )
     assert code == 0
     assert out.startswith("1/442368*l_1^8")
-
-
-def test_config_rejects_unknown_key(tmp_path, capsys):
-    config = tmp_path / "bad.cfg"
-    config.write_text("max_genus=2\nmax_wings=7\n")
-    code, _, err = run(
-        capsys, "volume", "--g", "1", "--cones", "1", "--config", str(config)
-    )
-    assert code == 2
-    assert "max_wings" in err
 
 
 def test_environment_sets_no_cap(monkeypatch, capsys):
@@ -466,7 +480,7 @@ def _commands(parser, prefix=()):
     yield " ".join(prefix), parser
 
 
-CAP_OPTIONS = {"--config", "--max-genus", "--max-slots", "--max-moment-k"}
+CAP_OPTIONS = {"--max-genus", "--max-slots", "--max-moment-k"}
 SIGNATURE_OPTIONS = {"--g", "--boundaries", "--cones"}
 
 

@@ -64,6 +64,30 @@ def test_signature_validation():
         SurfaceSignature(-1, 5, 0)
 
 
+@pytest.mark.parametrize(
+    "components, name",
+    [
+        ((1.5, 1, 0), "genus"),
+        ((1, 1.0, 0), "boundaries"),
+        ((0, 3, 0.5), "cones"),
+        ((0, "3", 0), "boundaries"),
+    ],
+)
+def test_signature_component_that_is_not_an_integer_is_refused(components, name):
+    with pytest.raises(ValueError, match="component %s must be an integer" % name):
+        SurfaceSignature(*components)
+
+
+def test_signature_stores_its_components_as_ints():
+    class Two:
+        def __index__(self):
+            return 2
+
+    sig = SurfaceSignature(Two(), 1, 0)
+    assert sig == (2, 1, 0) and type(sig.genus) is int
+    assert compute_volume(sig) == compute_volume(SurfaceSignature(2, 1, 0))
+
+
 def brute_force_splittings(sig, distinguished_slot):
     """Independent enumeration: try every genus split and every pair of
     disjoint slot subsets, keeping those where both sides (with their new
@@ -584,8 +608,11 @@ def test_numeric_volume_refuses_an_unreachable_tolerance():
     [
         lambda tol: integrate_decaying(lambda x: math.exp(-x), tol),
         lambda tol: numeric_volume_value(1, 1, 0, [1.0], tol=tol),
+        lambda tol: numeric_volume_value(0, 3, 0, [1.0, 1.0, 1.0], tol=tol),
     ],
-    ids=["integrate_decaying", "numeric_volume_value"],
+    ids=[
+        "integrate_decaying", "numeric_volume_value", "numeric_volume_value_pants"
+    ],
 )
 def test_tolerance_that_is_not_positive_and_finite_is_refused(integrate, tol):
     with pytest.raises(ValueError, match="tolerance must be positive and finite"):
