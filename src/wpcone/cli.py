@@ -42,7 +42,7 @@ _CAPS = {
     "max_moment_k": "moment-index cap override",
 }
 
-_ANGLE_FORM = re.compile(r"(\d+(?:\.\d+)?)?\*?pi(?:/(\d+(?:\.\d+)?))?")
+_ANGLE_FORM = re.compile(r"(?:(\d+(?:\.\d+)?)\*?)?pi(?:/(\d+(?:\.\d+)?))?")
 
 
 def _parse_angle(text: str, degrees: bool = False) -> float:
@@ -250,7 +250,7 @@ def _cmd_verify_mcshane(args: argparse.Namespace) -> int:
         label = geodesic(args.length)
     root = root_triple(kappa_for(label), symmetric_start=not args.asymmetric)
     report = mcshane_sum(root, label, length_cutoff=args.cutoff)
-    ok = report.final_residual < args.tol
+    ok = report.final_residual <= args.tol
     if args.format == "json":
         print(report.to_json())
     elif args.format == "csv":
@@ -258,7 +258,7 @@ def _cmd_verify_mcshane(args: argparse.Namespace) -> int:
     else:
         print(report.to_text())
         print(
-            "result: %s (final residual %.3e, tolerance %.1e)"
+            "result: %s (final residual %.3e, tolerance %.3e)"
             % ("pass" if ok else "FAIL", report.final_residual, args.tol)
         )
     return 0 if ok else 1

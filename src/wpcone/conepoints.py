@@ -23,14 +23,7 @@ from collections import namedtuple
 from typing import Optional, Sequence
 
 from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_zero
-from wpcone.recursion import (
-    _CUSP_MEMO,
-    DEFAULT_MAX_GENUS,
-    DEFAULT_MAX_MOMENT_K,
-    DEFAULT_MAX_SLOTS,
-    SurfaceSignature,
-    compute_volume,
-)
+from wpcone.recursion import _CUSP_MEMO, SurfaceSignature, compute_volume
 from wpcone.kernels import check_cone_angle, check_length
 
 
@@ -73,32 +66,19 @@ class ConeSurfaceSpec(
         return tuple.__new__(cls, (sig, angles, lengths))
 
 
-def volume_polynomial(
-    spec: ConeSurfaceSpec,
-    max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
-    max_genus: Optional[int] = DEFAULT_MAX_GENUS,
-    max_slots: Optional[int] = DEFAULT_MAX_SLOTS,
-) -> VolumePolynomial:
+def volume_polynomial(spec: ConeSurfaceSpec, **caps: Optional[int]) -> VolumePolynomial:
     """Exact volume polynomial for the spec's signature.
 
     Slots 0..m-1 are the boundary length variables and slots m..m+n-1 the
     cone angle variables (the angle sign is already absorbed, so evaluating
-    with positive angle values gives the volume directly).
+    with positive angle values gives the volume directly).  The caps are
+    keyword arguments passed on to compute_volume, which names them and
+    holds their defaults.
     """
-    return compute_volume(
-        spec.sig,
-        max_moment_k=max_moment_k,
-        max_genus=max_genus,
-        max_slots=max_slots,
-    )
+    return compute_volume(spec.sig, **caps)
 
 
-def volume_value(
-    spec: ConeSurfaceSpec,
-    max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
-    max_genus: Optional[int] = DEFAULT_MAX_GENUS,
-    max_slots: Optional[int] = DEFAULT_MAX_SLOTS,
-) -> float:
+def volume_value(spec: ConeSurfaceSpec, **caps: Optional[int]) -> float:
     """Numeric volume at the spec's lengths and angles.
 
     Requires numeric boundary lengths whenever the signature has boundary
@@ -111,12 +91,7 @@ def volume_value(
             "numeric boundary lengths are required to evaluate the volume "
             "of signature %s" % (spec.sig,)
         )
-    poly = volume_polynomial(
-        spec,
-        max_moment_k=max_moment_k,
-        max_genus=max_genus,
-        max_slots=max_slots,
-    )
+    poly = volume_polynomial(spec, **caps)
     values = list(spec.boundary_lengths or ()) + list(spec.cone_angles)
     result = eval_numeric(poly, values)
     if not result > 0.0:
@@ -129,11 +104,7 @@ def volume_value(
 
 
 def cusp_limit(
-    sig: SurfaceSignature,
-    cone_slot: int = 0,
-    max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
-    max_genus: Optional[int] = DEFAULT_MAX_GENUS,
-    max_slots: Optional[int] = DEFAULT_MAX_SLOTS,
+    sig: SurfaceSignature, cone_slot: int = 0, **caps: Optional[int]
 ) -> VolumePolynomial:
     """Volume polynomial with one cone angle sent to zero (a cusp).
 
@@ -149,12 +120,7 @@ def cusp_limit(
             "cone slot %d out of range for signature %s with %d cone points"
             % (cone_slot, sig, sig.cones)
         )
-    poly = compute_volume(
-        sig,
-        max_moment_k=max_moment_k,
-        max_genus=max_genus,
-        max_slots=max_slots,
-    )
+    poly = compute_volume(sig, **caps)
     key = (sig.genus, sig.boundaries, sig.cones, cone_slot)
     cached = _CUSP_MEMO.get(key)
     if cached is not None:

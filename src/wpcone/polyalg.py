@@ -29,14 +29,13 @@ so  {(1,): {0: Fraction(-1, 48)}, (0,): {2: Fraction(1, 12)}}  is
 -x/48 + pi**2/12.  The view is for callers; it is built on first read and
 cached, and nothing in this module reads it but substitute_imaginary, the
 test reference.  Equality (==) cross-multiplies the integer numerators; the
-serializers (to_json, to_latex, to_text, canonical_terms) walk the integer
-form in canonical order, reducing each distinct numerator over den once;
-eval_numeric reads the integer form too, so serving a volume builds no
-Fraction.  The constructor takes this view, checks it (slot count,
-nonnegative x-exponents, even nonnegative pi-powers, homogeneity) and
-converts it; from_orbits is the trusted entry for the recursion's own
-results.  Zero coefficients are never stored; the zero polynomial has an
-empty term map.
+serializers (to_json, to_latex, to_text) walk the integer form in canonical
+order, reducing each distinct numerator over den once; eval_numeric reads
+the integer form too, so serving a volume builds no Fraction.  The
+constructor takes this view, checks it (slot count, nonnegative
+x-exponents, even nonnegative pi-powers, homogeneity) and converts it;
+from_orbits is the trusted entry for the recursion's own results.  Zero
+coefficients are never stored; the zero polynomial has an empty term map.
 
 What is kept per volume.  A VolumePolynomial is immutable by convention:
 no caller mutates one after construction, and the recursion memoizes its
@@ -364,17 +363,6 @@ def _canonical(p: VolumePolynomial) -> Iterator[Tuple[Exponent, int, int, int]]:
     for xexp in order:
         num, lowest = reduced[nums[xexp]]
         yield xexp, 2 * (degree - sum(xexp)), num, lowest
-
-
-def canonical_terms(
-    p: VolumePolynomial,
-) -> List[Tuple[Exponent, int, Fraction]]:
-    """Flatten to (xexp, piexp, coeff), graded-lex order, leading term first.
-
-    Higher total x-degree first, then lexicographically larger exponent
-    vector, then higher pi-power.
-    """
-    return [(x, pe, Fraction(n, d)) for x, pe, n, d in _canonical(p)]
 
 
 def to_json(p: VolumePolynomial) -> str:

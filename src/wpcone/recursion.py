@@ -513,20 +513,10 @@ def boundary_volume(
     nslots: int,
     max_moment_k: Optional[int] = DEFAULT_MAX_MOMENT_K,
 ) -> VolumePolynomial:
-    """Exact volume polynomial for genus g with nslots geodesic boundaries.
-
-    Memoized by (g, nslots); slot roles (length vs angle) are attached later
-    by substitution.  Raises for unstable signatures and for closed surfaces,
-    which have no boundary to recurse on.
-    """
-    if nslots == 0:
-        raise ValueError(
-            "closed surfaces have no distinguished boundary to recurse on; "
-            "add a boundary or cone point"
-        )
-    SurfaceSignature(g, nslots, 0)  # stability check
-    _check_moment_cap(g, nslots, max_moment_k)
-    return _recurse(g, nslots, 0)
+    """Exact volume polynomial for genus g with nslots geodesic boundaries:
+    cone_volume_direct with no cones, so it is checked and memoized there.
+    Slot roles (length vs angle) are attached later by substitution."""
+    return cone_volume_direct(g, nslots, 0, max_moment_k)
 
 
 def compute_volume(
@@ -592,10 +582,16 @@ def cone_volume_direct(
     actual cone point, so every kernel moment is evaluated at imaginary
     length during assembly instead of substituted afterwards.  Must agree
     exactly with compute_volume; slot layout is identical (lengths first).
+    With n == 0 it is the all-boundary recursion (boundary_volume).
+    Memoized by (g, m, n).  Raises for closed surfaces, which have no slot
+    to recurse on, for unstable signatures and past max_moment_k.
     """
-    if n == 0:
-        return boundary_volume(g, m, max_moment_k=max_moment_k)
-    SurfaceSignature(g, m, n)
+    if m == n == 0:
+        raise ValueError(
+            "closed surfaces have no distinguished boundary to recurse on; "
+            "add a boundary or cone point"
+        )
+    SurfaceSignature(g, m, n)  # stability check
     _check_moment_cap(g, m + n, max_moment_k)
     return _recurse(g, m, n)
 

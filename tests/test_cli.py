@@ -30,10 +30,11 @@ def test_parse_angle_forms():
     assert _parse_angle("pi/2") == math.pi / 2
     assert _parse_angle("3pi/4") == 3 * math.pi / 4
     assert _parse_angle("2pi/3") == 2 * math.pi / 3
+    assert _parse_angle("0.5*pi") == math.pi / 2
     assert _parse_angle("1.5") == 1.5
     assert abs(_parse_angle("90", degrees=True) - math.pi / 2) < 1e-15
     assert _parse_angle("pi", degrees=True) == math.pi  # literals stay radian
-    for bad in ("pie", "pi+1", "2+pi", "one", "pi/0", "3pi/0.0"):
+    for bad in ("pie", "pi+1", "2+pi", "one", "pi/0", "3pi/0.0", "*pi", "*pi/2"):
         with pytest.raises(ValueError, match="cannot parse angle"):
             _parse_angle(bad)
 
@@ -116,6 +117,19 @@ def test_angle_that_divides_by_zero_is_refused(argv, capsys):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: cannot parse angle 'pi/0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["volume", "--g", "1", "--cones", "1", "--angles", "*pi"],
+        ["verify", "mcshane", "--theta", "*pi"],
+    ],
+)
+def test_angle_with_a_star_but_no_coefficient_is_refused(argv, capsys):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse angle '*pi'")
 
 
 @pytest.mark.parametrize("bad", ["0", "-1", "nan", "inf"])
@@ -257,6 +271,29 @@ def test_verify_mcshane_failing_tolerance(capsys):
     )
     assert code == 1
     assert "FAIL" in out
+
+
+def test_verify_mcshane_passes_at_a_tolerance_equal_to_its_residual(capsys):
+    # like every suite, mcshane passes on err <= tol
+    code, out, _ = run(
+        capsys, "verify", "mcshane", "--cusp", "--cutoff", "40", "--format", "json"
+    )
+    assert code == 0
+    residual = json.loads(out)["partial_sums"][-1]["residual"]
+    assert residual > 0
+    code, out, _ = run(
+        capsys, "verify", "mcshane", "--cusp", "--cutoff", "40", "--tol", repr(residual)
+    )
+    assert code == 0
+    assert out.splitlines()[-1] == (
+        "result: pass (final residual %.3e, tolerance %.3e)" % (residual, residual)
+    )
+    code, out, _ = run(
+        capsys, "verify", "mcshane", "--cusp", "--cutoff", "40",
+        "--tol", repr(math.nextafter(residual, 0.0)),
+    )
+    assert code == 1
+    assert out.splitlines()[-1].startswith("result: FAIL")
 
 
 def test_verify_mcshane_selection_required(capsys):

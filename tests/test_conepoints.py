@@ -220,6 +220,51 @@ def test_cusp_limit_memo_keeps_caps_and_identity():
     assert again is not first and again == first
 
 
+# Each spec exceeds the default of the cap it names; genus 6 also needs
+# moment index k = 15 > 12, so max_moment_k is lifted for it throughout.
+OVER_A_DEFAULT_CAP = [
+    ("max_genus", ConeSurfaceSpec(SurfaceSignature(6, 0, 1), (1.0,))),
+    ("max_slots", ConeSurfaceSpec(SurfaceSignature(0, 0, 9), (1.0,) * 9)),
+    ("max_moment_k", ConeSurfaceSpec(SurfaceSignature(5, 1, 1), (1.0,), (2.0,))),
+]
+
+
+@pytest.mark.parametrize("read", [volume_value, volume_polynomial])
+@pytest.mark.parametrize("cap, spec", OVER_A_DEFAULT_CAP)
+def test_caps_are_compute_volumes(read, cap, spec):
+    """The entry points pass their caps on to compute_volume: its defaults,
+    its exact message, and None lifts the cap."""
+    lifted = {"max_moment_k": None} if cap == "max_genus" else {}
+    with pytest.raises(ValueError) as expected:
+        compute_volume(spec.sig, **lifted)
+    assert cap + "=" in str(expected.value)
+    with pytest.raises(ValueError) as got:
+        read(spec, **lifted)
+    assert str(got.value) == str(expected.value)
+    lifted[cap] = None
+    poly = compute_volume(spec.sig, **lifted)
+    if read is volume_polynomial:
+        assert read(spec, **lifted) is poly
+    else:
+        values = list(spec.boundary_lengths or ()) + list(spec.cone_angles)
+        assert read(spec, **lifted) == eval_numeric(poly, values)
+
+
+def test_caps_are_keyword_only_and_named_by_compute_volume():
+    spec = ConeSurfaceSpec(SurfaceSignature(1, 1, 1), (1.0,), (2.0,))
+    sig = spec.sig
+    for call in (
+        lambda: volume_value(spec, max_gneus=3),
+        lambda: volume_polynomial(spec, max_gneus=3),
+        lambda: cusp_limit(sig, 0, max_gneus=3),
+        lambda: volume_value(spec, 12),
+        lambda: volume_polynomial(spec, 12),
+        lambda: cusp_limit(sig, 0, 12),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
 # -- realness, interpolation, monotonicity, positivity ------------------------------
 
 

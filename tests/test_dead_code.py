@@ -15,13 +15,13 @@ import wpcone
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "wpcone"
 
-#: Kept in the package though nothing in it calls them: the references the
-#: tests compare the package's fast paths against, and the memo reset.
+#: Kept in the package though nothing in it calls them.  The first three are
+#: the references README documents as API: plain forms of what a fast path
+#: computes, which the tests compare it against.
 KEPT_FOR_TESTS = (
-    "gap_value",  # the paper's gap width, general boundary data
-    "pairing_kernel",  # complex reference for pairing_kernel_re
-    "substitute_imaginary",  # term-by-term reference for compute_volume's signs
-    "canonical_terms",  # Fraction view of the serializers' order
+    "gap_value",  # the paper's gap width; reference for the torus gaps
+    "pairing_kernel",  # complex pairing kernel; pairing_kernel_re is its real part
+    "substitute_imaginary",  # term-by-term l -> i*theta; compute_volume's signs
     "clear_memo",  # tests and the benchmark start cold with it
 )
 
@@ -74,3 +74,23 @@ def test_every_exemption_still_names_a_definition():
     assert {name for _, name in defined} >= set(KEPT_FOR_TESTS)
     assert ("cli", "main") in defined
     assert CONSOLE_SCRIPT in (ROOT / "pyproject.toml").read_text()
+
+
+def test_cap_defaults_are_read_only_where_they_are_set_and_served():
+    """recursion sets the DEFAULT_MAX_* caps in compute_volume's signature;
+    cli shows them as flag defaults.  Every other module passes caps on as
+    keywords and never names a default."""
+    readers = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name.startswith("DEFAULT_MAX_"):
+                readers.add(path.stem)
+    assert readers == {"recursion", "cli"}

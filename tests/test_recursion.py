@@ -347,16 +347,39 @@ def test_volume_homogeneity():
 
 
 def test_closed_surface_rejected():
-    with pytest.raises(ValueError, match="closed"):
-        boundary_volume(2, 0)
-    with pytest.raises(ValueError, match="unstable"):
-        boundary_volume(0, 2)
+    # one guard for both recursion paths: closed first, then stability, then
+    # the moment cap
+    for call in (
+        lambda: boundary_volume(2, 0),
+        lambda: cone_volume_direct(2, 0, 0),
+        lambda: compute_volume(SurfaceSignature(2, 0, 0)),
+        lambda: cone_volume_direct(0, 0, 0, max_moment_k=-1),
+    ):
+        with pytest.raises(ValueError) as closed:
+            call()
+        assert str(closed.value) == (
+            "closed surfaces have no distinguished boundary to recurse on; "
+            "add a boundary or cone point"
+        )
+    for call in (
+        lambda: boundary_volume(0, 2),
+        lambda: boundary_volume(0, 2, max_moment_k=-1),
+        lambda: cone_volume_direct(0, 1, 1, max_moment_k=-1),
+    ):
+        with pytest.raises(ValueError, match="unstable"):
+            call()
+    # the signature is checked with no cones too
+    with pytest.raises(ValueError, match="component cones must be an integer"):
+        cone_volume_direct(1, 2, 0.0)
 
 
 def test_memoization_purity():
     clear_memo()
     first = boundary_volume(1, 2)
     assert boundary_volume(1, 2) is first  # memo returns the stored object
+    # boundary_volume is the direct path with no cones: one memo entry
+    for g, nslots in [(0, 3), (0, 5), (1, 2), (2, 2), (3, 1)]:
+        assert boundary_volume(g, nslots) is cone_volume_direct(g, nslots, 0)
 
 
 def test_moment_cap_propagates_with_clear_message():
