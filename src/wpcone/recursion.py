@@ -54,23 +54,31 @@ block (polyalg.from_orbits; `numerators` expands the orbits when read).
 Pull assembly.  _rhs computes one right-hand side per orbit: the
 distinguished slot takes the largest exponent e0 of its block, the other
 slots form the multiset `rest` (boundaries and cones as two blocks on the
-cone path), and every contribution is a lookup in a piece's orbit map.  The
-double moment of x^a y^b is (2a+1)!(2b+1)! M_k with k = a + b + 1 and
-M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of t^(2r) in F_{2k+1}, so
-the non-separating and separating cuts give sum_k M_k[e0] S_k(rest) with
+cone path), and every contribution is one read of a piece's column index
+(_columns): column (left, right) lists (2a+1)! V[_insert(left, a) + right]
+over a.  One pass over the piece's orbit map builds the index, each key
+less each distinct a of its boundary block naming a column; it is kept
+with the memoized volume until clear_memo, and an absent column is all
+zero and is skipped.  The double moment of x^a y^b is (2a+1)!(2b+1)! M_k
+with k = a + b + 1 and M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of
+t^(2r) in F_{2k+1}, so the non-separating and separating cuts give
+sum_k M_k[e0] S_k(rest) with
 
     S_k(rest) = sum_{a+b=k-1} (2a+1)! (2b+1)! (V_{g-1}[(a, b) + rest]
                 + sum over separating groups and sub-multisets R1 of rest
                   of prod C(count, picked) * A[(a,) + R1] B[(b,) + rest - R1]),
 
-built once per `rest` and shared by every e0.  A pairing with partner
-exponent v adds C(2r, 2v) c_r / 2 times the piece's coefficient, r = e0 + v,
-once per distinct v times its count; the cap adds c_r / 16; an angle slot
-signs t^(2r) by (-1)^r.  The weights are integers over one denominator, so
-assembly is integer multiply-adds.  Inverting d(l V/2)/dl is
-V[e] = 2 rhs[e] / (2 e0 + 1), then one gcd reduces the signature's
-numerators and denominator, and _assert_homogeneous checks that no orbit's
-x-degree exceeds d (its implied pi-power would be negative).
+built once per `rest` and shared by every e0.  A separating group and its
+mirror (pieces swapped, taken slots complemented) pair their sub-multisets
+with equal multiplicities and the sum over a + b is symmetric, so the
+first is assembled at twice its scale and the mirror is skipped.  A
+pairing with partner exponent v adds C(2r, 2v) c_r / 2 times the piece's
+coefficient, r = e0 + v, once per distinct v times its count; the cap adds
+c_r / 16; an angle slot signs t^(2r) by (-1)^r.  The weights are integers
+over one denominator, so assembly is integer multiply-adds.  Inverting
+d(l V/2)/dl is V[e] = 2 rhs[e] / (2 e0 + 1), then one gcd reduces the
+signature's numerators and denominator, and _assert_homogeneous checks
+that no orbit's x-degree exceeds d (its implied pi-power would be negative).
 """
 
 from __future__ import annotations
@@ -230,12 +238,16 @@ _SIGNED_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 # drops it with the volumes it is built from.
 _CUSP_MEMO: Dict[Tuple[int, int, int, int], VolumePolynomial] = {}
 
+# (g, m, n) -> _columns' index of the _RECURSION_MEMO volume under that key.
+_COLUMN_MEMO: Dict[Tuple[int, int, int], Dict[tuple, List[int]]] = {}
+
 
 def clear_memo() -> None:
-    """Drop all memoized volumes (mainly for tests and benchmarks)."""
+    """Drop all memoized volumes and column indexes (for tests, benchmarks)."""
     _RECURSION_MEMO.clear()
     _SIGNED_MEMO.clear()
     _CUSP_MEMO.clear()
+    _COLUMN_MEMO.clear()
 
 
 # -- integer weight tables -------------------------------------------------------
@@ -344,6 +356,28 @@ def _sub_volume(g: int, m: int, n: int) -> VolumePolynomial:
     return cone_volume_direct(g, m, n, max_moment_k=None)
 
 
+def _columns(piece: Tuple[int, int, int], V: Numerators):
+    """A piece's column index (see the module docstring): left is its
+    boundary block less the new boundary, right its cone block, and a runs
+    up to what the degree allows."""
+    index = _COLUMN_MEMO.get(piece)
+    if index is not None:
+        return index
+    m = piece[1]
+    index = {}
+    for key, num in V.nums.items():
+        block, right = key[:m], key[m:]
+        for i, a in enumerate(block):
+            if i and a == block[i - 1]:
+                continue
+            left = block[:i] + block[i + 1 :]
+            col = index.get((left, right))
+            if col is None:
+                col = index[left, right] = [0] * (V.degree - sum(left) - sum(right) + 1)
+            col[a] = math.factorial(2 * a + 1) * num
+    return _COLUMN_MEMO.setdefault(piece, index)
+
+
 def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
     """d(l V/2)/dl on the distinguished slot, one coefficient per orbit of
     the surviving slots, gathered pull-style (see the module docstring).
@@ -374,23 +408,19 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
         for group in groups
     ]
     den = math.lcm(*group_dens)
-    scaled = [(group, den // gd) for group, gd in zip(groups, group_dens)]
-
+    # each separating group takes in its mirror (see the module docstring)
+    scaled = []
+    for group, gd in zip(groups, group_dens):
+        scale = den // gd
+        if group.kind == "separating":
+            (i, j), g1 = group.taken, group.pieces[0][0]
+            mine, mirror = (g1, i, j), (g - g1, ms - i, ns - j)
+            if mine > mirror:
+                continue
+            scale *= 1 + (mine < mirror)
+        scaled.append((group, scale))
+    cols = {p: _columns(p, orbits[p]) for p in orbits}
     fact = [math.factorial(2 * a + 1) for a in range(d + 1)]
-    columns: Dict[tuple, List[int]] = {}
-
-    def column(piece, left: Exponent, right: Exponent) -> List[int]:
-        """(2a+1)! V[_insert(left, a) + right] of a piece for each a its
-        degree allows; one column serves many rests."""
-        key = (piece, left, right)
-        col = columns.get(key)
-        if col is None:
-            V = orbits[piece]
-            get = V.nums.get
-            top = V.degree - sum(left) - sum(right)
-            col = [fact[a] * get(_insert(left, a) + right, 0) for a in range(top + 1)]
-            columns[key] = col
-        return col
 
     out: Dict[Exponent, int] = {}
     for B in _blocks(ms, d):
@@ -407,32 +437,36 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
             for group, scale in scaled:
                 kind = group.kind
                 if kind == "nonseparating":
-                    (piece,) = group.pieces
+                    index = cols[group.pieces[0]]
                     for a in range(d - 1 - s):
-                        x = scale * fact[a]
-                        for k, y in enumerate(column(piece, _insert(B, a), C), a + 1):
-                            S[k] += x * y
+                        col = index.get((_insert(B, a), C))
+                        if col is not None:
+                            x = scale * fact[a]
+                            for k, y in enumerate(col, a + 1):
+                                S[k] += x * y
                 elif kind == "separating":
                     if subs_b is None:
                         subs_b, subs_c = _sub_multisets(B), _sub_multisets(C)
-                    (p1, p2), (i, j) = group.pieces, group.taken
+                    (first, second), (i, j) = map(cols.get, group.pieces), group.taken
                     for B1, B2, mb in subs_b[i]:
                         for C1, C2, mc in subs_c[j]:
+                            col1, col2 = first.get((B1, C1)), second.get((B2, C2))
+                            if col1 is None or col2 is None:
+                                continue
                             weight = scale * mb * mc
-                            second = column(p2, B2, C2)
-                            for a, x in enumerate(column(p1, B1, C1)):
+                            for a, x in enumerate(col1):
                                 if x:
                                     x *= weight
-                                    for k, y in enumerate(second, a + 1):
+                                    for k, y in enumerate(col2, a + 1):
                                         S[k] += x * y
                 elif kind == "pairing":
-                    (piece,) = group.pieces
+                    index = cols[group.pieces[0]]
                     cone_partner = group.taken[1]
                     for v, count in _runs(C if cone_partner else B):
-                        if cone_partner:
-                            col = column(piece, B, _remove(C, v))
-                        else:
-                            col = column(piece, _remove(B, v), C)
+                        key = (B, _remove(C, v)) if cone_partner else (_remove(B, v), C)
+                        col = index.get(key)
+                        if col is None:
+                            continue
                         sign = -1 if cone_partner and v % 2 else 1
                         weight = 2 * scale * count * sign
                         for e0 in e0s:

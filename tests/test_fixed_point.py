@@ -84,10 +84,14 @@ LADDER = {
 }
 
 
-def mismatches(digests):
+def mismatches(digests, cold=False):
+    """Keys whose digest differs, computed in one warm memo or, with cold,
+    each from a freshly cleared memo as the benchmark computes a rung."""
     clear_memo()
     wrong = []
     for key, want in digests.items():
+        if cold:
+            clear_memo()
         sig = SurfaceSignature(*map(int, key.split(",")))
         got = hashlib.sha256(to_json(compute_volume(sig)).encode()).hexdigest()
         if got != want:
@@ -112,6 +116,10 @@ def test_fixed_point_small_signatures():
 
 def test_fixed_point_ladder():
     assert mismatches(LADDER) == []
+
+
+def test_fixed_point_ladder_from_a_cold_memo():
+    assert mismatches(LADDER, cold=True) == []
 
 
 if __name__ == "__main__":

@@ -19,6 +19,9 @@ Q = Fraction
 STABLE = [
     (g, n) for g in range(3) for n in range(1, 5) if 2 * g - 2 + n > 0
 ]
+# the benchmark ladder's scale, V_{g,n+1} up to (0, 8) and (5, 2) against
+# V_{g,n}; (2, 3) is in STABLE
+LADDER = [(0, 7), (1, 5), (3, 2), (4, 1), (5, 1)]
 
 
 def _add(out, xexp, piexp, coeff):
@@ -62,19 +65,36 @@ def derivative_at_last_slot(terms, x):
     return at_last_slot(shifted, x)
 
 
-@pytest.mark.parametrize("g,n", STABLE)
+def dilaton(terms, chi):
+    """Do-Norbury: dV_{g,n+1}/dL (2 pi i) = 2 pi i chi V_{g,n}, chi = 2g - 2 + n;
+    with x = L^2 this gives V_{g,n} = 2 V'_{g,n+1}(x = -4 pi^2) / chi."""
+    return {
+        xexp: {q: 2 * c / chi for q, c in graded.items()}
+        for xexp, graded in derivative_at_last_slot(terms, Q(-4)).items()
+    }
+
+
+def volume(g, n):
+    return boundary_volume(g, n, max_moment_k=None).terms
+
+
+@pytest.mark.parametrize("g,n", STABLE + LADDER)
 def test_string_equation_boundary_path(g, n):
     # V_{g,n+1}(L, 2 pi i) = sum_k int_0^{L_k} L_k V_{g,n}(L) dL_k
-    lhs = at_last_slot(boundary_volume(g, n + 1).terms, Q(-4))
-    assert lhs == string_rhs(boundary_volume(g, n).terms)
+    assert at_last_slot(volume(g, n + 1), Q(-4)) == string_rhs(volume(g, n))
 
 
-@pytest.mark.parametrize("g,n", STABLE)
+@pytest.mark.parametrize("g,n", STABLE + LADDER)
 def test_string_equation_direct_cone_path(g, n):
     # a cone of angle 2 pi is the boundary of length 2 pi i; the cone
     # variable theta^2 carries the sign, so it is set to +4 pi^2
-    lhs = at_last_slot(cone_volume_direct(g, n, 1).terms, Q(4))
-    assert lhs == string_rhs(boundary_volume(g, n).terms)
+    lhs = at_last_slot(cone_volume_direct(g, n, 1, max_moment_k=None).terms, Q(4))
+    assert lhs == string_rhs(volume(g, n))
+
+
+@pytest.mark.parametrize("g,n", STABLE + LADDER)
+def test_dilaton_equation_with_boundaries(g, n):
+    assert dilaton(volume(g, n + 1), 2 * g - 2 + n) == volume(g, n)
 
 
 @pytest.mark.parametrize(
@@ -82,14 +102,7 @@ def test_string_equation_direct_cone_path(g, n):
     [(2, {(): {6: Q(43, 2160)}}), (3, {(): {12: Q(176557, 1209600)}})],
 )
 def test_dilaton_gives_published_closed_volumes(g, published):
-    # Do-Norbury: dV_{g,1}/dL (2 pi i) = 2 pi i (2g - 2) V_{g,0}; with
-    # x = L^2 that is V_{g,0} = 2 V'_{g,1}(x = -4 pi^2) / (2g - 2)
-    slope = derivative_at_last_slot(boundary_volume(g, 1).terms, Q(-4))
-    closed = {
-        xexp: {q: 2 * c / (2 * g - 2) for q, c in graded.items()}
-        for xexp, graded in slope.items()
-    }
-    assert closed == published
+    assert dilaton(volume(g, 1), 2 * g - 2) == published
 
 
 def test_published_four_holed_sphere_and_one_holed_torus():

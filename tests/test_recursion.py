@@ -137,6 +137,18 @@ def test_splittings_come_in_mirror_pairs():
         assert set(sps) == mirrored
 
 
+def test_separating_groups_are_closed_under_the_mirror():
+    # _rhs assembles one group of each mirror pair at twice its scale
+    for g, ms, ns in itertools.product(range(5), range(7), range(4)):
+        groups = {
+            (group.pieces, group.taken)
+            for group in recursion._cut_groups(g, ms, ns)
+            if group.kind == "separating"
+        }
+        mirrored = {((p2, p1), (ms - i, ns - j)) for (p1, p2), (i, j) in groups}
+        assert groups == mirrored, (g, ms, ns)
+
+
 def test_grouped_cut_multiplicities_sum_to_the_ungrouped_count():
     # the multiplicities are those the assembly uses: sub-multisets of a
     # rest with repeated exponents (separating) and counts of each distinct
