@@ -59,10 +59,14 @@ cone path), and every contribution is one read of a piece's column index
 over a.  One pass over the piece's orbit map builds the index, each key
 less each distinct a of its boundary block naming a column; it is kept
 with the memoized volume until clear_memo, and an absent column is all
-zero and is skipped.  The double moment of x^a y^b is (2a+1)!(2b+1)! M_k
-with k = a + b + 1 and M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of
-t^(2r) in F_{2k+1}, so the non-separating and separating cuts give
-sum_k M_k[e0] S_k(rest) with
+zero and is skipped.  The blocks come from one block table, _BLOCK_MEMO:
+_blocks lists the blocks to walk and _splits each block's sub-multisets of
+one size with their multiplicities (the size-1 splits are its runs), each
+built once as the recursion meets it and dropped by clear_memo with the
+volumes, so the calls of one cold computation share them.  The double
+moment of x^a y^b is (2a+1)!(2b+1)! M_k with k = a + b + 1 and
+M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of t^(2r) in F_{2k+1}, so
+the non-separating and separating cuts give sum_k M_k[e0] S_k(rest) with
 
     S_k(rest) = sum_{a+b=k-1} (2a+1)! (2b+1)! (V_{g-1}[(a, b) + rest]
                 + sum over separating groups and sub-multisets R1 of rest
@@ -241,13 +245,19 @@ _CUSP_MEMO: Dict[Tuple[int, int, int, int], VolumePolynomial] = {}
 # (g, m, n) -> _columns' index of the _RECURSION_MEMO volume under that key.
 _COLUMN_MEMO: Dict[Tuple[int, int, int], Dict[tuple, List[int]]] = {}
 
+# The block table, built as the recursion meets its blocks:
+# (block, size) -> _splits(block, size), (length, total, top) -> _blocks(...).
+_BLOCK_MEMO: Dict[tuple, list] = {}
+
 
 def clear_memo() -> None:
-    """Drop all memoized volumes and column indexes (for tests, benchmarks)."""
+    """Drop all memoized volumes, column indexes and the block table (for
+    tests, benchmarks), so the next call recomputes them all."""
     _RECURSION_MEMO.clear()
     _SIGNED_MEMO.clear()
     _CUSP_MEMO.clear()
     _COLUMN_MEMO.clear()
+    _BLOCK_MEMO.clear()
 
 
 # -- integer weight tables -------------------------------------------------------
@@ -298,16 +308,20 @@ def _moment_table(kmax: int):
 # -- orbit keys --------------------------------------------------------------------
 
 
-def _blocks(length: int, total: int, top: Optional[int] = None) -> Iterator[Exponent]:
+def _blocks(length: int, total: int, top: Optional[int] = None) -> List[Exponent]:
     """Every non-increasing tuple of `length` entries, each at most `top`,
-    with sum at most `total`."""
-    if length == 0:
-        yield ()
-        return
+    with sum at most `total`, largest first; kept in _BLOCK_MEMO."""
     top = total if top is None else min(top, total)
-    for first in range(top, -1, -1):
-        for tail in _blocks(length - 1, total - first, first):
-            yield (first,) + tail
+    key = (length, total, top)
+    blocks = _BLOCK_MEMO.get(key)
+    if blocks is None:
+        blocks = [()] if length == 0 else [
+            (first,) + tail
+            for first in range(top, -1, -1)
+            for tail in _blocks(length - 1, total - first, first)
+        ]
+        blocks = _BLOCK_MEMO.setdefault(key, blocks)
+    return blocks
 
 
 def _insert(block: Exponent, a: int) -> Exponent:
@@ -318,39 +332,37 @@ def _insert(block: Exponent, a: int) -> Exponent:
     return block + (a,)
 
 
-def _remove(block: Exponent, v: int) -> Exponent:
-    """The non-increasing block with one entry v less."""
-    i = block.index(v)
-    return block[:i] + block[i + 1 :]
-
-
-def _runs(block: Exponent) -> List[Tuple[int, int]]:
-    """(value, count) for each distinct entry of a sorted block."""
-    return [(v, len(list(run))) for v, run in itertools.groupby(block)]
-
-
-def _sub_multisets(block: Exponent) -> Dict[int, List[Tuple[Exponent, Exponent, int]]]:
-    """{size: [(first, rest, multiplicity)]}: each sub-multiset `first` of a
-    non-increasing block, its complement, and the number of index subsets
-    behind it, prod C(count, picked)."""
-    splits: List[Tuple[Exponent, Exponent, int]] = [((), (), 1)]
-    for v, c in _runs(block):
-        splits = [
-            (first + (v,) * p, rest + (v,) * (c - p), mult * math.comb(c, p))
-            for first, rest, mult in splits
-            for p in range(c + 1)
-        ]
-    out: Dict[int, List[Tuple[Exponent, Exponent, int]]] = {}
-    for split in splits:
-        out.setdefault(len(split[0]), []).append(split)
-    return out
+def _splits(block: Exponent, size: int) -> List[Tuple[Exponent, Exponent, int]]:
+    """[(first, rest, multiplicity)]: each sub-multiset `first` of `size`
+    entries of a non-increasing block, its complement, and the number of
+    index subsets behind it, prod C(count, picked); kept in _BLOCK_MEMO.
+    The size-1 splits are the block's runs: ((v,), block less one v, count)."""
+    key = (block, size)
+    splits = _BLOCK_MEMO.get(key)
+    if splits is None:
+        if size in (0, len(block)):
+            splits = [(block[:size], block[size:], 1)]
+        else:  # the first run gives p entries, the tail the others
+            v, c = block[0], block.count(block[0])
+            tail = block[c:]
+            splits = [
+                ((v,) * p + first, (v,) * (c - p) + rest, math.comb(c, p) * mult)
+                for p in range(max(0, size - len(tail)), min(c, size) + 1)
+                for first, rest, mult in _splits(tail, size - p)
+            ]
+        splits = _BLOCK_MEMO.setdefault(key, splits)
+    return splits
 
 
 # -- the recursion -----------------------------------------------------------------
 
 
 def _sub_volume(g: int, m: int, n: int) -> VolumePolynomial:
-    """A piece's volume, through the memoized public entry points."""
+    """A piece's volume: a memo hit as it is, a miss through the public
+    entry points, which check it."""
+    cached = _RECURSION_MEMO.get((g, m, n))
+    if cached is not None:
+        return cached
     if n == 0:
         return boundary_volume(g, m, max_moment_k=None)
     return cone_volume_direct(g, m, n, max_moment_k=None)
@@ -433,7 +445,6 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
             e0s = range(lo, d - s + 1)
             S = [0] * (d - s)  # S[k] for the moment indices k < d - s
             extra = dict.fromkeys(e0s, 0)  # pairings and cap, per e0
-            subs_b = subs_c = None
             for group, scale in scaled:
                 kind = group.kind
                 if kind == "nonseparating":
@@ -445,11 +456,10 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
                             for k, y in enumerate(col, a + 1):
                                 S[k] += x * y
                 elif kind == "separating":
-                    if subs_b is None:
-                        subs_b, subs_c = _sub_multisets(B), _sub_multisets(C)
                     (first, second), (i, j) = map(cols.get, group.pieces), group.taken
-                    for B1, B2, mb in subs_b[i]:
-                        for C1, C2, mc in subs_c[j]:
+                    subs_c = _splits(C, j)
+                    for B1, B2, mb in _splits(B, i):
+                        for C1, C2, mc in subs_c:
                             col1, col2 = first.get((B1, C1)), second.get((B2, C2))
                             if col1 is None or col2 is None:
                                 continue
@@ -462,9 +472,8 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
                 elif kind == "pairing":
                     index = cols[group.pieces[0]]
                     cone_partner = group.taken[1]
-                    for v, count in _runs(C if cone_partner else B):
-                        key = (B, _remove(C, v)) if cone_partner else (_remove(B, v), C)
-                        col = index.get(key)
+                    for (v,), rest, count in _splits(C if cone_partner else B, 1):
+                        col = index.get((B, rest) if cone_partner else (rest, C))
                         if col is None:
                             continue
                         sign = -1 if cone_partner and v % 2 else 1
@@ -598,7 +607,7 @@ def compute_volume(
     den, nums, degree = boundary.orbits
     signed: Dict[Exponent, int] = {}
     for orbit, num in nums.items():
-        for cones, bounds, _ in _sub_multisets(orbit).get(sig.cones, ()):
+        for cones, bounds, _ in _splits(orbit, sig.cones):
             signed[bounds + cones] = -num if sum(cones) % 2 else num
     result = from_orbits(sig.slots, den, signed, degree, (sig.boundaries, sig.cones))
     return _SIGNED_MEMO.setdefault(key, result)

@@ -19,9 +19,9 @@ Q = Fraction
 STABLE = [
     (g, n) for g in range(3) for n in range(1, 5) if 2 * g - 2 + n > 0
 ]
-# the benchmark ladder's scale, V_{g,n+1} up to (0, 8) and (5, 2) against
-# V_{g,n}; (2, 3) is in STABLE
-LADDER = [(0, 7), (1, 5), (3, 2), (4, 1), (5, 1)]
+# the benchmark ladder's scale and the (g <= 8, 1) end of the ROADMAP ladder,
+# V_{g,n+1} up to (0, 8), (5, 2) and (8, 2) against V_{g,n}; (2, 3) is in STABLE
+LADDER = [(0, 7), (1, 5), (3, 2), (4, 1), (5, 1), (6, 1), (7, 1), (8, 1)]
 
 
 def _add(out, xexp, piexp, coeff):

@@ -164,24 +164,51 @@ def test_grouped_cut_multiplicities_sum_to_the_ungrouped_count():
                     ms, ns = m - (slot < m), n - (slot >= m)
                     B = (2, 1, 1, 0, 0, 0)[:ms]
                     C = (1, 1, 0, 0, 0)[:ns]
-                    subs_b = recursion._sub_multisets(B)
-                    subs_c = recursion._sub_multisets(C)
                     separating = pairings = 0
                     for group in recursion._cut_groups(g, ms, ns):
                         i, j = group.taken
                         if group.kind == "separating":
-                            separating += sum(mb for *_, mb in subs_b[i]) * sum(
-                                mc for *_, mc in subs_c[j]
-                            )
+                            separating += sum(
+                                mb for *_, mb in recursion._splits(B, i)
+                            ) * sum(mc for *_, mc in recursion._splits(C, j))
                         elif group.kind == "pairing":
-                            runs = recursion._runs(C if j else B)
-                            pairings += sum(count for _, count in runs)
+                            runs = recursion._splits(C if j else B, 1)
+                            pairings += sum(count for *_, count in runs)
                     ungrouped = len(enumerate_splittings(sig, slot))
                     assert separating == ungrouped, (sig, slot)
                     assert ungrouped == len(brute_force_splittings(sig, slot))
                     # any partner leaves a genus-g piece with ms + ns slots
                     stable_pairings = (ms + ns) * (2 * g - 2 + ms + ns > 0)
                     assert pairings == stable_pairings, (sig, slot)
+
+
+def test_split_table_against_brute_force():
+    # every sub-multiset of a block with its complement and multiplicity,
+    # against index subsets grouped by the values they pick
+    for length in range(8):
+        for block in itertools.combinations_with_replacement(range(3, -1, -1), length):
+            for size in range(length + 1):
+                want = {}
+                for picked in itertools.combinations(range(length), size):
+                    first = tuple(block[i] for i in picked)
+                    rest = tuple(v for i, v in enumerate(block) if i not in picked)
+                    want[first, rest] = want.get((first, rest), 0) + 1
+                splits = recursion._splits(block, size)
+                assert len(splits) == len(want), (block, size)
+                assert {(f, r): m for f, r, m in splits} == want, (block, size)
+    clear_memo()
+
+
+def test_block_lists_against_brute_force():
+    for length in range(5):
+        for total in range(7):
+            want = sorted(
+                (b for b in itertools.product(range(total, -1, -1), repeat=length)
+                 if sum(b) <= total and list(b) == sorted(b, reverse=True)),
+                reverse=True,
+            )
+            assert recursion._blocks(length, total) == want, (length, total)
+    clear_memo()
 
 
 def test_four_holed_sphere_has_no_stable_splitting():
@@ -392,6 +419,45 @@ def test_memoization_purity():
     # boundary_volume is the direct path with no cones: one memo entry
     for g, nslots in [(0, 3), (0, 5), (1, 2), (2, 2), (3, 1)]:
         assert boundary_volume(g, nslots) is cone_volume_direct(g, nslots, 0)
+
+
+def test_clear_memo_leaves_every_memo_empty():
+    # a cold ladder rung fills every memo; clear_memo empties them all, and
+    # only the kernel moment table outlives it
+    from wpcone.conepoints import cusp_limit
+
+    memos = {name: v for name, v in vars(recursion).items() if name.endswith("_MEMO")}
+    assert len(memos) == 5 and all(type(v) is dict for v in memos.values())
+    clear_memo()
+    cusp_limit(SurfaceSignature(2, 2, 2), 1)
+    assert all(memos.values())
+    clear_memo()
+    assert not any(memos.values())
+    cached = [
+        f
+        for f in vars(recursion).values()
+        if hasattr(f, "cache_info") and f.__module__ == recursion.__name__
+    ]
+    assert cached == [recursion._moment_table]
+    assert recursion._moment_table.cache_info().currsize
+
+
+@pytest.mark.parametrize("sig,pieces", [((5, 0, 1), 19), ((2, 2, 2), 13)])
+def test_each_piece_is_checked_once(monkeypatch, sig, pieces):
+    # a memoized piece is read as it is: cone_volume_direct checks each key
+    # that ends up in the memo once, on its first (cold) read
+    calls = []
+    checked = recursion.cone_volume_direct
+
+    def counting(*args, **kwargs):
+        calls.append(args[:3])
+        return checked(*args, **kwargs)
+
+    monkeypatch.setattr(recursion, "cone_volume_direct", counting)
+    clear_memo()
+    compute_volume(SurfaceSignature(*sig))
+    assert len(calls) == len(set(calls)) == pieces
+    assert set(calls) == set(recursion._RECURSION_MEMO)
 
 
 def test_moment_cap_propagates_with_clear_message():
