@@ -215,6 +215,14 @@ def _cmd_cusp_limit(args: argparse.Namespace) -> int:
     return 0
 
 
+def _verdict(line: str, ok: bool, word: str = "ok") -> bool:
+    """Print a check's line followed by word if it holds, else FAIL; the
+    one format of every verdict of the kernel, identity and recursion
+    suites."""
+    print("%s %s" % (line, word if ok else "FAIL"))
+    return ok
+
+
 def _require(flag: str, value: int, least: int) -> None:
     """Refuse a verify flag value that leaves its suite nothing to check."""
     if value < least:
@@ -277,7 +285,7 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
     _require("--max-k", args.max_k, 0)
     _require("--samples", args.samples, 1)
     quad_tol = args.tol / 10.0  # the quadrature's own error: a tenth of the check's
-    failures = 0
+    oks = []
     for theta in (0.1, 0.5, 1.0, 2.0, math.pi):
         c = math.cos(theta / 2.0)
         got = integrate_decaying(
@@ -286,12 +294,8 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
         )
         want = math.pi ** 2 / 6.0 - theta ** 2 / 8.0
         err = abs(got - want)
-        ok = err <= args.tol
-        failures += 0 if ok else 1
-        print(
-            "pair moment theta=%-8.5f err=%.3e %s"
-            % (theta, err, "ok" if ok else "FAIL")
-        )
+        line = "pair moment theta=%-8.5f err=%.3e" % (theta, err)
+        oks.append(_verdict(line, err <= args.tol))
     rng = random.Random(args.seed)
     for k in range(args.max_k + 1):
         poly = moment_integral(k)
@@ -304,14 +308,9 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
                 tol=quad_tol,
             )
             worst = max(worst, abs(quad - exact) / max(1.0, abs(exact)))
-        ok = worst <= args.tol
-        failures += 0 if ok else 1
-        print(
-            "moment k=%d: %d samples, worst err=%.3e %s"
-            % (k, args.samples, worst, "ok" if ok else "FAIL")
-        )
-    print("kernel verification: %s" % ("pass" if failures == 0 else "FAIL"))
-    return 0 if failures == 0 else 1
+        line = "moment k=%d: %d samples, worst err=%.3e" % (k, args.samples, worst)
+        oks.append(_verdict(line, worst <= args.tol))
+    return 0 if _verdict("kernel verification:", all(oks), "pass") else 1
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
@@ -327,12 +326,8 @@ def _cmd_verify_identity(args: argparse.Namespace) -> int:
         got = integrate_volume_identity(theta)
         want = eval_numeric(poly, [theta])
         worst = max(worst, abs(got - want))
-    ok = worst <= args.tol
-    print(
-        "volume identity on %d angles: worst err=%.3e %s"
-        % (args.grid, worst, "pass" if ok else "FAIL")
-    )
-    return 0 if ok else 1
+    line = "volume identity on %d angles: worst err=%.3e" % (args.grid, worst)
+    return 0 if _verdict(line, worst <= args.tol, "pass") else 1
 
 
 def _cmd_verify_recursion(args: argparse.Namespace) -> int:
@@ -351,17 +346,14 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
     sigs = _stable_signatures(args, settings)
     cones = [sig for sig in sigs if sig[2]]
     oracle = [s for s in sigs if s in ((0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0))]
-    failures = 0
+    oks = []
     for g, m, n in cones:
         direct = cone_volume_direct(
             g, m, n, max_moment_k=settings["max_moment_k"]
         )
         substituted = compute_volume(SurfaceSignature(g, m, n), **settings)
-        ok = direct == substituted
-        failures += 0 if ok else 1
-        print(
-            "cone recursion (%d,%d,%d): %s" % (g, m, n, "ok" if ok else "FAIL")
-        )
+        line = "cone recursion (%d,%d,%d):" % (g, m, n)
+        oks.append(_verdict(line, direct == substituted))
     rng = random.Random(args.seed)
     for g, m, n in oracle:
         poly = compute_volume(SurfaceSignature(g, m, n), **settings)
@@ -372,17 +364,12 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
             sym = eval_numeric(poly, lengths + angles)
             num = numeric_volume_value(g, m, n, lengths, angles)
             worst = max(worst, abs(sym - num) / max(1.0, abs(sym)))
-        ok = worst <= args.tol
-        failures += 0 if ok else 1
-        print(
-            "numeric oracle (%d,%d,%d): %d samples, worst rel err=%.3e %s"
-            % (g, m, n, args.samples, worst, "ok" if ok else "FAIL")
+        line = "numeric oracle (%d,%d,%d): %d samples, worst rel err=%.3e" % (
+            g, m, n, args.samples, worst
         )
-    print(
-        "recursion verification (%d cone signatures): %s"
-        % (len(cones), "pass" if failures == 0 else "FAIL")
-    )
-    return 0 if failures == 0 else 1
+        oks.append(_verdict(line, worst <= args.tol))
+    line = "recursion verification (%d cone signatures):" % len(cones)
+    return 0 if _verdict(line, all(oks), "pass") else 1
 
 
 def _add_settings(parser: argparse.ArgumentParser) -> None:

@@ -471,32 +471,35 @@ def integrate_decaying(f: Callable[[float], float], tol: float = 1e-10) -> float
 
     Raises ValueError when tol is not positive and finite, RuntimeError
     when the integrand shows no exponential decay, and ValueError when the
-    error estimate misses tol: a tolerance the rule does not reach on this
-    integrand is an input it cannot honour.
+    integrand overflows or the error estimate misses tol: a tolerance the
+    rule does not reach on this integrand is an input it cannot honour.
     """
     check_tolerance(tol)
-    x = 40.0
-    while True:
-        fx, fx3 = abs(f(x)), abs(f(x + 3))
-        if fx3 <= 0.5 * fx and max(fx, fx3) <= tol / 80:
-            break
-        if x > 100000:
-            raise RuntimeError(
-                "integrand does not exhibit exponential decay; cannot truncate"
-            )
-        x = x * 2 if x < 2000 else x * 1.5
-    upper = x + 3
-    value, err = _panel(f, 0.0, upper)
-    # max-heap on the error estimate: (-err, lo, hi, value)
-    panels = [(-err, 0.0, upper, value)]
-    while err > max(tol / 10, 1e-10 * abs(value)) and len(panels) < 400:
-        _, lo, hi, _ = heapq.heappop(panels)
-        mid = (lo + hi) / 2
-        for left, right in ((lo, mid), (mid, hi)):
-            part, part_err = _panel(f, left, right)
-            heapq.heappush(panels, (-part_err, left, right, part))
-        value = math.fsum(p[3] for p in panels)
-        err = -math.fsum(p[0] for p in panels)
+    try:
+        x = 40.0
+        while True:
+            fx, fx3 = abs(f(x)), abs(f(x + 3))
+            if fx3 <= 0.5 * fx and max(fx, fx3) <= tol / 80:
+                break
+            if x > 100000:
+                raise RuntimeError(
+                    "integrand does not exhibit exponential decay; cannot truncate"
+                )
+            x = x * 2 if x < 2000 else x * 1.5
+        upper = x + 3
+        value, err = _panel(f, 0.0, upper)
+        # max-heap on the error estimate: (-err, lo, hi, value)
+        panels = [(-err, 0.0, upper, value)]
+        while err > max(tol / 10, 1e-10 * abs(value)) and len(panels) < 400:
+            _, lo, hi, _ = heapq.heappop(panels)
+            mid = (lo + hi) / 2
+            for left, right in ((lo, mid), (mid, hi)):
+                part, part_err = _panel(f, left, right)
+                heapq.heappush(panels, (-part_err, left, right, part))
+            value = math.fsum(p[3] for p in panels)
+            err = -math.fsum(p[0] for p in panels)
+    except OverflowError as exc:  # e.g. x ** n past the largest double
+        raise ValueError("integrand overflows a double: %s" % exc.args[-1]) from None
     if err > tol * max(1.0, abs(value)):
         raise ValueError(
             f"quadrature error estimate {err:.3e} exceeds tolerance {tol:.3e}"

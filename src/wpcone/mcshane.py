@@ -17,9 +17,10 @@ traces are generated from a root triple by the exchange moves
 
 a Stern-Brocot traversal that visits every slope exactly once.  Slopes of
 both signs are reached from two root nodes: the given triple (x, y, z) and
-its mirror (x, y, x*y - z).  Traces grow strictly along every branch, so
-the tree can be pruned at a length cutoff and the enumeration below the
-cutoff is complete.
+its mirror (x, y, w), w the other root of the relation as a quadratic in
+z, taken so that it does not cancel.  Traces grow strictly along every
+branch, so the tree can be pruned at a length cutoff and the enumeration
+below the cutoff is complete.
 
 Summing one gap width per geodesic then recovers half the boundary data:
 theta/2, L/2, or 1/2.  These identities are convention-discriminating --
@@ -28,13 +29,14 @@ the sums converge to the wrong constant -- which is what makes this module
 an effective end-to-end check of everything the volume recursion rests on.
 
 The walk carries traces only: a node's slope is fixed by its place in the
-tree, and no sum needs it.  The sums never walk a subtree twice: a
-subtree's traces depend only on its start triple, and on the symmetric
-root x = y = z the six subtrees next to the roots start at the same
-triple, so one walk, weighted six times, serves them all.  Partial sums
-are kept as exact integer multiples of 2^-1074 and divided once per
-checkpoint, so every printed sum is the correctly rounded sum of one term
-per geodesic, whatever the order of the terms.
+tree, and no sum needs it.  One node step, _walk_subtree, checks and
+prunes every node.  The sums never walk a subtree twice: a subtree's
+traces depend only on its start triple, and on the symmetric root
+x = y = z the six subtrees next to the roots start at the same triple, so
+one walk, weighted six times, serves them all.  Partial sums are kept as
+exact integer multiples of 2^-1074 and divided once per checkpoint, so
+every printed sum is the correctly rounded sum of one term per geodesic,
+whatever the order of the terms.
 
 The same machinery verifies the torus volume in integral form: the first
 length moment of the cone-point gap kernel equals theta times the volume
@@ -147,17 +149,22 @@ def root_triple(kappa: float, symmetric_start: bool = True) -> TraceTriple:
     return TraceTriple(x, y, z)
 
 
-def _walk_subtree(a: float, b: float, c: float, tmax: float) -> List[float]:
+def _walk_subtree(
+    a: float, b: float, c: float, tmax: float, children: Optional[list] = None
+) -> List[float]:
     """Collect the trace of every tree node with trace <= tmax.
 
     Traces increase strictly along branches once the newest trace dominates
     the other two, so a dominated node above the cutoff ends its subtree
     and is tested before it is pushed, never visited; the rare non-dominant
     node (possible only near an asymmetric root) is descended regardless.
-    Every computed trace is checked to be hyperbolic.
+    Every computed trace is checked to be hyperbolic.  Given a children
+    list, only the start is visited, and the children it would descend are
+    appended to that list.
     """
     out: List[float] = []
     stack = [(a, b, c)]
+    push = stack.append if children is None else children.append
     visited = 0
     while stack:
         a, b, c = stack.pop()
@@ -177,12 +184,12 @@ def _walk_subtree(a: float, b: float, c: float, tmax: float) -> List[float]:
         # parents above the cutoff; its trace is checked either way
         t = a * c - b
         if t <= tmax or t < a or t < c:
-            stack.append((a, c, t))
+            push((a, c, t))
         elif not t > 2.0:
             raise _non_hyperbolic(t)
         t = b * c - a
         if t <= tmax or t < b or t < c:
-            stack.append((b, c, t))
+            push((b, c, t))
         elif not t > 2.0:
             raise _non_hyperbolic(t)
     return out
@@ -194,61 +201,38 @@ def _non_hyperbolic(trace: float) -> RuntimeError:
     )
 
 
-def _tree_roots(
-    root: TraceTriple, length_cutoff: float
-) -> Tuple[float, List[float], List[Tuple[float, float, float]]]:
-    """The trace cutoff, the traces of the four roots of the two trees that
-    lie below it, and the starts (a, b, c) of the four subtrees hanging off
-    those roots."""
-    tmax = _length_trace(length_cutoff, "length cutoff")
-    x, y, z = root.x, root.y, root.z
-    w = x * y - z  # mirror solution of the trace quadratic: negative slopes
-    if not w > 2.0:
-        raise RuntimeError(
-            "mirror trace %r is not hyperbolic; root triple does not come "
-            "from a hyperbolic structure" % w
-        )
-    found = [t for t in (x, y, z, w) if t <= tmax]
-    subtrees = [(x, z, x * z - y), (y, z, y * z - x)]  # off the root (x, y, z)
-    subtrees += [(x, w, x * w - y), (y, w, y * w - x)]  # off its mirror (x, y, w)
-    return tmax, found, subtrees
-
-
 def _trace_groups(
-    root: TraceTriple, length_cutoff: float
+    root: TraceTriple, length_cutoff: float, kappa: float
 ) -> List[Tuple[List[float], int]]:
     """The traces of every simple closed geodesic up to the length cutoff,
     as (traces, multiplicity) groups, each subtree with a bit-identical
     start walked once.
 
-    The first two subtree roots are expanded here, with _walk_subtree's
-    checks and pruning, into their children; with the last two subtrees
-    these are the six depth-one starts.  A subtree's traces are a function
-    of its start (a, b, c) and the cutoff alone, so starts equal as float
-    triples are walked once and weighted by how often they occur.  On a
-    symmetric root (x = y = z) all six are (x, w, x*w - x), w = x*x - x,
-    and one walk serves them all.
+    The mirror trace w has w + z = x*y and w*z = x^2 + y^2 - kappa; the sum
+    gives w when z is the smaller root, the product when z is the larger,
+    where x*y - z cancels as the traces grow.  _walk_subtree expands the
+    two subtrees off (x, y, z) into their children; with the two off the
+    mirror these are the six depth-one starts.  A subtree's traces are a
+    function of its start (a, b, c) and the cutoff alone, so starts equal
+    as float triples are walked once and weighted by how often they occur.
+    On a symmetric root (x = y = z) all six are (x, w, x*w - x),
+    w = x*x - x, and one walk serves them all.
     """
-    tmax, kept, subtrees = _tree_roots(root, length_cutoff)
-    starts: Counter = Counter()  # (a, b, c) -> multiplicity
-    for a, b, c in subtrees[:2]:
-        if not c > 2.0:
-            raise _non_hyperbolic(c)
-        if c <= tmax:
-            kept.append(c)
-        elif c >= a and c >= b:
-            continue
-        for p, q in ((a, b), (b, a)):
-            t = p * c - q
-            if t <= tmax or t < p or t < c:
-                starts[p, c, t] += 1
-            elif not t > 2.0:
-                raise _non_hyperbolic(t)
-    starts.update(subtrees[2:])
+    tmax = _length_trace(length_cutoff, "length cutoff")
+    x, y, z = root
+    w = (x * x + y * y - kappa) / z if 2.0 * z > x * y else x * y - z
+    if not w > 2.0:
+        raise _non_hyperbolic(w)
+    kept = [t for t in (x, y, z, w) if t <= tmax]
+    children: List[Tuple[float, float, float]] = []  # depth-one starts
+    kept += _walk_subtree(x, z, x * z - y, tmax, children)  # off the root
+    kept += _walk_subtree(y, z, y * z - x, tmax, children)
+    starts = Counter(children)  # (a, b, c) -> multiplicity
+    starts.update([(x, w, x * w - y), (y, w, y * w - x)])  # off the mirror
     groups = [(kept, 1)]
     groups += [(_walk_subtree(*start, tmax), mult) for start, mult in starts.items()]
     if not any(traces for traces, _ in groups):
-        systole = 2.0 * math.acosh(min(*root, root.x * root.y - root.z) / 2.0)
+        systole = 2.0 * math.acosh(min(x, y, z, w) / 2.0)
         raise ValueError(
             "length cutoff %g lies below the systole %.6f; no geodesics to "
             "enumerate" % (length_cutoff, systole)
@@ -369,7 +353,7 @@ def mcshane_sum(
     else:
         target = label.value / 2.0
     gap = _gap(label)
-    groups = _trace_groups(root, length_cutoff)
+    groups = _trace_groups(root, length_cutoff, kappa)
     if checkpoints is None:
         cuts = [float(c) for c in range(10, int(length_cutoff) + 1, 5)]
         if not cuts or cuts[-1] != float(length_cutoff):

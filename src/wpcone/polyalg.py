@@ -299,7 +299,8 @@ def eval_numeric(
     the volume; each call multiplies every coefficient by its powers of the
     values and sums the products.  A real sum is taken with math.fsum, which
     rounds the exact sum of the products once, so terms that cancel lose
-    nothing; ValueError is raised when that sum is not a finite double.
+    nothing; ValueError is raised when that sum, or a coefficient, is not a
+    finite double.
     """
     vals = list(values)
     if len(vals) != p.num_vars:
@@ -313,8 +314,11 @@ def eval_numeric(
     form = p._flat
     if form is None:
         den, nums, degree = p.numerators
-        pis = [math.pi ** (2 * j) for j in range(degree + 1)]
-        coeffs = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
+        try:
+            pis = [math.pi ** (2 * j) for j in range(degree + 1)]
+            coeffs = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
+        except OverflowError:  # an inf product of finite factors fails the sum's check
+            raise ValueError("a coefficient is not a finite double") from None
         form = p._flat = (coeffs, list(zip(*nums)))
     coeffs, columns = form
     # powers of v**2 up to the degree, each once per call

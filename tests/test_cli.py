@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -380,6 +381,42 @@ def test_verify_kernel_runs_past_the_recursion_moment_cap(capsys):
     assert code == 0, err
     assert "moment k=13: 1 samples" in out
     assert out.strip().endswith("pass")
+
+
+# SHA-256 of stdout, and the exit code, of the text suites: every ok, FAIL,
+# pass and summary line is frozen byte for byte
+PINNED_VERIFY_TEXT = {
+    ("kernel", "--max-k", "1", "--samples", "2"): (
+        0, "fd347edc22b5eece83a2bcd48e474317cce8584d2951836369e38ebc534a81d1"
+    ),
+    ("identity", "--grid", "2"): (
+        0, "589ea9a1bb1f201ba81283068848621cceb1e076a4c4ff4389beb856f92bd3d2"
+    ),
+    ("identity", "--grid", "3", "--tol", "1e-30"): (
+        1, "49d041ce7012a011ce2214eaf1dc8c0fba096bef25f75011f68d38beb1871f2f"
+    ),
+    ("recursion", "--g-max", "1", "--slot-max", "3", "--samples", "1"): (
+        0, "ceed009afb3c6972d386de1058cd6e28658dfc1b2c84ae9f534939a07e5aa26c"
+    ),
+    ("recursion", "--g-max", "1", "--slot-max", "3", "--samples", "1",
+     "--tol", "1e-30"): (
+        1, "e160eb4bfbd5a9657ec0e0b0d8685101a919ae6d4974c274af0b3398660bdb2b"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_VERIFY_TEXT))
+def test_verify_text_is_byte_pinned(argv, capsys):
+    code, out, _ = run(capsys, "verify", *argv)
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == PINNED_VERIFY_TEXT[argv]
+
+
+def test_verify_kernel_whose_integrand_overflows_is_refused(capsys):
+    # x**(2k+1) passes the largest double before the kernel decays at k = 45
+    code, out, err = run(capsys, "verify", "kernel", "--max-k", "45", "--samples", "1")
+    assert code == 2
+    assert "moment k=44: 1 samples" in out
+    assert err == "error: integrand overflows a double: Numerical result out of range\n"
 
 
 @pytest.mark.parametrize(

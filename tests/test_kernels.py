@@ -250,6 +250,13 @@ def test_quadrature_rejects_slow_decay():
         integrate_decaying(lambda x: 1 / (1 + x * x))
 
 
+def test_quadrature_refuses_an_integrand_that_overflows():
+    # x**91 passes the largest double at the truncation probe x = 2560,
+    # before exp(-x/4) has made the integrand small
+    with pytest.raises(ValueError, match="integrand overflows a double"):
+        integrate_decaying(lambda x: x ** 91 * math.exp(-x / 4))
+
+
 def test_conjugate_pair_moment_value():
     # int_0^inf x * (1/(1+e^(x - i/2)) + 1/(1+e^(x + i/2))) dx = pi^2/6 - 1/8
     val = integrate_decaying(lambda x: x * pairing_kernel(2 * x, 1j).real)

@@ -118,7 +118,7 @@ def slope_key(first, second):
     return p * s - r * q
 
 
-def slope_walk(root, length_cutoff):
+def slope_walk(root, length_cutoff, kappa):
     """Reference enumeration: every simple closed geodesic up to the length
     cutoff, one per slope, sorted by slope.
 
@@ -130,7 +130,7 @@ def slope_walk(root, length_cutoff):
     """
     tmax = 2.0 * math.cosh(length_cutoff / 2.0)
     x, y, z = root
-    w = x * y - z
+    w = (x * x + y * y - kappa) / z if 2.0 * z > x * y else x * y - z
     found = [
         (slope, t)
         for slope, t in [((0, 1), x), ((1, 0), y), ((1, 1), z), ((-1, 1), w)]
@@ -155,7 +155,7 @@ def slope_walk(root, length_cutoff):
 
 
 def test_exactly_three_shortest_geodesics_on_markov_torus():
-    geos = slope_walk(root_triple(0.0), 2.0)
+    geos = slope_walk(root_triple(0.0), 2.0, 0.0)
     assert [g.slope for g in geos] == [(0, 1), (1, 1), (1, 0)]
     expected = 2.0 * math.acosh(1.5)
     for g in geos:
@@ -164,7 +164,7 @@ def test_exactly_three_shortest_geodesics_on_markov_torus():
 
 
 def test_next_length_level_brings_mirror_slope():
-    geos = slope_walk(root_triple(0.0), 3.6)
+    geos = slope_walk(root_triple(0.0), 3.6, 0.0)
     by_slope = {g.slope: g for g in geos}
     assert len(geos) == 6
     assert set(by_slope) == {(0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (-1, 1)}
@@ -175,7 +175,7 @@ def test_next_length_level_brings_mirror_slope():
 
 def test_cutoff_below_systole():
     with pytest.raises(ValueError, match="systole"):
-        mcshane._trace_groups(root_triple(0.0), 1.5)
+        mcshane._trace_groups(root_triple(0.0), 1.5, 0.0)
 
 
 @pytest.mark.parametrize("label", [cone(math.pi), geodesic(2.0), cusp()])
@@ -183,11 +183,13 @@ def test_cutoff_below_systole():
 def test_deduplicated_walk_equals_the_slope_walk_at_cutoff_300(label, symmetric):
     # every group's traces repeated by its multiplicity, against one trace
     # per slope from the independent walk: equal as sorted float lists
-    root = root_triple(kappa_for(label), symmetric_start=symmetric)
+    kappa = kappa_for(label)
+    root = root_triple(kappa, symmetric_start=symmetric)
     grouped = sorted(
-        t for traces, mult in mcshane._trace_groups(root, 300.0) for t in traces * mult
+        t for traces, mult in mcshane._trace_groups(root, 300.0, kappa)
+        for t in traces * mult
     )
-    reference = sorted(g.trace for g in slope_walk(root, 300.0))
+    reference = sorted(g.trace for g in slope_walk(root, 300.0, kappa))
     assert len(reference) > 20_000
     assert grouped == reference
 
@@ -235,7 +237,7 @@ def test_pruned_enumeration_complete_to_depth_twelve(kappa_source):
     want = sorted(
         (s, t) for s, t in reference if t <= tmax
     )
-    got = sorted((g.slope, g.trace) for g in slope_walk(root, cutoff))
+    got = sorted((g.slope, g.trace) for g in slope_walk(root, cutoff, kappa))
     assert [s for s, _ in got] == [s for s, _ in want]
     for (_, t_got), (_, t_want) in zip(got, want):
         assert abs(t_got - t_want) <= 1e-9 * max(1.0, t_want)
@@ -254,7 +256,7 @@ def test_walk_checks_every_computed_trace():
     # parabolic trace while expanding that root
     root = TraceTriple(100.0, 9998.0, 100.0)
     with pytest.raises(RuntimeError, match="non-hyperbolic trace 2.0"):
-        mcshane._trace_groups(root, 4.0)
+        mcshane._trace_groups(root, 4.0, root.kappa)
 
 
 def test_walk_visits_only_nodes_that_can_lead_below_the_cutoff(monkeypatch):
@@ -264,21 +266,29 @@ def test_walk_visits_only_nodes_that_can_lead_below_the_cutoff(monkeypatch):
     # passes at the largest subtree's size and trips one below it (a walk
     # that pushed every child before pruning it visited twice as many)
     walk, valve = mcshane._walk_subtree, mcshane._MAX_TREE_NODES
+
+    def sized(*args):
+        # a full walk records its size and adds nothing; the depth-one
+        # expansions next to the roots, which pass a children list, run
+        if len(args) > 4:
+            return walk(*args)
+        sizes.append(len(walk(*args)))
+        return []
+
     for label in (cone(math.pi), geodesic(2.0), cusp()):
-        root = root_triple(kappa_for(label))
+        kappa = kappa_for(label)
+        root = root_triple(kappa)
         sizes = []
         monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", valve)
-        monkeypatch.setattr(
-            mcshane, "_walk_subtree", lambda *args: sizes.append(len(walk(*args))) or []
-        )
-        kept = mcshane._trace_groups(root, 300.0)[0][0]  # the walks add nothing
+        monkeypatch.setattr(mcshane, "_walk_subtree", sized)
+        kept = mcshane._trace_groups(root, 300.0, kappa)[0][0]
         monkeypatch.setattr(mcshane, "_walk_subtree", walk)
         monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", max(sizes))
-        groups = mcshane._trace_groups(root, 300.0)
+        groups = mcshane._trace_groups(root, 300.0, kappa)
         assert [len(traces) for traces, _ in groups] == [len(kept)] + sizes, label
         monkeypatch.setattr(mcshane, "_MAX_TREE_NODES", max(sizes) - 1)
         with pytest.raises(RuntimeError, match="pruning failed"):
-            mcshane._trace_groups(root, 300.0)
+            mcshane._trace_groups(root, 300.0, kappa)
 
 
 def test_fricke_relation_preserved_along_tree():
@@ -333,6 +343,22 @@ def test_boundary_identity_converges_to_half_length():
         )
         assert report.target == length / 2.0
         assert report.final_residual < 1e-12, length
+
+
+@pytest.mark.parametrize(
+    "length, cutoff, count",
+    [(150.0, 300.0, 33), (250.0, 300.0, 12), (1000.0, 1400.0, 18)],
+)
+def test_asymmetric_start_sums_to_half_a_long_boundary(length, cutoff, count):
+    # the asymmetric z is the larger root, about x*y, so the mirror x*y - z
+    # cancels as L grows (a residual of 0.11 at L = 200, a mirror trace of
+    # 0 at L = 250); the product of the roots keeps every geodesic
+    label = geodesic(length)
+    report = mcshane_sum(
+        root_triple(kappa_for(label), symmetric_start=False), label, cutoff
+    )
+    assert report.final_residual < 1e-12
+    assert report.geodesic_count == count
 
 
 def test_asymmetric_marking_same_surface_family():
@@ -399,8 +425,9 @@ def naive_summand(label, length):
 def naive_rows(label, length_cutoff, checkpoints, symmetric_start):
     """Partial sums by rescanning every term at every checkpoint."""
     target = 0.5 if label.kind == "cusp" else label.value / 2.0
-    root = root_triple(kappa_for(label), symmetric_start=symmetric_start)
-    geos = slope_walk(root, length_cutoff)
+    kappa = kappa_for(label)
+    root = root_triple(kappa, symmetric_start=symmetric_start)
+    geos = slope_walk(root, length_cutoff, kappa)
     terms = [(g.length, naive_summand(label, g.length)) for g in geos]
     rows = []
     for cut in sorted(set(float(c) for c in checkpoints)):
@@ -420,6 +447,7 @@ PROPERTY_LENGTHS = sorted(
         for g in slope_walk(
             root_triple(kappa_for(label), symmetric_start=symmetric),
             PROPERTY_CUTOFF,
+            kappa_for(label),
         )
     }
 )
@@ -451,17 +479,24 @@ def test_sorted_partial_sums_equal_naive_rescan(label, checkpoints):
 
 def test_symmetric_root_walks_one_subtree_per_label(monkeypatch):
     walk = mcshane._walk_subtree
+
+    def counted(*args):
+        # count the full walks, not the depth-one expansions next to the
+        # roots, which pass a children list
+        if len(args) == 4:
+            calls.append(args)
+        return walk(*args)
+
     for label in (cone(math.pi), geodesic(2.0), cusp()):
         for symmetric, walks in ((True, 1), (False, 6)):
-            root = root_triple(kappa_for(label), symmetric_start=symmetric)
+            kappa = kappa_for(label)
+            root = root_triple(kappa, symmetric_start=symmetric)
             calls = []
-            monkeypatch.setattr(
-                mcshane, "_walk_subtree", lambda *args: calls.append(args) or walk(*args)
-            )
+            monkeypatch.setattr(mcshane, "_walk_subtree", counted)
             report = mcshane_sum(root, label, 300.0)
             monkeypatch.setattr(mcshane, "_walk_subtree", walk)
             assert len(calls) == walks, (label, symmetric)
-            assert report.geodesic_count == len(slope_walk(root, 300.0))
+            assert report.geodesic_count == len(slope_walk(root, 300.0, kappa))
             assert report.rows[-1][1] == report.geodesic_count
 
 

@@ -18,6 +18,7 @@ from wpcone.polyalg import (
     to_text,
 )
 from wpcone import recursion
+from wpcone.kernels import moment_integral
 from wpcone.recursion import SurfaceSignature, clear_memo, compute_volume
 
 
@@ -255,6 +256,14 @@ def test_eval_numeric_rejects_negative_lengths():
     p = VolumePolynomial(1, {(0,): {0: Fraction(1)}})
     with pytest.raises(ValueError):
         eval_numeric(p, [-1.0])
+
+
+def test_eval_numeric_refuses_a_coefficient_past_the_largest_double():
+    # moment_integral(100) has coefficients beyond 1e308, on every call
+    p = moment_integral(100)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="coefficient is not a finite double"):
+            eval_numeric(p, [1.0])
 
 
 def test_canonical_order_is_graded_lex_descending():
