@@ -9,7 +9,8 @@ Subcommands:
                 recursion)
 
 Exit codes: 0 on success, 1 when an internal invariant or a verification
-fails, 2 on invalid input (the message names the violated constraint).
+fails or when stdout is closed early (e.g. piped into `head`), 2 on invalid
+input (the message names the violated constraint).
 
 The caps max_genus, max_slots and max_moment_k keep their defaults from
 recursion unless a flag (--max-genus, --max-slots, --max-moment-k) sets
@@ -32,6 +33,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from typing import Dict
@@ -285,7 +287,9 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
     _require("--max-k", args.max_k, 0)
     _require("--samples", args.samples, 1)
     quad_tol = args.tol / 10.0  # the quadrature's own error: a tenth of the check's
-    oks = []
+    # every check runs before the first line is printed, so a refused input
+    # (an integrand that overflows) prints nothing
+    checks = []
     for theta in (0.1, 0.5, 1.0, 2.0, math.pi):
         c = math.cos(theta / 2.0)
         got = integrate_decaying(
@@ -295,7 +299,7 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
         want = math.pi ** 2 / 6.0 - theta ** 2 / 8.0
         err = abs(got - want)
         line = "pair moment theta=%-8.5f err=%.3e" % (theta, err)
-        oks.append(_verdict(line, err <= args.tol))
+        checks.append((line, err <= args.tol))
     rng = random.Random(args.seed)
     for k in range(args.max_k + 1):
         poly = moment_integral(k)
@@ -309,7 +313,8 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
             )
             worst = max(worst, abs(quad - exact) / max(1.0, abs(exact)))
         line = "moment k=%d: %d samples, worst err=%.3e" % (k, args.samples, worst)
-        oks.append(_verdict(line, worst <= args.tol))
+        checks.append((line, worst <= args.tol))
+    oks = [_verdict(line, ok) for line, ok in checks]
     return 0 if _verdict("kernel verification:", all(oks), "pass") else 1
 
 
@@ -518,7 +523,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the flush at
+        # exit cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -206,10 +206,10 @@ def from_orbits(
     x-degree exceeds `degree` and that no two keys lie in one orbit.
     One-slot blocks, (1,) * num_vars, give a polynomial with no symmetry.
     """
-    p = VolumePolynomial(num_vars)
-    p.orbits = Numerators(den, {e: n for e, n in nums.items() if n}, degree)
-    p._blocks = tuple(blocks)
-    p._numerators = None
+    p = object.__new__(VolumePolynomial)
+    p.num_vars, p._blocks, p._numerators, p._terms = num_vars, tuple(blocks), None, None
+    nums = {e: n for e, n in nums.items() if n} if 0 in nums.values() else dict(nums)
+    p.orbits = Numerators(den, nums, degree)
     return p
 
 

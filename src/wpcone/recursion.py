@@ -55,18 +55,24 @@ Pull assembly.  _rhs computes one right-hand side per orbit: the
 distinguished slot takes the largest exponent e0 of its block, the other
 slots form the multiset `rest` (boundaries and cones as two blocks on the
 cone path), and every contribution is one read of a piece's column index
-(_columns): column (left, right) lists (2a+1)! V[_insert(left, a) + right]
-over a.  One pass over the piece's orbit map builds the index, each key
-less each distinct a of its boundary block naming a column; it is kept
-with the memoized volume until clear_memo, and an absent column is all
-zero and is skipped.  The blocks come from one block table, _BLOCK_MEMO:
-_blocks lists the blocks to walk and _splits each block's sub-multisets of
-one size with their multiplicities (the size-1 splits are its runs), each
-built once as the recursion meets it and dropped by clear_memo with the
-volumes, so the calls of one cold computation share them.  The double
-moment of x^a y^b is (2a+1)!(2b+1)! M_k with k = a + b + 1 and
-M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of t^(2r) in F_{2k+1}, so
-the non-separating and separating cuts give sum_k M_k[e0] S_k(rest) with
+(_columns): column left + right, one flat tuple, lists (2a+1)!
+V[_insert(left, a) + right] over a.  One pass over the piece's orbit map
+builds the index, each key less each distinct a of its boundary block
+naming a column; it is kept with the memoized volume until clear_memo, and
+an absent column is all zero and is skipped.  The cut groups are compiled
+once per right-hand side into one work list per kind (the non-separating
+index, the separating index pairs by taken (i, j), the pairing indexes,
+the cap), so the orbit loop dispatches on no kind.  It walks only the rests
+whose distinguished block's largest entry fits beside them, as e0 is no
+smaller, and fetches each block's splits once per taken size.  The blocks
+come from one block table, _BLOCK_MEMO, built as the recursion meets them
+and dropped by clear_memo with the volumes, so the calls of one cold
+computation share them: _blocks lists the blocks to walk, _splits each
+block's sub-multisets of one size with their multiplicities (the size-1
+splits are its runs).  The double moment of x^a y^b is (2a+1)!(2b+1)! M_k
+with k = a + b + 1 and M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of
+t^(2r) in F_{2k+1}, so the non-separating and separating cuts give
+sum_k M_k[e0] S_k(rest) with
 
     S_k(rest) = sum_{a+b=k-1} (2a+1)! (2b+1)! (V_{g-1}[(a, b) + rest]
                 + sum over separating groups and sub-multisets R1 of rest
@@ -246,7 +252,8 @@ _CUSP_MEMO: Dict[Tuple[int, int, int, int], VolumePolynomial] = {}
 _COLUMN_MEMO: Dict[Tuple[int, int, int], Dict[tuple, List[int]]] = {}
 
 # The block table, built as the recursion meets its blocks:
-# (block, size) -> _splits(block, size), (length, total, top) -> _blocks(...).
+# (block, size) -> _splits(block, size), (length, total, top, twice) ->
+# _blocks(...).
 _BLOCK_MEMO: Dict[tuple, list] = {}
 
 
@@ -281,8 +288,9 @@ def _pair_coefficient(a: int, b: int) -> Fraction:
 
 @lru_cache(maxsize=None)
 def _moment_table(kmax: int):
-    """(den, rows): rows[k][r] / den = M_k[r] = c_r / (4 (2k+1)!) for
-    k <= kmax, with F_{2k+1}(t) = sum_r c_r pi^(2(k+1-r)) t^(2r).
+    """(den, table, fact): table[r][k] / den = M_k[r] = c_r / (4 (2k+1)!),
+    zero when r > k + 1, a sum over k <= kmax being one dot product, with
+    F_{2k+1}(t) = sum_r c_r pi^(2(k+1-r)) t^(2r); fact[a] = (2a+1)!.
 
     One table serves every cut: the double moment of x^a y^b is
     (2a+1)!(2b+1)! M_k[r] with k = a + b + 1; a pairing, c_r / 2 * C(2r, 2v),
@@ -290,35 +298,37 @@ def _moment_table(kmax: int):
     is M_0[r] / 4.  The pi-powers rest on F_{2k+1} being homogeneous of
     degree k + 1, which VolumePolynomial checks when kernels builds it.
     """
-    rows = []
+    table = [[Fraction(0)] * (kmax + 1) for _ in range(kmax + 2)]
     for k in range(kmax + 1):
         den, nums, degree = moment_integral(k).numerators
         if degree != k + 1:
             raise RuntimeError(f"moment F_{2 * k + 1} has degree {degree}, not {k + 1}")
-        row = [Fraction(0)] * (k + 2)
         for (r,), num in nums.items():
-            row[r] = Fraction(num, 4 * math.factorial(2 * k + 1) * den)
-        rows.append(row)
-    den = math.lcm(*(w.denominator for row in rows for w in row))
+            table[r][k] = Fraction(num, 4 * math.factorial(2 * k + 1) * den)
+    den = math.lcm(*(w.denominator for row in table for w in row))
     return den, tuple(
-        tuple(w.numerator * (den // w.denominator) for w in row) for row in rows
-    )
+        tuple(w.numerator * (den // w.denominator) for w in row) for row in table
+    ), [math.factorial(2 * a + 1) for a in range(kmax + 2)]
 
 
 # -- orbit keys --------------------------------------------------------------------
 
 
-def _blocks(length: int, total: int, top: Optional[int] = None) -> List[Exponent]:
+def _blocks(
+    length: int, total: int, top: Optional[int] = None, twice: bool = False
+) -> List[Exponent]:
     """Every non-increasing tuple of `length` entries, each at most `top`,
-    with sum at most `total`, largest first; kept in _BLOCK_MEMO."""
-    top = total if top is None else min(top, total)
-    key = (length, total, top)
+    with sum at most `total`, largest first; kept in _BLOCK_MEMO.  twice
+    counts the largest entry twice: the rests whose largest entry fits
+    beside them, as _rhs walks them."""
+    top = min(total if top is None else top, total // (1 + twice))
+    key = (length, total, top, twice)
     blocks = _BLOCK_MEMO.get(key)
     if blocks is None:
         blocks = [()] if length == 0 else [
             (first,) + tail
             for first in range(top, -1, -1)
-            for tail in _blocks(length - 1, total - first, first)
+            for tail in _blocks(length - 1, total - (1 + twice) * first, first)
         ]
         blocks = _BLOCK_MEMO.setdefault(key, blocks)
     return blocks
@@ -342,6 +352,12 @@ def _splits(block: Exponent, size: int) -> List[Tuple[Exponent, Exponent, int]]:
     if splits is None:
         if size in (0, len(block)):
             splits = [(block[:size], block[size:], 1)]
+        elif size == 1:  # the runs, smallest value first
+            splits = [
+                ((v,), block[:i] + block[i + 1 :], block.count(v))
+                for v in reversed(dict.fromkeys(block))
+                for i in [block.index(v)]
+            ]
         else:  # the first run gives p entries, the tail the others
             v, c = block[0], block.count(block[0])
             tail = block[c:]
@@ -368,25 +384,26 @@ def _sub_volume(g: int, m: int, n: int) -> VolumePolynomial:
     return cone_volume_direct(g, m, n, max_moment_k=None)
 
 
-def _columns(piece: Tuple[int, int, int], V: Numerators):
+def _columns(piece: Tuple[int, int, int], V: Numerators, fact: List[int]):
     """A piece's column index (see the module docstring): left is its
     boundary block less the new boundary, right its cone block, and a runs
-    up to what the degree allows."""
+    up to what the degree allows; fact[a] = (2a+1)!."""
     index = _COLUMN_MEMO.get(piece)
     if index is not None:
         return index
-    m = piece[1]
+    m, degree = piece[1], V.degree
     index = {}
     for key, num in V.nums.items():
-        block, right = key[:m], key[m:]
-        for i, a in enumerate(block):
-            if i and a == block[i - 1]:
-                continue
-            left = block[:i] + block[i + 1 :]
-            col = index.get((left, right))
-            if col is None:
-                col = index[left, right] = [0] * (V.degree - sum(left) - sum(right) + 1)
-            col[a] = math.factorial(2 * a + 1) * num
+        free, last = degree - sum(key), None
+        for i in range(m):
+            a = key[i]
+            if a != last:
+                last = a
+                rest = key[:i] + key[i + 1 :]
+                col = index.get(rest)
+                if col is None:
+                    col = index[rest] = [0] * (free + a + 1)
+                col[a] = fact[a] * num
     return _COLUMN_MEMO.setdefault(piece, index)
 
 
@@ -398,19 +415,20 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
     Keys are (e0,) + B on the boundary path and B + (e0,) + C on the cone
     path, B and C the surviving boundary and cone blocks.  e0 starts at the
     largest exponent of its block, so each key is an orbit key of V;
-    every=True starts it at 0.  That flag exists only for the symmetry
-    checks in tests/test_recursion.py (its assemble_rhs helper and
-    test_every_exponent_of_an_orbit_gives_its_coefficient); _recurse never
-    sets it.  Pairings: the distinguished slot is the
-    gap's base curve and the surviving slot is the partner (the exact
-    equality with the substitution path pins this reading).
+    every=True starts it at 0 and walks every rest.  That flag exists only
+    for the symmetry checks in tests/test_recursion.py (its assemble_rhs
+    helper and test_every_exponent_of_an_orbit_gives_its_coefficient);
+    _recurse never sets it.  Pairings: the distinguished slot is the gap's
+    base curve and the surviving slot is the partner (the exact equality
+    with the substitution path pins this reading).
     """
     angle = n > 0
     ms, ns = (m, n - 1) if angle else (m - 1, 0)
     d = 3 * g - 3 + m + n
-    mden, rows = _moment_table(3 * g - 4 + m + n)
+    mden, table, fact = _moment_table(3 * g - 4 + m + n)
     groups = list(_cut_groups(g, ms, ns))
     orbits = {p: _sub_volume(*p).orbits for group in groups for p in group.pieces}
+    cols = {p: _columns(p, V, fact) for p, V in orbits.items()}
 
     # one denominator for the whole right-hand side; each group's numerators
     # are scaled to it
@@ -419,78 +437,80 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
         * math.prod(orbits[p].den for p in group.pieces)
         for group in groups
     ]
-    den = math.lcm(*group_dens)
-    # each separating group takes in its mirror (see the module docstring)
-    scaled = []
+    den = math.lcm(*set(group_dens))
+    # one work list per kind; each separating group takes in its mirror
+    nonsep, seps, pairs, cap = None, {}, [], 0
     for group, gd in zip(groups, group_dens):
-        scale = den // gd
-        if group.kind == "separating":
-            (i, j), g1 = group.taken, group.pieces[0][0]
+        scale, kind, pieces = den // gd, group.kind, group.pieces
+        if kind == "nonseparating":
+            nonsep = cols[pieces[0]], scale
+        elif kind == "separating":
+            (i, j), g1 = group.taken, pieces[0][0]
             mine, mirror = (g1, i, j), (g - g1, ms - i, ns - j)
-            if mine > mirror:
-                continue
-            scale *= 1 + (mine < mirror)
-        scaled.append((group, scale))
-    cols = {p: _columns(p, orbits[p]) for p in orbits}
-    fact = [math.factorial(2 * a + 1) for a in range(d + 1)]
+            if mine <= mirror:
+                work = cols[pieces[0]], cols[pieces[1]], scale * (1 + (mine < mirror))
+                seps.setdefault((i, j), []).append(work)
+        elif kind == "pairing":
+            pairs.append((cols[pieces[0]], group.taken[1], 2 * scale))
+        else:
+            cap = scale
+    takes_b, takes_c = {i for i, _ in seps}, {j for _, j in seps}
+    # only the rests whose distinguished block's largest entry fits beside them
+    if angle:
+        walk = [
+            (B, C) for B in _blocks(ms, d) for C in _blocks(ns, d - sum(B), twice=not every)
+        ]
+    else:
+        walk = [(B, ()) for B in _blocks(ms, d, twice=not every)]
 
     out: Dict[Exponent, int] = {}
-    for B in _blocks(ms, d):
-        for C in _blocks(ns, d - sum(B)):
-            s = sum(B) + sum(C)
-            dist_block = C if angle else B
-            lo = 0 if every or not dist_block else dist_block[0]
-            if lo > d - s:
-                continue
-            e0s = range(lo, d - s + 1)
-            S = [0] * (d - s)  # S[k] for the moment indices k < d - s
-            extra = dict.fromkeys(e0s, 0)  # pairings and cap, per e0
-            for group, scale in scaled:
-                kind = group.kind
-                if kind == "nonseparating":
-                    index = cols[group.pieces[0]]
-                    for a in range(d - 1 - s):
-                        col = index.get((_insert(B, a), C))
-                        if col is not None:
-                            x = scale * fact[a]
-                            for k, y in enumerate(col, a + 1):
-                                S[k] += x * y
-                elif kind == "separating":
-                    (first, second), (i, j) = map(cols.get, group.pieces), group.taken
-                    subs_c = _splits(C, j)
-                    for B1, B2, mb in _splits(B, i):
-                        for C1, C2, mc in subs_c:
-                            col1, col2 = first.get((B1, C1)), second.get((B2, C2))
-                            if col1 is None or col2 is None:
-                                continue
-                            weight = scale * mb * mc
-                            for a, x in enumerate(col1):
-                                if x:
-                                    x *= weight
-                                    for k, y in enumerate(col2, a + 1):
-                                        S[k] += x * y
-                elif kind == "pairing":
-                    index = cols[group.pieces[0]]
-                    cone_partner = group.taken[1]
-                    for (v,), rest, count in _splits(C if cone_partner else B, 1):
-                        col = index.get((B, rest) if cone_partner else (rest, C))
-                        if col is None:
+    for B, C in walk:
+        free = d - sum(B) - sum(C)  # e0 runs up to free; S[k] for k < free
+        dist_block = C if angle else B
+        lo = 0 if every or not dist_block else dist_block[0]
+        S = [0] * free
+        if nonsep:
+            index, scale = nonsep
+            for a in range(free - 1):
+                col = index.get(_insert(B, a) + C)
+                if col is not None:
+                    x = scale * fact[a]
+                    for k, y in enumerate(col, a + 1):
+                        S[k] += x * y
+        subs_b = {i: _splits(B, i) for i in takes_b}
+        subs_c = {j: _splits(C, j) for j in takes_c}
+        for (i, j), work in seps.items():
+            for B1, B2, mb in subs_b[i]:
+                for C1, C2, mc in subs_c[j]:
+                    key1, key2 = B1 + C1, B2 + C2
+                    for first, second, scale in work:
+                        col1 = first.get(key1)
+                        if col1 is None:
                             continue
-                        sign = -1 if cone_partner and v % 2 else 1
-                        weight = 2 * scale * count * sign
-                        for e0 in e0s:
-                            r = e0 + v
-                            acc = 0
-                            for k in range(max(r - 1, 0), len(col)):
-                                acc += rows[k][r] * col[k]
-                            extra[e0] += weight * math.comb(2 * r, 2 * v) * acc
-                else:  # the cap: rest is empty, e0 <= 1
-                    for e0 in e0s:
-                        extra[e0] += scale * rows[0][e0]
-            for e0 in e0s:
-                total = extra[e0]
-                for k in range(max(1, e0 - 1), d - s):
-                    total += rows[k][e0] * S[k]
+                        col2 = second.get(key2)
+                        if col2 is None:
+                            continue
+                        weight = scale * mb * mc
+                        for a, x in enumerate(col1):
+                            if x:
+                                x *= weight
+                                for k, y in enumerate(col2, a + 1):
+                                    S[k] += x * y
+        runs = []  # (column, partner exponent v, weight) of each pairing
+        for index, cone, scale in pairs:
+            for (v,), rest, count in _splits(C if cone else B, 1):
+                col = index.get(B + rest if cone else rest + C)
+                if col is not None:
+                    runs.append((col, v, (-scale if cone and v % 2 else scale) * count))
+        for e0 in range(lo, free + 1):
+            total = sum(map(operator.mul, table[e0], S))
+            for col, v, weight in runs:
+                r = e0 + v
+                acc = sum(map(operator.mul, table[r], col))
+                total += weight * math.comb(2 * r, 2 * v) * acc
+            if cap:  # rest is empty, e0 <= 1
+                total += cap * table[e0][0]
+            if total:
                 if angle and e0 % 2:
                     total = -total
                 out[B + (e0,) + C if angle else (e0,) + B] = total
@@ -501,12 +521,10 @@ def _invert(den: int, nums: Dict[tuple, int], slot: int):
     """Invert d(l V/2)/dl on an even slot: V[e] = 2 rhs[e] / (2 e_slot + 1),
     over the common multiple of the odd divisors, then one gcd reduction.
     Returns (den, nums)."""
-    nums = {e: n for e, n in nums.items() if n}
-    odd = math.lcm(*{2 * e[slot] + 1 for e in nums})
+    odd = math.lcm(*{2 * v + 1 for v in map(operator.itemgetter(slot), nums)})
     out = {e: 2 * n * (odd // (2 * e[slot] + 1)) for e, n in nums.items()}
-    den *= odd
-    common = math.gcd(den, *out.values())
-    return den // common, {e: n // common for e, n in out.items()}
+    common = math.gcd(den * odd, *out.values())
+    return den * odd // common, {e: n // common for e, n in out.items()}
 
 
 def _assert_homogeneous(nums: Dict[Exponent, int], degree: int) -> None:

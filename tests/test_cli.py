@@ -412,11 +412,44 @@ def test_verify_text_is_byte_pinned(argv, capsys):
 
 
 def test_verify_kernel_whose_integrand_overflows_is_refused(capsys):
-    # x**(2k+1) passes the largest double before the kernel decays at k = 45
+    # x**(2k+1) passes the largest double before the kernel decays at k = 45;
+    # every check runs before the first line is printed, so nothing is
     code, out, err = run(capsys, "verify", "kernel", "--max-k", "45", "--samples", "1")
     assert code == 2
-    assert "moment k=44: 1 samples" in out
+    assert out == ""
     assert err == "error: integrand overflows a double: Numerical result out of range\n"
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a real file, so what reaches it can be read."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_closed_stdout_exits_1_without_a_traceback(monkeypatch, tmp_path, capsys):
+    # like `wpcone volume ... | head -0`: the write fails, main exits 1, and
+    # stdout's descriptor now points at devnull, so the flush at exit cannot
+    # raise again
+    target = tmp_path / "stdout"
+    with open(target, "wb") as sink:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(sink.fileno()))
+        code = main(["volume", "--g", "1", "--boundaries", "1"])
+        os.write(sink.fileno(), b"after the pipe closed")
+    monkeypatch.undo()
+    assert code == 1
+    assert target.read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

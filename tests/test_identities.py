@@ -78,6 +78,95 @@ def volume(g, n):
     return boundary_volume(g, n, max_moment_k=None).terms
 
 
+# -- the same identities on orbit keys ------------------------------------------
+#
+# A volume keeps one numerator per orbit: its key is the exponent vector
+# sorted within each block of symmetric slots, and each distinct entry of a
+# key stands for its count of slots.  These helpers apply the substitution,
+# the slot derivative and the slot integral per orbit key, so the wide ends
+# of the ladder are checked without expanding a volume to every exponent
+# vector.  A map {key: c} reads c * x^key * pi^(2 * (degree - sum(key))).
+
+
+def orbit_form(poly):
+    """(degree, {orbit key: Fraction})."""
+    den, nums, degree = poly.orbits
+    return degree, {key: Q(num, den) for key, num in nums.items()}
+
+
+def _less(key, w):
+    i = key.index(w)
+    return key[:i] + key[i + 1 :]
+
+
+def _raise(key, u):
+    """key with one entry u raised to u + 1, still non-increasing."""
+    i = key.index(u)
+    return key[:i] + (u + 1,) + key[i + 1 :]
+
+
+def orbit_at_last_slot(poly, x, own_block=False, derivative=False):
+    """x_last = x * pi^2 (after d/dx_last if derivative) on orbit keys.  The
+    last slot is one more entry of the single block, or a block of its own
+    (own_block: the direct cone path's cone).  Each key y of the other slots
+    collects V[y with w] x^w over the last slot's exponent w: one term per
+    distinct entry w of each key of V."""
+    degree, coeffs = orbit_form(poly)
+    out = {}
+    for key, c in coeffs.items():
+        for w in (key[-1],) if own_block else set(key):
+            rest = key[:-1] if own_block else _less(key, w)
+            term = w * c * x ** (w - 1) if derivative else c * x**w
+            out[rest] = out.get(rest, 0) + term
+    return degree - derivative, {y: c for y, c in out.items() if c}
+
+
+def orbit_string_rhs(poly):
+    """sum_k int_0^{L_k} L_k V dL_k on orbit keys: raising one entry u of a
+    key to u + 1 divides by 2u + 2, and every slot of the raised key that
+    holds u + 1 is a slot the integral may have raised."""
+    degree, coeffs = orbit_form(poly)
+    out = {}
+    for key, c in coeffs.items():
+        for u in set(key):
+            raised = _raise(key, u)
+            out[raised] = out.get(raised, 0) + raised.count(u + 1) * c / (2 * u + 2)
+    return degree + 1, out
+
+
+def orbit_dilaton(poly, chi):
+    """V_{g,n} = 2 V'_{g,n+1}(x = -4 pi^2) / chi on orbit keys."""
+    degree, coeffs = orbit_at_last_slot(poly, Q(-4), derivative=True)
+    return degree, {y: 2 * c / chi for y, c in coeffs.items()}
+
+
+def boundary(g, n):
+    return boundary_volume(g, n, max_moment_k=None)
+
+
+# the north-star ends of the ROADMAP ladder: V_{0,11} and V_{1,8} against
+# V_{0,10} and V_{1,7}, too wide for the Fraction view; a few smaller
+# signatures check the orbit helpers where the Fraction helpers also run
+NORTH_STAR = [(0, 10), (1, 7), (0, 4), (1, 3), (2, 2), (3, 1)]
+
+
+@pytest.mark.parametrize("g,n", NORTH_STAR)
+def test_string_equation_on_orbit_keys_boundary_path(g, n):
+    assert orbit_at_last_slot(boundary(g, n + 1), Q(-4)) == orbit_string_rhs(boundary(g, n))
+
+
+@pytest.mark.parametrize("g,n", NORTH_STAR)
+def test_string_equation_on_orbit_keys_direct_cone_path(g, n):
+    cone = cone_volume_direct(g, n, 1, max_moment_k=None)
+    lhs = orbit_at_last_slot(cone, Q(4), own_block=True)
+    assert lhs == orbit_string_rhs(boundary(g, n))
+
+
+@pytest.mark.parametrize("g,n", NORTH_STAR)
+def test_dilaton_equation_on_orbit_keys(g, n):
+    assert orbit_dilaton(boundary(g, n + 1), 2 * g - 2 + n) == orbit_form(boundary(g, n))
+
+
 @pytest.mark.parametrize("g,n", STABLE + LADDER)
 def test_string_equation_boundary_path(g, n):
     # V_{g,n+1}(L, 2 pi i) = sum_k int_0^{L_k} L_k V_{g,n}(L) dL_k
