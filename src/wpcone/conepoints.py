@@ -22,7 +22,7 @@ from __future__ import annotations
 from collections import namedtuple
 from typing import Optional, Sequence
 
-from wpcone.polyalg import VolumePolynomial, eval_numeric, substitute_zero
+from wpcone.polyalg import VolumePolynomial, _integer, eval_numeric, substitute_zero
 from wpcone.recursion import _CUSP_MEMO, SurfaceSignature, compute_volume
 from wpcone.kernels import check_cone_angle, check_length
 
@@ -113,15 +113,18 @@ def cusp_limit(
     it coincides with the volume of the same signature where the cone is
     replaced by a boundary circle whose length is set to zero.  The caps
     are checked first (by compute_volume); the result is then memoized per
-    (g, m, n, cone_slot), so a repeated call returns the same object.
+    (g, m, n): the volume is symmetric in its cone slots, so every slot
+    gives the same polynomial, and a repeated call returns the same object.
+    A slot that is not an integer (0.5, '1') raises ValueError.
     """
+    cone_slot = _integer("cone slot", cone_slot)
     if not 0 <= cone_slot < sig.cones:
         raise ValueError(
             "cone slot %d out of range for signature %s with %d cone points"
             % (cone_slot, sig, sig.cones)
         )
     poly = compute_volume(sig, **caps)
-    key = (sig.genus, sig.boundaries, sig.cones, cone_slot)
+    key = (sig.genus, sig.boundaries, sig.cones)
     cached = _CUSP_MEMO.get(key)
     if cached is not None:
         return cached

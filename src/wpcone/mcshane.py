@@ -334,8 +334,8 @@ def mcshane_sum(
 
     The trace tree is walked by _trace_groups, which walks each distinct
     subtree start once and returns its traces with their multiplicity
-    (six on a symmetric root).  Each multiplicity's lengths are sorted
-    once, and their gap widths are added into exact running integer sums
+    (six on a symmetric root).  Each group's lengths are sorted once, and
+    their gap widths are added into exact running integer sums
     (_exact_prefix_sums) at the checkpoints.  A checkpoint's sum is the
     multiplicity-weighted total divided once, which rounds correctly, so
     every row is bit-identical to math.fsum over one term per geodesic,
@@ -365,12 +365,9 @@ def mcshane_sum(
                 "checkpoint %g exceeds the length cutoff %g"
                 % (cuts[-1], length_cutoff)
             )
-    by_mult = {}  # multiplicity -> traces
-    for traces, mult in groups:
-        by_mult.setdefault(mult, []).extend(traces)
     counts = [0] * len(cuts)
     totals = [0] * len(cuts)
-    for mult, traces in by_mult.items():
+    for traces, mult in groups:
         lengths = sorted(2.0 * math.acosh(t / 2.0) for t in traces)
         stops = [bisect_right(lengths, cut) for cut in cuts]
         sums = _exact_prefix_sums([gap(x) for x in lengths], stops)

@@ -190,6 +190,15 @@ def _exponent(e: object) -> int:
         raise ValueError(f"exponent {e!r} is not an integer") from None
 
 
+def _integer(what: str, value: object) -> int:
+    """value as an int; refuses 1.5, 1.0, nan or '3' rather than truncating
+    it or comparing it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer (got {value!r})") from None
+
+
 def from_orbits(
     num_vars: int,
     den: int,
@@ -254,7 +263,7 @@ def substitute_imaginary(p: VolumePolynomial, slot: int) -> VolumePolynomial:
     constructor.  Applying the substitution twice returns the original
     polynomial.
     """
-    _check_slot(p, slot)
+    slot = _check_slot(p, slot)
     return VolumePolynomial(
         p.num_vars,
         {
@@ -272,7 +281,7 @@ def substitute_zero(p: VolumePolynomial, slot: int) -> VolumePolynomial:
     key is sorted non-increasing there, so it ends that block in 0, and
     dropping that 0 leaves an orbit key of the block one slot shorter.
     """
-    _check_slot(p, slot)
+    slot = _check_slot(p, slot)
     den, nums, degree = p.orbits
     blocks = list(p._blocks)
     end = 0
@@ -452,6 +461,8 @@ def to_text(p: VolumePolynomial, kinds: Sequence[str] | None = None) -> str:
     return " ".join(pieces) or "0"
 
 
-def _check_slot(p: VolumePolynomial, slot: int) -> None:
+def _check_slot(p: VolumePolynomial, slot: int) -> int:
+    slot = _integer("slot", slot)
     if not 0 <= slot < p.num_vars:
         raise ValueError(f"slot {slot} out of range for {p.num_vars} variables")
+    return slot

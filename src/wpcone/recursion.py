@@ -62,14 +62,14 @@ naming a column; it is kept with the memoized volume until clear_memo, and
 an absent column is all zero and is skipped.  The cut groups are compiled
 once per right-hand side into one work list per kind (the non-separating
 index, the separating index pairs by taken (i, j), the pairing indexes,
-the cap), so the orbit loop dispatches on no kind.  It walks only the rests
-whose distinguished block's largest entry fits beside them, as e0 is no
-smaller, and fetches each block's splits once per taken size.  The blocks
-come from one block table, _BLOCK_MEMO, built as the recursion meets them
-and dropped by clear_memo with the volumes, so the calls of one cold
-computation share them: _blocks lists the blocks to walk, _splits each
-block's sub-multisets of one size with their multiplicities (the size-1
-splits are its runs).  The double moment of x^a y^b is (2a+1)!(2b+1)! M_k
+the cap's scale), so the orbit loop dispatches on no kind.  It walks only
+the rests whose distinguished block's largest entry fits beside them, as
+e0 is no smaller, and fetches a block's splits of a taken size where it
+uses them.  The blocks come from one block table, _BLOCK_MEMO, built as the
+recursion meets them and dropped by clear_memo with the volumes, so the
+calls of one cold computation share them: _blocks lists the blocks to walk,
+_splits each block's sub-multisets of one size with their multiplicities
+(one recurrence).  The double moment of x^a y^b is (2a+1)!(2b+1)! M_k
 with k = a + b + 1 and M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of
 t^(2r) in F_{2k+1}, so the non-separating and separating cuts give
 sum_k M_k[e0] S_k(rest) with
@@ -83,12 +83,13 @@ mirror (pieces swapped, taken slots complemented) pair their sub-multisets
 with equal multiplicities and the sum over a + b is symmetric, so the
 first is assembled at twice its scale and the mirror is skipped.  A
 pairing with partner exponent v adds C(2r, 2v) c_r / 2 times the piece's
-coefficient, r = e0 + v, once per distinct v times its count; the cap adds
-c_r / 16; an angle slot signs t^(2r) by (-1)^r.  The weights are integers
-over one denominator, so assembly is integer multiply-adds.  Inverting
-d(l V/2)/dl is V[e] = 2 rhs[e] / (2 e0 + 1), then one gcd reduces the
-signature's numerators and denominator, and _assert_homogeneous checks
-that no orbit's x-degree exceeds d (its implied pi-power would be negative).
+coefficient, r = e0 + v, once per distinct v times its count; the cap's
+c_r / 16 = M_0[r] / 4 is S_0, which no cut reaches; an angle slot signs
+t^(2r) by (-1)^r.  The weights are integers over one denominator, so
+assembly is integer multiply-adds.  Inverting d(l V/2)/dl is
+V[e] = 2 rhs[e] / (2 e0 + 1), then one gcd reduces the signature's
+numerators and denominator, and _assert_homogeneous checks that no
+orbit's x-degree exceeds d (its implied pi-power would be negative).
 """
 
 from __future__ import annotations
@@ -113,6 +114,7 @@ from wpcone.polyalg import (
     Exponent,
     Numerators,
     VolumePolynomial,
+    _integer,
     from_orbits,
 )
 
@@ -125,15 +127,8 @@ DEFAULT_MAX_SLOTS = 8
 DEFAULT_MAX_MOMENT_K = 12
 
 
-def _component(name: str, value: object) -> int:
-    """A signature component as an int; refuses a float such as 1.5 or
-    1.0 rather than truncating it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(
-            f"signature component {name} must be an integer (got {value!r})"
-        ) from None
+# how _integer names a signature component that is not an integer
+_COMPONENTS = tuple(f"signature component {f}" for f in ("genus", "boundaries", "cones"))
 
 
 class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundaries cones")):
@@ -142,9 +137,7 @@ class SurfaceSignature(namedtuple("SurfaceSignature", "genus boundaries cones"))
     __slots__ = ()
 
     def __new__(cls, genus: int, boundaries: int, cones: int) -> SurfaceSignature:
-        genus, boundaries, cones = map(
-            _component, cls._fields, (genus, boundaries, cones)
-        )
+        genus, boundaries, cones = map(_integer, _COMPONENTS, (genus, boundaries, cones))
         if min(genus, boundaries, cones) < 0:
             raise ValueError("signature components must be nonnegative")
         if 2 * genus - 2 + boundaries + cones <= 0:
@@ -243,10 +236,10 @@ _RECURSION_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 # direct cone path under the same key: the two must stay independent.
 _SIGNED_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 
-# (g, m, n, cone slot) -> conepoints.cusp_limit's polynomial, the _SIGNED_MEMO
-# volume with that cone angle set to zero.  Kept here so that clear_memo
-# drops it with the volumes it is built from.
-_CUSP_MEMO: Dict[Tuple[int, int, int, int], VolumePolynomial] = {}
+# (g, m, n) -> conepoints.cusp_limit's polynomial, the _SIGNED_MEMO volume
+# with one cone angle set to zero (any one: the cone block is symmetric).
+# Kept here so that clear_memo drops it with the volumes it is built from.
+_CUSP_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 
 # (g, m, n) -> _columns' index of the _RECURSION_MEMO volume under that key.
 _COLUMN_MEMO: Dict[Tuple[int, int, int], Dict[tuple, List[int]]] = {}
@@ -345,19 +338,13 @@ def _insert(block: Exponent, a: int) -> Exponent:
 def _splits(block: Exponent, size: int) -> List[Tuple[Exponent, Exponent, int]]:
     """[(first, rest, multiplicity)]: each sub-multiset `first` of `size`
     entries of a non-increasing block, its complement, and the number of
-    index subsets behind it, prod C(count, picked); kept in _BLOCK_MEMO.
-    The size-1 splits are the block's runs: ((v,), block less one v, count)."""
+    index subsets behind it, prod C(count, picked), by one recurrence for
+    every size (size 1 gives the runs, smallest first); in _BLOCK_MEMO."""
     key = (block, size)
     splits = _BLOCK_MEMO.get(key)
     if splits is None:
         if size in (0, len(block)):
             splits = [(block[:size], block[size:], 1)]
-        elif size == 1:  # the runs, smallest value first
-            splits = [
-                ((v,), block[:i] + block[i + 1 :], block.count(v))
-                for v in reversed(dict.fromkeys(block))
-                for i in [block.index(v)]
-            ]
         else:  # the first run gives p entries, the tail the others
             v, c = block[0], block.count(block[0])
             tail = block[c:]
@@ -454,21 +441,20 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
             pairs.append((cols[pieces[0]], group.taken[1], 2 * scale))
         else:
             cap = scale
-    takes_b, takes_c = {i for i, _ in seps}, {j for _, j in seps}
-    # only the rests whose distinguished block's largest entry fits beside them
-    if angle:
-        walk = [
-            (B, C) for B in _blocks(ms, d) for C in _blocks(ns, d - sum(B), twice=not every)
-        ]
-    else:
-        walk = [(B, ()) for B in _blocks(ms, d, twice=not every)]
+    # the rests whose distinguished block's largest entry fits beside them; the
+    # boundary path's () saves ~2% of a cold rung (BENCH_2026-10-20_one_recurrence)
+    walk = [
+        (B, C)
+        for B in _blocks(ms, d, twice=not (angle or every))
+        for C in (_blocks(ns, d - sum(B), twice=not every) if angle else [()])
+    ]
 
     out: Dict[Exponent, int] = {}
     for B, C in walk:
         free = d - sum(B) - sum(C)  # e0 runs up to free; S[k] for k < free
         dist_block = C if angle else B
         lo = 0 if every or not dist_block else dist_block[0]
-        S = [0] * free
+        S = [cap] + [0] * (free - 1)  # the cap is the k = 0 term
         if nonsep:
             index, scale = nonsep
             for a in range(free - 1):
@@ -477,25 +463,24 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
                     x = scale * fact[a]
                     for k, y in enumerate(col, a + 1):
                         S[k] += x * y
-        subs_b = {i: _splits(B, i) for i in takes_b}
-        subs_c = {j: _splits(C, j) for j in takes_c}
         for (i, j), work in seps.items():
-            for B1, B2, mb in subs_b[i]:
-                for C1, C2, mc in subs_c[j]:
-                    key1, key2 = B1 + C1, B2 + C2
-                    for first, second, scale in work:
-                        col1 = first.get(key1)
-                        if col1 is None:
-                            continue
-                        col2 = second.get(key2)
-                        if col2 is None:
-                            continue
-                        weight = scale * mb * mc
-                        for a, x in enumerate(col1):
-                            if x:
-                                x *= weight
-                                for k, y in enumerate(col2, a + 1):
-                                    S[k] += x * y
+            for (B1, B2, mb), (C1, C2, mc) in itertools.product(
+                _splits(B, i), _splits(C, j)
+            ):
+                key1, key2 = B1 + C1, B2 + C2
+                for first, second, scale in work:
+                    col1 = first.get(key1)
+                    if col1 is None:
+                        continue
+                    col2 = second.get(key2)
+                    if col2 is None:
+                        continue
+                    weight = scale * mb * mc
+                    for a, x in enumerate(col1):
+                        if x:
+                            x *= weight
+                            for k, y in enumerate(col2, a + 1):
+                                S[k] += x * y
         runs = []  # (column, partner exponent v, weight) of each pairing
         for index, cone, scale in pairs:
             for (v,), rest, count in _splits(C if cone else B, 1):
@@ -508,8 +493,6 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
                 r = e0 + v
                 acc = sum(map(operator.mul, table[r], col))
                 total += weight * math.comb(2 * r, 2 * v) * acc
-            if cap:  # rest is empty, e0 <= 1
-                total += cap * table[e0][0]
             if total:
                 if angle and e0 % 2:
                     total = -total
@@ -541,9 +524,10 @@ def _assert_homogeneous(nums: Dict[Exponent, int], degree: int) -> None:
 def _check_moment_cap(g: int, nslots: int, max_moment_k: Optional[int]) -> None:
     """The recursion for (g, m + n = nslots) reads moments up to
     k = 3g - 4 + nslots; checked from the signature, never from memo state,
-    so the recursion inside runs uncapped."""
+    so the recursion inside runs uncapped.  A cap is an int or None (see
+    compute_volume)."""
     k = 3 * g - 4 + nslots
-    if max_moment_k is not None and k > max_moment_k:
+    if max_moment_k is not None and k > _integer("max_moment_k", max_moment_k):
         raise ValueError(
             f"moment index {k} exceeds max_moment_k={max_moment_k}; raise the "
             "max_moment_k configuration knob to allow this computation"
@@ -602,14 +586,15 @@ def compute_volume(
     serializers used to cache on every volume they wrote.  The caps are
     checked before the memo and bound only the requested signature, not the
     recursion's internal sub-surfaces; max_moment_k is checked as
-    3g - 4 + m + n.
+    3g - 4 + m + n.  A cap is an int or None, which lifts it: nan, 1.5 or
+    '3' raises ValueError, as a nan compares False with every bound.
     """
-    if max_genus is not None and sig.genus > max_genus:
+    if max_genus is not None and sig.genus > _integer("max_genus", max_genus):
         raise ValueError(
             f"genus {sig.genus} exceeds max_genus={max_genus}; raise the "
             "max_genus configuration knob to allow it"
         )
-    if max_slots is not None and sig.slots > max_slots:
+    if max_slots is not None and sig.slots > _integer("max_slots", max_slots):
         raise ValueError(
             f"{sig.slots} boundary+cone slots exceed max_slots={max_slots}; "
             "raise the max_slots configuration knob to allow it"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from wpcone import recursion
 from wpcone.conepoints import (
     ConeSurfaceSpec,
     cusp_limit,
@@ -200,12 +201,21 @@ def test_cusp_limit_slot_range():
         cusp_limit(SurfaceSignature(1, 0, 1), 1)
 
 
+@pytest.mark.parametrize("slot", [0.5, 1.0, "1", math.nan])
+def test_cusp_limit_refuses_a_slot_that_is_not_an_integer(slot):
+    sig = SurfaceSignature(1, 1, 2)
+    clear_memo()
+    with pytest.raises(ValueError, match="cone slot must be an integer"):
+        cusp_limit(sig, slot)
+    assert not recursion._CUSP_MEMO
+
+
 def test_cusp_limit_memo_keeps_caps_and_identity():
     sig = SurfaceSignature(2, 1, 2)  # k = 3g - 4 + m + n = 5, genus 2, 3 slots
     clear_memo()
     first = cusp_limit(sig, 1)
     assert cusp_limit(sig, 1) is first
-    assert cusp_limit(sig, 0) is not first  # keyed per slot
+    assert cusp_limit(sig, 0) is first  # one result per signature
     # a warm memo still refuses every cap the signature exceeds
     for caps, match in (
         ({"max_moment_k": 4}, "max_moment_k"),

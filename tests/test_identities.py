@@ -7,6 +7,7 @@ is substituted symbolically.  No floats are involved, so these gates do not
 share the recursion's cut structure, kernels or quadrature.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -220,3 +221,22 @@ def test_mirzakhani_zograf_ratio_rises_toward_one():
     assert ratios[-1] < 1
     expected = [0.7500, 0.9046, 0.9416, 0.9580, 0.9672, 0.9731, 0.9773, 0.9803]
     assert [round(float(r), 4) for r in ratios] == expected
+
+
+def test_zograf_genus_zero_recursion_gives_every_constant_term():
+    # Zograf (1993): V_{0,n}(0) = (2 pi^2)^(n-3) v_n / (n-3)!, with v_3 = 1
+    # and v_n = 1/2 sum_{i=1}^{n-3} i (n-2-i) / (n-1) C(n-4, i-1) C(n, i+1)
+    # v_{i+2} v_{n-i}, a recursion over the boundary divisors of the
+    # punctured sphere that shares nothing with the cut structure
+    v = {3: Q(1)}
+    for n in range(4, 15):
+        v[n] = sum(
+            Q(i * (n - 2 - i), n - 1) * math.comb(n - 4, i - 1)
+            * math.comb(n, i + 1) * v[i + 2] * v[n - i]
+            for i in range(1, n - 2)
+        ) / 2
+    assert [v[n] for n in range(4, 8)] == [1, 5, 61, 1379]
+    for n in range(4, 15):
+        den, nums, degree = boundary(0, n).orbits
+        assert degree == n - 3
+        assert Q(nums[(0,) * n], den) == 2 ** (n - 3) * v[n] / math.factorial(n - 3), n

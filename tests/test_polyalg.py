@@ -155,6 +155,14 @@ def test_substitute_zero_drops_slot():
     assert substitute_zero(q, 0).terms == {(): {4: Fraction(1, 12)}}
 
 
+@pytest.mark.parametrize("substitute", [substitute_zero, substitute_imaginary])
+@pytest.mark.parametrize("slot", [1.5, 1.0, "1"])
+def test_substitution_refuses_a_slot_that_is_not_an_integer(substitute, slot):
+    p = VolumePolynomial(2, {(1, 1): {0: Fraction(1, 2)}, (0, 0): {4: Fraction(3)}})
+    with pytest.raises(ValueError, match="slot must be an integer"):
+        substitute(p, slot)
+
+
 def test_equality_on_integer_forms_agrees_with_the_terms_view():
     rng = random.Random(37)
     polys = []

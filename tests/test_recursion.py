@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -442,6 +443,47 @@ def test_clear_memo_leaves_every_memo_empty():
     assert recursion._moment_table.cache_info().currsize
 
 
+def test_threads_computing_cold_get_the_single_threaded_bytes():
+    # eight threads fill the five memos at once from empty: each computes
+    # one ladder signature on both paths and its cusp limit
+    from wpcone.conepoints import cusp_limit
+    from wpcone.polyalg import to_json
+
+    sigs = [(0, 2, 6), (0, 3, 4), (1, 3, 3), (2, 2, 2), (3, 1, 2), (4, 1, 1),
+            (5, 0, 1), (1, 5, 0)]
+    lifted = {"max_genus": None, "max_slots": None, "max_moment_k": None}
+
+    def outputs(g, m, n):
+        sig = SurfaceSignature(g, m, n)
+        polys = [compute_volume(sig, **lifted), cone_volume_direct(g, m, n, None)]
+        if n:
+            polys.append(cusp_limit(sig, n - 1, **lifted))
+        return [to_json(p) for p in polys]
+
+    clear_memo()
+    want = [outputs(*sig) for sig in sigs]
+    clear_memo()
+    start = threading.Barrier(len(sigs))
+    got = {}
+
+    def work(sig):
+        start.wait()
+        got[sig] = outputs(*sig)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(sig,)) for sig in sigs]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert [got.get(sig) for sig in sigs] == want
+
+
 @pytest.mark.parametrize("sig,pieces", [((5, 0, 1), 19), ((2, 2, 2), 13)])
 def test_each_piece_is_checked_once(monkeypatch, sig, pieces):
     # a memoized piece is read as it is: cone_volume_direct checks each key
@@ -470,6 +512,19 @@ def test_moment_cap_propagates_with_clear_message():
     )
     clear_memo()
     assert boundary_volume(2, 1, max_moment_k=3) == boundary_volume(2, 1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, 1.5, "3"])
+@pytest.mark.parametrize("cap", ["max_genus", "max_slots", "max_moment_k"])
+def test_cap_that_is_not_an_integer_or_none_is_refused(cap, bad):
+    # a nan cap compares False with every bound, so it would lift the cap
+    sig = SurfaceSignature(1, 1, 1)
+    compute_volume(sig)  # a warm memo refuses it too
+    with pytest.raises(ValueError, match=f"^{cap} must be an integer"):
+        compute_volume(sig, **{cap: bad})
+    if cap == "max_moment_k":
+        with pytest.raises(ValueError, match="^max_moment_k must be an integer"):
+            cone_volume_direct(1, 1, 1, max_moment_k=bad)
 
 
 def test_moment_cap_does_not_depend_on_memo_state():
