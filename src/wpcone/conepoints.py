@@ -20,7 +20,7 @@ limit of a boundary component; `cusp_limit` exposes that degeneration.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence, Tuple
 
 from wpcone.polyalg import VolumePolynomial, _integer, eval_numeric, substitute_zero
 from wpcone.recursion import _CUSP_MEMO, SurfaceSignature, compute_volume
@@ -34,7 +34,8 @@ class ConeSurfaceSpec(
 
     `boundary_lengths` may be omitted (None) to keep the length slots
     symbolic; `cone_angles` must always be supplied, one angle in (0, pi]
-    per cone point.  Angles are radians.
+    per cone point.  Angles are radians.  Each field is an iterable of
+    numbers: a string, bytes or a bare number raises ValueError naming it.
     """
 
     __slots__ = ()
@@ -45,7 +46,7 @@ class ConeSurfaceSpec(
         cone_angles: Sequence[float] = (),
         boundary_lengths: Optional[Sequence[float]] = None,
     ) -> ConeSurfaceSpec:
-        angles = tuple(float(a) for a in cone_angles)
+        angles = _numbers("cone_angles", cone_angles)
         if len(angles) != sig.cones:
             raise ValueError(
                 "expected %d cone angles for signature %s, got %d"
@@ -55,7 +56,7 @@ class ConeSurfaceSpec(
             check_cone_angle(a)
         lengths = None
         if boundary_lengths is not None:
-            lengths = tuple(float(x) for x in boundary_lengths)
+            lengths = _numbers("boundary_lengths", boundary_lengths)
             if len(lengths) != sig.boundaries:
                 raise ValueError(
                     "expected %d boundary lengths for signature %s, got %d"
@@ -64,6 +65,14 @@ class ConeSurfaceSpec(
             for x in lengths:
                 check_length(x)
         return tuple.__new__(cls, (sig, angles, lengths))
+
+
+def _numbers(field: str, values: Iterable[float]) -> Tuple[float, ...]:
+    """values as floats; refuses a string, which would be read character by
+    character, and a bare number."""
+    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
+        raise ValueError(f"{field} must be a sequence of numbers (got {values!r})")
+    return tuple(map(float, values))
 
 
 def volume_polynomial(spec: ConeSurfaceSpec, **caps: Optional[int]) -> VolumePolynomial:
@@ -92,8 +101,7 @@ def volume_value(spec: ConeSurfaceSpec, **caps: Optional[int]) -> float:
             "of signature %s" % (spec.sig,)
         )
     poly = volume_polynomial(spec, **caps)
-    values = list(spec.boundary_lengths or ()) + list(spec.cone_angles)
-    result = eval_numeric(poly, values)
+    result = eval_numeric(poly, (*(spec.boundary_lengths or ()), *spec.cone_angles))
     if not result > 0.0:
         raise RuntimeError(
             "volume evaluated to a non-positive number (%r) for %s; "
@@ -124,9 +132,8 @@ def cusp_limit(
             % (cone_slot, sig, sig.cones)
         )
     poly = compute_volume(sig, **caps)
-    key = (sig.genus, sig.boundaries, sig.cones)
-    cached = _CUSP_MEMO.get(key)
+    cached = _CUSP_MEMO.get(sig)  # a signature is its own (g, m, n) key
     if cached is not None:
         return cached
     result = substitute_zero(poly, sig.boundaries + cone_slot)
-    return _CUSP_MEMO.setdefault(key, result)
+    return _CUSP_MEMO.setdefault(tuple(sig), result)

@@ -44,7 +44,7 @@ derived from it is therefore a pure function of the volume and can be
 built on first read and kept on it: the expanded `numerators`, the `terms`
 view, the canonical order of the exponent vectors with each distinct
 numerator reduced over den (read by every serializer), and eval_numeric's
-flat form: its float coefficients and one column of exponents per slot.
+flat form: float coefficients and one gatherer per slot.
 The rendered strings are not kept: each call renders afresh from the kept
 order.
 """
@@ -79,15 +79,16 @@ class VolumePolynomial:
     expansion to every exponent vector (built on first read; the checking
     constructor's one-slot blocks need none) and `terms` the pi-graded
     view.  `_order` keeps the serializers' canonical order and `_flat`
-    eval_numeric's coefficients and exponent columns, each built on first
-    read.  Everything kept on a volume stays valid only because nothing
-    mutates a volume after construction; build a new one instead.
+    eval_numeric's float coefficients and one gatherer per slot, each built
+    on first read.  Everything kept on a volume stays valid only because
+    nothing mutates a volume after construction; build a new one instead.
     """
 
     orbits: Numerators
     _blocks: Tuple[int, ...]
-    # eval_numeric's float coefficients and one exponent column per slot
-    _flat: Optional[Tuple[List[float], List[Exponent]]] = None
+    # eval_numeric's float coefficients and one gatherer per slot: an
+    # itemgetter taking each term's power of the slot's value from a table
+    _flat: Optional[Tuple[List[float], List[operator.itemgetter]]] = None
     # the serializers' canonical order and reduced numerators (_canonical)
     _order: Optional[Tuple[List[Exponent], Dict[int, Tuple[int, int]]]] = None
 
@@ -303,21 +304,25 @@ def eval_numeric(
     Real entries must be nonnegative (they are lengths or angles); complex
     entries are allowed for the imaginary-substitution cross-checks.  Each
     coefficient is the correctly rounded quotient of its numerator and the
-    shared denominator, times its power of pi.  The coefficients and one
-    column of exponents per slot are built on the first call and kept on
-    the volume; each call multiplies every coefficient by its powers of the
-    values and sums the products.  A real sum is taken with math.fsum, which
-    rounds the exact sum of the products once, so terms that cancel lose
-    nothing; ValueError is raised when that sum, or a coefficient, is not a
-    finite double.
+    shared denominator, times its power of pi.  The float coefficients and
+    one gatherer per slot (an operator.itemgetter over the slot's exponent
+    column) are built on the first call and kept on the volume; each call
+    gathers every term's power of each value in one call per slot,
+    multiplies every coefficient by its powers and sums the products.  A
+    real sum is taken with math.fsum, which rounds the exact sum of the
+    products once, so terms that cancel lose nothing; ValueError is raised
+    when that sum, or a coefficient, is not a finite double.
     """
-    vals = list(values)
+    vals = tuple(values)
     if len(vals) != p.num_vars:
         raise ValueError(
             f"expected {p.num_vars} slot values, got {len(vals)}"
         )
+    real = True
     for v in vals:
-        if not isinstance(v, complex) and not v >= 0:  # refuses nan too
+        if isinstance(v, complex):
+            real = False
+        elif not v >= 0:  # refuses nan too
             raise ValueError("slot values must be nonnegative")
     # two threads reading first may both build; they build equal forms
     form = p._flat
@@ -328,15 +333,25 @@ def eval_numeric(
             coeffs = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
         except OverflowError:  # an inf product of finite factors fails the sum's check
             raise ValueError("a coefficient is not a finite double") from None
-        form = p._flat = (coeffs, list(zip(*nums)))
-    coeffs, columns = form
+        # itemgetter of one index returns the item, not a tuple: a one-term
+        # column gathers a one-item slice instead
+        form = p._flat = (
+            coeffs,
+            [
+                operator.itemgetter(*column)
+                if len(column) > 1
+                else operator.itemgetter(slice(column[0], column[0] + 1))
+                for column in zip(*nums)
+            ],
+        )
+    coeffs, gathers = form
     # powers of v**2 up to the degree, each once per call
-    top = p.numerators.degree
+    top = p.orbits.degree
     products: Iterable[float | complex] = coeffs
-    for v, column in zip(vals, columns):
+    for v, gather in zip(vals, gathers):
         table = list(itertools.accumulate(itertools.repeat(v * v, top), operator.mul, initial=1.0))
-        products = map(operator.mul, products, map(table.__getitem__, column))
-    if any(isinstance(v, complex) for v in vals):
+        products = map(operator.mul, products, gather(table))
+    if not real:
         return sum(products, 0.0)
     try:
         total = math.fsum(products)

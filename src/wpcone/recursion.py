@@ -586,8 +586,11 @@ def compute_volume(
     serializers used to cache on every volume they wrote.  The caps are
     checked before the memo and bound only the requested signature, not the
     recursion's internal sub-surfaces; max_moment_k is checked as
-    3g - 4 + m + n.  A cap is an int or None, which lifts it: nan, 1.5 or
-    '3' raises ValueError, as a nan compares False with every bound.
+    3g - 4 + m + n.  A memo hit is returned right after the caps: `sig` was
+    checked when it was built, so only a miss goes on to boundary_volume,
+    which checks the signature again and raises for a closed surface.  A
+    cap is an int or None, which lifts it: nan, 1.5 or '3' raises
+    ValueError, as a nan compares False with every bound.
     """
     if max_genus is not None and sig.genus > _integer("max_genus", max_genus):
         raise ValueError(
@@ -600,20 +603,20 @@ def compute_volume(
             "raise the max_slots configuration knob to allow it"
         )
     _check_moment_cap(sig.genus, sig.slots, max_moment_k)
+    # a signature is a (g, m, n) tuple, so it is its own memo key
+    cached = (_SIGNED_MEMO if sig.cones else _RECURSION_MEMO).get(sig)
+    if cached is not None:
+        return cached
     boundary = boundary_volume(sig.genus, sig.slots, max_moment_k=None)
     if not sig.cones:
         return boundary
-    key = (sig.genus, sig.boundaries, sig.cones)
-    cached = _SIGNED_MEMO.get(key)
-    if cached is not None:
-        return cached
     den, nums, degree = boundary.orbits
     signed: Dict[Exponent, int] = {}
     for orbit, num in nums.items():
         for cones, bounds, _ in _splits(orbit, sig.cones):
             signed[bounds + cones] = -num if sum(cones) % 2 else num
     result = from_orbits(sig.slots, den, signed, degree, (sig.boundaries, sig.cones))
-    return _SIGNED_MEMO.setdefault(key, result)
+    return _SIGNED_MEMO.setdefault(tuple(sig), result)
 
 
 def cone_volume_direct(

@@ -112,6 +112,24 @@ def test_angle_count_and_length_validation():
     assert spec.boundary_lengths == (2.0, 0.5)
 
 
+@pytest.mark.parametrize(
+    "field, angles, lengths",
+    [
+        ("cone_angles", "3", (2.0, 5.0)),
+        ("cone_angles", b"3", (2.0, 5.0)),
+        ("cone_angles", 3.0, (2.0, 5.0)),
+        ("boundary_lengths", (3.0,), "25"),
+        ("boundary_lengths", (3.0,), 25),
+    ],
+)
+def test_spec_fields_are_sequences_of_numbers(field, angles, lengths):
+    # a string would be read digit by digit: '25' as the lengths (2.0, 5.0)
+    with pytest.raises(ValueError, match=f"^{field} must be a sequence of numbers"):
+        ConeSurfaceSpec(SurfaceSignature(0, 2, 1), angles, lengths)
+    spec = ConeSurfaceSpec(SurfaceSignature(0, 2, 1), [3], iter([2, 5]))
+    assert spec.cone_angles == (3.0,) and spec.boundary_lengths == (2.0, 5.0)
+
+
 def test_unstable_signature_rejected_upstream():
     with pytest.raises(ValueError, match="unstable"):
         ConeSurfaceSpec(SurfaceSignature(0, 1, 1), (1.0,))

@@ -11,7 +11,9 @@ byte as it was.
 """
 
 import hashlib
+import itertools
 import math
+import operator
 import random
 import sys
 import threading
@@ -20,7 +22,7 @@ from fractions import Fraction
 import pytest
 
 from wpcone import recursion
-from wpcone.conepoints import cusp_limit
+from wpcone.conepoints import ConeSurfaceSpec, cusp_limit, volume_value
 from wpcone.polyalg import (
     eval_numeric,
     from_orbits,
@@ -376,6 +378,56 @@ def test_eval_numeric_agrees_with_the_term_by_term_formula():
         assert p._flat is not None  # the flat form is kept on the volume
 
 
+def column_form(p, values):
+    """eval_numeric as the earlier code computed it, one table lookup per
+    term per slot: the same coefficients, products and sum, so every value
+    must match bit for bit."""
+    den, nums, degree = p.numerators
+    pis = [math.pi ** (2 * j) for j in range(degree + 1)]
+    products = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
+    for v, column in zip(values, zip(*nums)):
+        squares = itertools.repeat(v * v, degree)
+        table = list(itertools.accumulate(squares, operator.mul, initial=1.0))
+        products = map(operator.mul, products, map(table.__getitem__, column))
+    if any(isinstance(v, complex) for v in values):
+        return sum(products, 0.0)
+    return math.fsum(products)
+
+
+def test_eval_numeric_is_bit_identical_to_the_column_form():
+    clear_memo()
+    rng = random.Random(83)
+    polys = []
+    for sig in small_signatures():
+        p = compute_volume(sig)
+        points = [[rng.uniform(0.05, 3.0) for _ in range(sig.slots)] for _ in range(3)]
+        polys.append((uncached(p), points))  # the gatherers built on this read
+        polys.append((p, points))
+        # a cone is a boundary of length i*theta
+        boundary = boundary_volume(sig.genus, sig.slots)
+        imaginary = [v[: sig.boundaries] + [1j * t for t in v[sig.boundaries :]] for v in points]
+        polys.append((boundary, imaginary))
+        for k in range(sig.cones):
+            cusp = cusp_limit(sig, k)
+            polys.append((cusp, [v[: cusp.num_vars] for v in points]))
+    # the zero polynomial, no slots, and one term: itemgetter of one index
+    # returns the item, not a tuple
+    polys += [
+        (from_orbits(2, 1, {}, 3, (1, 1)), [[1.0, 2.0]]),
+        (from_orbits(0, 1, {}, 0, ()), [[]]),
+        (from_orbits(0, 12, {(): 1}, 1, ()), [[]]),
+        (compute_volume(SurfaceSignature(0, 3, 0)), [[0.5, 1.5, 2.5]]),
+        (from_orbits(1, 48, {(1,): 1}, 1, (1,)), [[0.7], [1j * 0.7]]),
+        (from_orbits(2, 7, {(2, 1): -5}, 4, (1, 1)), [[1.1, 0.3]]),
+    ]
+    assert compute_volume(SurfaceSignature(0, 3, 0)).numerators.nums == {(0, 0, 0): 1}
+    for p, points in polys:
+        for values in points:
+            for _ in range(2):  # the first call builds the flat form, the second reads it
+                got, want = eval_numeric(p, values), column_form(p, values)
+                assert got == want and type(got) is type(want), (p, values)
+
+
 def test_reads_build_no_fraction_view():
     clear_memo()
     for sig in (SurfaceSignature(2, 3, 0), SurfaceSignature(1, 1, 3)):
@@ -418,16 +470,58 @@ def test_clear_memo_empties_the_signed_memo():
         ((5, 1, 1), {"max_moment_k": None}, "max_moment_k"),
         ((0, 2, 7), {"max_slots": None}, "max_slots"),
         ((6, 0, 1), {"max_genus": None, "max_moment_k": None}, "max_genus"),
+        ((5, 2, 0), {"max_moment_k": None}, "max_moment_k"),
+        ((0, 9, 0), {"max_slots": None}, "max_slots"),
+        ((6, 1, 0), {"max_genus": None, "max_moment_k": None}, "max_genus"),
     ],
 )
 def test_caps_raise_with_the_signed_memo_warm(sig, lift, knob):
+    # a warm compute_volume reads its memo only after the caps
     clear_memo()
     sig = SurfaceSignature(*sig)
     warm = compute_volume(sig, **lift)
-    assert (sig.genus, sig.boundaries, sig.cones) in recursion._SIGNED_MEMO
+    memo = recursion._SIGNED_MEMO if sig.cones else recursion._RECURSION_MEMO
+    assert memo[(sig.genus, sig.boundaries, sig.cones)] is warm
     with pytest.raises(ValueError, match=knob):
         compute_volume(sig)
     assert compute_volume(sig, **lift) is warm
+
+
+def test_a_warm_read_checks_no_signature_again(monkeypatch):
+    clear_memo()
+    sigs = [SurfaceSignature(*sig) for sig in ((2, 3, 0), (2, 2, 1), (1, 1, 2))]
+    volumes = [compute_volume(sig) for sig in sigs]
+    spec = ConeSurfaceSpec(sigs[1], [2.5], [1.0, 3.0])
+    value = volume_value(spec)
+    cusp = cusp_limit(sigs[2], 1)
+    calls = []
+    direct, new = recursion.cone_volume_direct, SurfaceSignature.__new__
+
+    def counting_direct(*args, **kwargs):
+        calls.append(("cone_volume_direct", args))
+        return direct(*args, **kwargs)
+
+    def counting_new(cls, *args):
+        calls.append(("SurfaceSignature", args))
+        return new(cls, *args)
+
+    monkeypatch.setattr(recursion, "cone_volume_direct", counting_direct)
+    monkeypatch.setattr(SurfaceSignature, "__new__", staticmethod(counting_new))
+    assert all(compute_volume(sig) is v for sig, v in zip(sigs, volumes))
+    assert volume_value(spec) == value
+    assert cusp_limit(sigs[2], 0) is cusp
+    assert calls == []
+    # a miss still goes through the checked entry, and so does a closed
+    # surface, which no memo ever holds
+    assert (0, 7, 0) not in recursion._RECURSION_MEMO
+    compute_volume(SurfaceSignature(0, 7, 0))
+    assert ("cone_volume_direct", (0, 7, 0, None)) in calls
+    with pytest.raises(ValueError) as closed:
+        compute_volume(SurfaceSignature(2, 0, 0))
+    assert str(closed.value) == (
+        "closed surfaces have no distinguished boundary to recurse on; "
+        "add a boundary or cone point"
+    )
 
 
 def uncached(p):
