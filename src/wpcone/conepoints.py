@@ -19,6 +19,7 @@ limit of a boundary component; `cusp_limit` exposes that degeneration.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from typing import Iterable, Optional, Sequence, Tuple
 
@@ -35,7 +36,8 @@ class ConeSurfaceSpec(
     `boundary_lengths` may be omitted (None) to keep the length slots
     symbolic; `cone_angles` must always be supplied, one angle in (0, pi]
     per cone point.  Angles are radians.  Each field is an iterable of
-    numbers: a string, bytes or a bare number raises ValueError naming it.
+    numbers: a string, bytes or a bare number, or an element that is text or
+    None, raises ValueError naming it.
     """
 
     __slots__ = ()
@@ -69,10 +71,15 @@ class ConeSurfaceSpec(
 
 def _numbers(field: str, values: Iterable[float]) -> Tuple[float, ...]:
     """values as floats; refuses a string, which would be read character by
-    character, and a bare number."""
-    if isinstance(values, (str, bytes, bytearray)) or not hasattr(values, "__iter__"):
-        raise ValueError(f"{field} must be a sequence of numbers (got {values!r})")
-    return tuple(map(float, values))
+    character, a bare number, and an element that is not a number.  Each
+    element takes a unary plus before float reads it: text and None refuse
+    it, where float would parse '3' or b'5'."""
+    if not isinstance(values, (str, bytes, bytearray)):
+        try:
+            return tuple(map(float, map(operator.pos, values)))
+        except TypeError:  # a bare number, or an element that is no number
+            pass
+    raise ValueError(f"{field} must be a sequence of numbers (got {values!r})")
 
 
 def volume_polynomial(spec: ConeSurfaceSpec, **caps: Optional[int]) -> VolumePolynomial:

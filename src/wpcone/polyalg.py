@@ -16,8 +16,8 @@ exponent vector sorted non-increasing within each block of symmetric slots.
 A volume is symmetric in its boundary slots and, separately, in its cone
 slots, so the recursion stores it over those two blocks (from_orbits); a
 polynomial built from terms has one-slot blocks, where each vector is its
-own orbit key.  `numerators` expands the orbits to every exponent vector on
-first read and caches the result.
+own orbit key.  `numerators` is the orbits expanded to every exponent
+vector.
 
 `terms` is the public pi-graded view of the same polynomial:
 
@@ -26,31 +26,33 @@ first read and caches the result.
   PiGraded = Dict[int, Fraction]    pi-exponent (even, >= 0) -> rational
 
 so  {(1,): {0: Fraction(-1, 48)}, (0,): {2: Fraction(1, 12)}}  is
--x/48 + pi**2/12.  The view is for callers; it is built on first read and
-cached, and nothing in this module reads it but substitute_imaginary, the
-test reference.  Equality (==) cross-multiplies the integer numerators; the
-serializers (to_json, to_latex, to_text) walk the integer form in canonical
-order, reducing each distinct numerator over den once; eval_numeric reads
-the integer form too, so serving a volume builds no Fraction.  The
-constructor takes this view, checks it (slot count, nonnegative
-x-exponents, even nonnegative pi-powers, homogeneity) and converts it;
-from_orbits is the trusted entry for the recursion's own results.  Zero
-coefficients are never stored; the zero polynomial has an empty term map.
+-x/48 + pi**2/12.  The view is for callers; nothing in this module reads
+it but substitute_imaginary, the test reference.  Equality (==)
+cross-multiplies the integer numerators; the serializers (to_json,
+to_latex, to_text) walk the integer form in canonical order, reducing each
+distinct numerator over den once; eval_numeric reads the integer form too,
+so serving a volume builds no Fraction.  The constructor takes this view,
+checks it (slot count, nonnegative x-exponents, even nonnegative
+pi-powers, homogeneity) and converts it; from_orbits is the trusted entry
+for the recursion's own results.  Zero coefficients are never stored; the
+zero polynomial has an empty term map.
 
 What is kept per volume.  A VolumePolynomial is immutable by convention:
 no caller mutates one after construction, and the recursion memoizes its
 volumes, so one object answers every query for its signature.  A form
 derived from it is therefore a pure function of the volume and can be
-built on first read and kept on it: the expanded `numerators`, the `terms`
-view, the canonical order of the exponent vectors with each distinct
-numerator reduced over den (read by every serializer), and eval_numeric's
-flat form: float coefficients and one gatherer per slot.
+built on first read and kept on it.  Each such form is a
+functools.cached_property of VolumePolynomial: the expanded `numerators`,
+the `terms` view, `_order`, the canonical order of the exponent vectors
+with each distinct numerator reduced over den (read by every serializer),
+and `_flat`, eval_numeric's float coefficients and one gatherer per slot.
 The rendered strings are not kept: each call renders afresh from the kept
 order.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -75,22 +77,18 @@ class Numerators(NamedTuple):
 class VolumePolynomial:
     """Immutable-by-convention exact polynomial; see the module docstring.
 
-    `orbits` is the integer form over the slot blocks, `numerators` its
-    expansion to every exponent vector (built on first read; the checking
-    constructor's one-slot blocks need none) and `terms` the pi-graded
-    view.  `_order` keeps the serializers' canonical order and `_flat`
-    eval_numeric's float coefficients and one gatherer per slot, each built
-    on first read.  Everything kept on a volume stays valid only because
-    nothing mutates a volume after construction; build a new one instead.
+    `orbits` is the integer form over the slot blocks.  Each form derived
+    from it is a cached_property, built on first read and kept on the
+    volume: `numerators`, its expansion to every exponent vector (set by
+    the checking constructor, whose one-slot blocks are expanded already);
+    `terms`, the pi-graded view; `_order`, the serializers' canonical
+    order; and `_flat`, eval_numeric's float coefficients and one gatherer
+    per slot.  Everything kept on a volume stays valid only because nothing
+    mutates a volume after construction; build a new one instead.
     """
 
     orbits: Numerators
     _blocks: Tuple[int, ...]
-    # eval_numeric's float coefficients and one gatherer per slot: an
-    # itemgetter taking each term's power of the slot's value from a table
-    _flat: Optional[Tuple[List[float], List[operator.itemgetter]]] = None
-    # the serializers' canonical order and reduced numerators (_canonical)
-    _order: Optional[Tuple[List[Exponent], Dict[int, Tuple[int, int]]]] = None
 
     def __init__(
         self,
@@ -102,7 +100,7 @@ class VolumePolynomial:
         coeffs: Dict[Exponent, Fraction] = {}
         degree: Optional[int] = None
         for xexp, graded in (terms or {}).items():
-            key = tuple(_exponent(e) for e in xexp)
+            key = tuple(_integer("exponent", e) for e in xexp)
             if len(key) != num_vars:
                 raise ValueError(
                     f"exponent vector {key} has length {len(key)}, expected {num_vars}"
@@ -113,7 +111,7 @@ class VolumePolynomial:
                 c = Fraction(coeff)
                 if c == 0:
                     continue
-                p = _exponent(piexp)
+                p = _integer("pi-exponent", piexp)
                 if p < 0 or p % 2:
                     raise ValueError(f"pi-exponent {p} must be even and nonnegative")
                 d = sum(key) + p // 2
@@ -128,28 +126,55 @@ class VolumePolynomial:
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self.num_vars = num_vars
-        self.orbits = Numerators(den, nums, degree or 0)
+        # one-slot blocks are already expanded; a cached_property has no
+        # __set__, so this assignment is the kept `numerators`
+        self.orbits = self.numerators = Numerators(den, nums, degree or 0)
         self._blocks = (1,) * num_vars
-        self._numerators: Optional[Numerators] = self.orbits
-        self._terms: Optional[Terms] = None
 
-    @property
+    @functools.cached_property
     def numerators(self) -> Numerators:
-        # two threads reading first may both expand; they build equal maps
-        if self._numerators is None:
-            self._numerators = _expand(self.orbits, self._blocks)
-        return self._numerators
+        return _expand(self.orbits, self._blocks)
 
-    @property
+    @functools.cached_property
     def terms(self) -> Terms:
-        # two threads reading first may both build; they build equal maps
-        if self._terms is None:
-            den, nums, degree = self.numerators
-            self._terms = {
-                xexp: {2 * (degree - sum(xexp)): Fraction(num, den)}
-                for xexp, num in nums.items()
-            }
-        return self._terms
+        den, nums, degree = self.numerators
+        return {
+            xexp: {2 * (degree - sum(xexp)): Fraction(num, den)}
+            for xexp, num in nums.items()
+        }
+
+    @functools.cached_property
+    def _flat(self) -> Tuple[List[float], List[operator.itemgetter]]:
+        """eval_numeric's float coefficients and one gatherer per slot: an
+        itemgetter taking each term's power of the slot's value from a
+        table."""
+        den, nums, degree = self.numerators
+        try:
+            pis = [math.pi ** (2 * j) for j in range(degree + 1)]
+            coeffs = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
+        except OverflowError:  # an inf product of finite factors fails the sum's check
+            raise ValueError("a coefficient is not a finite double") from None
+        # itemgetter of one index returns the item, not a tuple: a one-term
+        # column gathers a one-item slice instead
+        return coeffs, [
+            operator.itemgetter(*column)
+            if len(column) > 1
+            else operator.itemgetter(slice(column[0], column[0] + 1))
+            for column in zip(*nums)
+        ]
+
+    @functools.cached_property
+    def _order(self) -> Tuple[List[Exponent], Dict[int, Tuple[int, int]]]:
+        """The serializers' canonical order of the exponent vectors, and each
+        distinct numerator reduced over den (see _canonical)."""
+        den, nums, _ = self.numerators
+        order = sorted(nums, key=lambda e: (sum(e), e), reverse=True)
+        reduced = {}
+        for num in nums.values():
+            if num not in reduced:
+                common = math.gcd(num, den)
+                reduced[num] = (num // common, den // common)
+        return order, reduced
 
     def __bool__(self) -> bool:
         return bool(self.orbits.nums)  # empty exactly when its expansion is
@@ -183,14 +208,6 @@ class VolumePolynomial:
         return f"VolumePolynomial({self.num_vars}, {to_text(self)!r})"
 
 
-def _exponent(e: object) -> int:
-    """An exponent as an int; refuses 1.5 or 2.9 rather than truncating."""
-    try:
-        return operator.index(e)
-    except TypeError:
-        raise ValueError(f"exponent {e!r} is not an integer") from None
-
-
 def _integer(what: str, value: object) -> int:
     """value as an int; refuses 1.5, 1.0, nan or '3' rather than truncating
     it or comparing it."""
@@ -217,7 +234,7 @@ def from_orbits(
     One-slot blocks, (1,) * num_vars, give a polynomial with no symmetry.
     """
     p = object.__new__(VolumePolynomial)
-    p.num_vars, p._blocks, p._numerators, p._terms = num_vars, tuple(blocks), None, None
+    p.num_vars, p._blocks = num_vars, tuple(blocks)
     nums = {e: n for e, n in nums.items() if n} if 0 in nums.values() else dict(nums)
     p.orbits = Numerators(den, nums, degree)
     return p
@@ -306,7 +323,7 @@ def eval_numeric(
     coefficient is the correctly rounded quotient of its numerator and the
     shared denominator, times its power of pi.  The float coefficients and
     one gatherer per slot (an operator.itemgetter over the slot's exponent
-    column) are built on the first call and kept on the volume; each call
+    column) are the volume's kept `_flat`, built on the first call; each call
     gathers every term's power of each value in one call per slot,
     multiplies every coefficient by its powers and sums the products.  A
     real sum is taken with math.fsum, which rounds the exact sum of the
@@ -324,27 +341,7 @@ def eval_numeric(
             real = False
         elif not v >= 0:  # refuses nan too
             raise ValueError("slot values must be nonnegative")
-    # two threads reading first may both build; they build equal forms
-    form = p._flat
-    if form is None:
-        den, nums, degree = p.numerators
-        try:
-            pis = [math.pi ** (2 * j) for j in range(degree + 1)]
-            coeffs = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
-        except OverflowError:  # an inf product of finite factors fails the sum's check
-            raise ValueError("a coefficient is not a finite double") from None
-        # itemgetter of one index returns the item, not a tuple: a one-term
-        # column gathers a one-item slice instead
-        form = p._flat = (
-            coeffs,
-            [
-                operator.itemgetter(*column)
-                if len(column) > 1
-                else operator.itemgetter(slice(column[0], column[0] + 1))
-                for column in zip(*nums)
-            ],
-        )
-    coeffs, gathers = form
+    coeffs, gathers = p._flat
     # powers of v**2 up to the degree, each once per call
     top = p.orbits.degree
     products: Iterable[float | complex] = coeffs
@@ -373,21 +370,11 @@ def _canonical(p: VolumePolynomial) -> Iterator[Tuple[Exponent, int, int, int]]:
     the lexicographically larger exponent vector (one term per vector, so
     the pi-power never breaks a tie).  A volume repeats one numerator across
     every vector of an orbit, so each distinct numerator is reduced once.
-    The order and the reduced numerators are built on the first walk and
-    kept on the volume; each walk after that only reads them.
+    The order and the reduced numerators are the volume's kept `_order`,
+    built on the first walk; each walk after that only reads them.
     """
     den, nums, degree = p.numerators
-    kept = p._order
-    if kept is None:
-        # two threads walking first may both build; they build equal tables
-        order = sorted(nums, key=lambda e: (sum(e), e), reverse=True)
-        reduced = {}
-        for num in nums.values():
-            if num not in reduced:
-                common = math.gcd(num, den)
-                reduced[num] = (num // common, den // common)
-        kept = p._order = (order, reduced)
-    order, reduced = kept
+    order, reduced = p._order
     for xexp in order:
         num, lowest = reduced[nums[xexp]]
         yield xexp, 2 * (degree - sum(xexp)), num, lowest

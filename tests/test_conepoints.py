@@ -120,6 +120,11 @@ def test_angle_count_and_length_validation():
         ("cone_angles", 3.0, (2.0, 5.0)),
         ("boundary_lengths", (3.0,), "25"),
         ("boundary_lengths", (3.0,), 25),
+        ("cone_angles", ["3"], (2.0, 5.0)),
+        ("cone_angles", [None], (2.0, 5.0)),
+        ("boundary_lengths", (3.0,), ["2", b"5"]),
+        ("boundary_lengths", (3.0,), [2.0, bytearray(b"5")]),
+        ("boundary_lengths", (3.0,), iter([2.0, None])),
     ],
 )
 def test_spec_fields_are_sequences_of_numbers(field, angles, lengths):

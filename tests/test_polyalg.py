@@ -61,9 +61,9 @@ def test_construction_validation():
         VolumePolynomial(1, {(0,): {3: Fraction(1)}})  # odd pi power
     with pytest.raises(ValueError):
         VolumePolynomial(1, {(0,): {-2: Fraction(1)}})  # negative pi power
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
         VolumePolynomial(1, {(1.5,): {0: Fraction(1)}})  # not x^1
-    with pytest.raises(ValueError, match="not an integer"):
+    with pytest.raises(ValueError, match="exponent must be an integer"):
         VolumePolynomial(1, {(0,): {2.9: Fraction(1)}})  # not pi^2
     with pytest.raises(ValueError, match="homogeneous"):
         VolumePolynomial(1, {(1,): {0: Fraction(1)}, (0,): {0: Fraction(1)}})
@@ -216,7 +216,7 @@ def test_equality_on_orbits_agrees_with_the_expanded_compare():
     for a, b, want in same_blocks:
         assert (a == b) is want and (b == a) is want
         # compared on the orbit maps: neither side was expanded
-        assert a._numerators is None and b._numerators is None
+        assert "numerators" not in vars(a) and "numerators" not in vars(b)
         assert (a.terms == b.terms) is want  # the expanded compare
 
     # mixed blocks: one-slot blocks against (m, n) blocks fall back to the

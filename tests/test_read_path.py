@@ -337,7 +337,7 @@ def test_serializers_are_byte_identical_on_every_small_volume():
     for sig in small_signatures():
         p = compute_volume(sig)
         kinds = kinds_of(sig)
-        assert p._order is None
+        assert "_order" not in vars(p)
         for _ in range(2):  # the second walk reads the kept canonical order
             got = (sha(to_json(p)), sha(to_latex(p, kinds)), sha(to_text(p, kinds)))
             assert got == DIGESTS["%d,%d,%d" % (sig.genus, sig.boundaries, sig.cones)], sig
@@ -375,7 +375,7 @@ def test_eval_numeric_agrees_with_the_term_by_term_formula():
         imaginary = values[: sig.boundaries] + [1j * v for v in values[sig.boundaries :]]
         want = term_by_term(boundary, imaginary)
         assert abs(eval_numeric(boundary, imaginary) - want) <= 1e-14 * abs(want), sig
-        assert p._flat is not None  # the flat form is kept on the volume
+        assert "_flat" in vars(p)  # the flat form is kept on the volume
 
 
 def column_form(p, values):
@@ -437,13 +437,13 @@ def test_reads_build_no_fraction_view():
         to_text(p, kinds_of(sig))
         eval_numeric(p, [0.5] * sig.slots)
         assert p == uncached(p) and p != compute_volume(SurfaceSignature(2, 2, 1))
-        assert p._terms is None, sig
+        assert "terms" not in vars(p), sig
     cusp = cusp_limit(SurfaceSignature(1, 1, 3), 1)
     to_json(cusp)
-    assert cusp._terms is None
+    assert "terms" not in vars(cusp)
     clear_memo()
     p = compute_volume(SurfaceSignature(1, 3, 1))
-    assert bool(p) and p._numerators is None  # truth expands no orbit
+    assert bool(p) and "numerators" not in vars(p)  # truth expands no orbit
 
 
 def test_signed_memo_returns_one_object_apart_from_the_direct_path():

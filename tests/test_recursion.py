@@ -484,6 +484,56 @@ def test_threads_computing_cold_get_the_single_threaded_bytes():
     assert [got.get(sig) for sig in sigs] == want
 
 
+def test_threads_reading_a_fresh_volume_first_get_the_single_threaded_forms():
+    # eight threads take the first reads of one volume at once, each in its
+    # own order, so every kept form (the expansion, the canonical order, the
+    # flat form and the Fraction view) is first built under contention; a
+    # round can miss a race, so there are four, each on a fresh volume
+    from wpcone.polyalg import to_json, to_latex
+
+    sig = SurfaceSignature(2, 4, 2)
+    kinds = ("length",) * sig.boundaries + ("angle",) * sig.cones
+    values = [0.3, 1.1, 0.7, 2.0, 0.4, 0.9]
+    orbits = compute_volume(sig).orbits
+
+    def fresh():
+        return from_orbits(sig.slots, *orbits, (sig.boundaries, sig.cones))
+
+    reads = [
+        to_json,
+        lambda p: to_latex(p, kinds),
+        lambda p: eval_numeric(p, values),
+        lambda p: p.terms,
+    ]
+    single = fresh()
+    want = [read(single) for read in reads]
+    kept = {"num_vars", "_blocks", "orbits", "numerators", "terms", "_order", "_flat"}
+    assert set(vars(single)) == kept
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            shared = fresh()
+            start = threading.Barrier(8)
+            got = {}
+
+            def work(k):
+                start.wait()
+                order = [(k + i) % len(reads) for i in range(len(reads))]
+                got[k] = {i: reads[i](shared) for i in order}
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+            assert [got.get(k) for k in range(8)] == [dict(enumerate(want))] * 8
+            assert set(vars(shared)) == kept
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @pytest.mark.parametrize("sig,pieces", [((5, 0, 1), 19), ((2, 2, 2), 13)])
 def test_each_piece_is_checked_once(monkeypatch, sig, pieces):
     # a memoized piece is read as it is: cone_volume_direct checks each key
