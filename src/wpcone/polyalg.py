@@ -41,24 +41,22 @@ What is kept per volume.  A VolumePolynomial is immutable by convention:
 no caller mutates one after construction, and the recursion memoizes its
 volumes, so one object answers every query for its signature.  A form
 derived from it is therefore a pure function of the volume and can be
-built on first read and kept on it.  Each such form is a
-functools.cached_property of VolumePolynomial: the expanded `numerators`,
-the `terms` view, `_order`, the canonical order of the exponent vectors
-with each distinct numerator reduced over den (read by every serializer),
-and `_flat`, eval_numeric's float coefficients and one gatherer per slot.
-The rendered strings are not kept: each call renders afresh from the kept
-order.
+built on first read and kept on it (_kept): the expanded `numerators` and
+the `terms` view, for callers; `_order`, the serializers' terms in
+canonical order; and `_flat`, eval_numeric's float coefficients and one
+gatherer per slot.  `_order` and `_flat` expand the orbits to be built,
+keeping no expanded map, so no read keeps `numerators`.  The rendered
+strings are not kept: each call renders afresh from the kept order.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
 import operator
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 Exponent = Tuple[int, ...]
 PiGraded = Dict[int, Fraction]
@@ -74,17 +72,33 @@ class Numerators(NamedTuple):
     degree: int
 
 
+class _kept:
+    """functools.cached_property as of Python 3.12: the form is built on
+    first read and stored in the instance __dict__, where later reads find
+    it first.  On 3.10 and 3.11 cached_property holds one lock per property
+    across every instance, making one volume's first read wait for another's."""
+
+    def __init__(self, build):
+        self.build, self.name = build, build.__name__
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        form = instance.__dict__[self.name] = self.build(instance)
+        return form
+
+
 class VolumePolynomial:
     """Immutable-by-convention exact polynomial; see the module docstring.
 
     `orbits` is the integer form over the slot blocks.  Each form derived
-    from it is a cached_property, built on first read and kept on the
-    volume: `numerators`, its expansion to every exponent vector (set by
-    the checking constructor, whose one-slot blocks are expanded already);
-    `terms`, the pi-graded view; `_order`, the serializers' canonical
-    order; and `_flat`, eval_numeric's float coefficients and one gatherer
-    per slot.  Everything kept on a volume stays valid only because nothing
-    mutates a volume after construction; build a new one instead.
+    from it is built on first read and kept on the volume (_kept):
+    `numerators`, its expansion to every exponent vector (set by the
+    checking constructor, whose one-slot blocks are expanded already);
+    `terms`, the pi-graded view; `_order`, the serializers' terms; and
+    `_flat`, eval_numeric's form.  The last two are built from the orbits,
+    so no read keeps `numerators`.  Everything kept on a volume stays valid
+    only because nothing mutates a volume after construction.
     """
 
     orbits: Numerators
@@ -95,6 +109,7 @@ class VolumePolynomial:
         num_vars: int,
         terms: Mapping[Exponent, Mapping[int, Fraction]] | None = None,
     ) -> None:
+        num_vars = _integer("num_vars", num_vars)
         if num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
         coeffs: Dict[Exponent, Fraction] = {}
@@ -126,16 +141,16 @@ class VolumePolynomial:
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self.num_vars = num_vars
-        # one-slot blocks are already expanded; a cached_property has no
-        # __set__, so this assignment is the kept `numerators`
+        # one-slot blocks are already expanded; _kept has no __set__, so
+        # this assignment is the kept `numerators`
         self.orbits = self.numerators = Numerators(den, nums, degree or 0)
         self._blocks = (1,) * num_vars
 
-    @functools.cached_property
+    @_kept
     def numerators(self) -> Numerators:
         return _expand(self.orbits, self._blocks)
 
-    @functools.cached_property
+    @_kept
     def terms(self) -> Terms:
         den, nums, degree = self.numerators
         return {
@@ -143,12 +158,12 @@ class VolumePolynomial:
             for xexp, num in nums.items()
         }
 
-    @functools.cached_property
+    @_kept
     def _flat(self) -> Tuple[List[float], List[operator.itemgetter]]:
         """eval_numeric's float coefficients and one gatherer per slot: an
         itemgetter taking each term's power of the slot's value from a
         table."""
-        den, nums, degree = self.numerators
+        den, nums, degree = _expand(self.orbits, self._blocks)
         try:
             pis = [math.pi ** (2 * j) for j in range(degree + 1)]
             coeffs = [num / den * pis[degree - sum(e)] for e, num in nums.items()]
@@ -163,18 +178,19 @@ class VolumePolynomial:
             for column in zip(*nums)
         ]
 
-    @functools.cached_property
-    def _order(self) -> Tuple[List[Exponent], Dict[int, Tuple[int, int]]]:
-        """The serializers' canonical order of the exponent vectors, and each
-        distinct numerator reduced over den (see _canonical)."""
-        den, nums, _ = self.numerators
+    @_kept
+    def _order(self) -> Tuple[List[Exponent], List[int], List[Tuple[int, int]]]:
+        """The serializers' terms, leading term first (higher x-degree, then
+        the larger exponent vector), as three parallel lists: the vectors,
+        their pi-exponents and their (num, den) in lowest terms, one shared
+        pair per distinct numerator."""
+        den, nums, degree = _expand(self.orbits, self._blocks)
         order = sorted(nums, key=lambda e: (sum(e), e), reverse=True)
         reduced = {}
-        for num in nums.values():
-            if num not in reduced:
-                common = math.gcd(num, den)
-                reduced[num] = (num // common, den // common)
-        return order, reduced
+        for num in set(nums.values()):
+            common = math.gcd(num, den)
+            reduced[num] = (num // common, den // common)
+        return order, [2 * (degree - sum(e)) for e in order], [reduced[nums[e]] for e in order]
 
     def __bool__(self) -> bool:
         return bool(self.orbits.nums)  # empty exactly when its expansion is
@@ -323,12 +339,13 @@ def eval_numeric(
     coefficient is the correctly rounded quotient of its numerator and the
     shared denominator, times its power of pi.  The float coefficients and
     one gatherer per slot (an operator.itemgetter over the slot's exponent
-    column) are the volume's kept `_flat`, built on the first call; each call
-    gathers every term's power of each value in one call per slot,
-    multiplies every coefficient by its powers and sums the products.  A
-    real sum is taken with math.fsum, which rounds the exact sum of the
-    products once, so terms that cancel lose nothing; ValueError is raised
-    when that sum, or a coefficient, is not a finite double.
+    column) are the volume's kept `_flat`, built from the orbits on the
+    first call and keeping no expanded map; each call gathers every term's
+    power of each value in one call per slot, multiplies every coefficient
+    by its powers and sums the products.  A real sum is taken with
+    math.fsum, which rounds the exact sum of the products once, so terms
+    that cancel lose nothing; ValueError is raised when that sum, or a
+    coefficient, is not a finite double.
     """
     vals = tuple(values)
     if len(vals) != p.num_vars:
@@ -362,29 +379,11 @@ def eval_numeric(
 # -- canonical order and serialization ---------------------------------------
 
 
-def _canonical(p: VolumePolynomial) -> Iterator[Tuple[Exponent, int, int, int]]:
-    """(xexp, piexp, num, den) in canonical order, each coefficient num/den in
-    lowest terms with den > 0, read from the integer form.
-
-    The order is graded-lex, leading term first: higher total x-degree, then
-    the lexicographically larger exponent vector (one term per vector, so
-    the pi-power never breaks a tie).  A volume repeats one numerator across
-    every vector of an orbit, so each distinct numerator is reduced once.
-    The order and the reduced numerators are the volume's kept `_order`,
-    built on the first walk; each walk after that only reads them.
-    """
-    den, nums, degree = p.numerators
-    order, reduced = p._order
-    for xexp in order:
-        num, lowest = reduced[nums[xexp]]
-        yield xexp, 2 * (degree - sum(xexp)), num, lowest
-
-
 def to_json(p: VolumePolynomial) -> str:
     """Canonical JSON: {"vars": N, "terms": [{"xexp", "piexp", "coeff"}...]}."""
     terms = [
         {"xexp": list(xexp), "piexp": piexp, "coeff": f"{num}/{den}"}
-        for xexp, piexp, num, den in _canonical(p)
+        for xexp, piexp, (num, den) in zip(*p._order)
     ]
     return json.dumps({"vars": p.num_vars, "terms": terms}, separators=(",", ":"))
 
@@ -426,14 +425,14 @@ def to_latex(p: VolumePolynomial, kinds: Sequence[str] | None = None) -> str:
     round-trips to the exact golden string.
     """
     # per-call tables: [e] renders x^e of a slot (l^2e or theta^2e), "" at 0
-    top = range(1, p.numerators.degree + 1)
+    top = range(1, p.orbits.degree + 1)
     pis = [""] + [_latex_pow("\\pi", 2 * j) for j in top]
     powers = [
         [""] + [_latex_pow(name, 2 * e) for e in top]
         for name in slot_names(p.num_vars, kinds, latex=True)
     ]
     pieces: List[str] = []
-    for xexp, piexp, num, den in _canonical(p):
+    for xexp, piexp, (num, den) in zip(*p._order):
         mono = pis[piexp // 2] + "".join(map(list.__getitem__, powers, xexp))
         body = (str(abs(num)) if abs(num) != 1 or not mono else "") + mono
         if den != 1:
@@ -446,7 +445,7 @@ def to_text(p: VolumePolynomial, kinds: Sequence[str] | None = None) -> str:
     """Plain-text rendering, canonical order: -1/48*theta_1^2 + 1/12*pi^2."""
     names = slot_names(p.num_vars, kinds, latex=False)
     pieces: List[str] = []
-    for xexp, piexp, num, den in _canonical(p):
+    for xexp, piexp, (num, den) in zip(*p._order):
         parts = []
         if piexp:
             parts.append(f"pi^{piexp}")

@@ -53,6 +53,9 @@ def test_construction_prunes_zeros_and_merges():
 def test_construction_validation():
     with pytest.raises(ValueError):
         VolumePolynomial(-1)
+    for num_vars in (1.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match="num_vars must be an integer"):
+            VolumePolynomial(num_vars)
     with pytest.raises(ValueError):
         VolumePolynomial(2, {(1,): {0: Fraction(1)}})  # wrong vector length
     with pytest.raises(ValueError):

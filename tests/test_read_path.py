@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from wpcone import recursion
+from wpcone import polyalg, recursion
 from wpcone.conepoints import ConeSurfaceSpec, cusp_limit, volume_value
 from wpcone.polyalg import (
     eval_numeric,
@@ -436,14 +436,48 @@ def test_reads_build_no_fraction_view():
         to_latex(p, kinds_of(sig))
         to_text(p, kinds_of(sig))
         eval_numeric(p, [0.5] * sig.slots)
+        assert "numerators" not in vars(p), sig  # no read keeps the expanded map
         assert p == uncached(p) and p != compute_volume(SurfaceSignature(2, 2, 1))
         assert "terms" not in vars(p), sig
     cusp = cusp_limit(SurfaceSignature(1, 1, 3), 1)
     to_json(cusp)
-    assert "terms" not in vars(cusp)
+    to_latex(cusp)
+    to_text(cusp)
+    eval_numeric(cusp, [0.5] * cusp.num_vars)
+    assert "terms" not in vars(cusp) and "numerators" not in vars(cusp)
     clear_memo()
     p = compute_volume(SurfaceSignature(1, 3, 1))
     assert bool(p) and "numerators" not in vars(p)  # truth expands no orbit
+
+
+def test_a_first_read_does_not_wait_for_another_volumes_build(monkeypatch):
+    # functools.cached_property on Python 3.10 and 3.11 holds one lock per
+    # property across every instance; a volume's kept forms take none
+    sig = SurfaceSignature(1, 1, 1)
+    orbits = compute_volume(sig).orbits
+    slow, quick = (from_orbits(sig.slots, *orbits, (1, 1)) for _ in range(2))
+    building, release = threading.Event(), threading.Event()
+    expand = polyalg._expand
+
+    def held(orbits, blocks):
+        if orbits is slow.orbits:
+            building.set()
+            release.wait(30)
+        return expand(orbits, blocks)
+
+    monkeypatch.setattr(polyalg, "_expand", held)
+    first = threading.Thread(target=to_json, args=(slow,), daemon=True)
+    first.start()
+    try:
+        assert building.wait(5)
+        second = threading.Thread(target=to_json, args=(quick,), daemon=True)
+        second.start()
+        second.join(5)
+        assert not second.is_alive()  # done while slow's build still waits
+    finally:
+        release.set()
+        first.join(30)
+    assert to_json(slow) == to_json(quick)
 
 
 def test_signed_memo_returns_one_object_apart_from_the_direct_path():
