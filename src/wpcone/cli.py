@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when an internal invariant or a verification
 fails or when stdout is closed early (e.g. piped into `head`), 2 on invalid
-input (the message names the violated constraint).
+input (the message names the violated constraint); a command prints once
+all its output is computed, so one that exits 2 prints nothing on stdout.
 
 The caps max_genus, max_slots and max_moment_k keep their defaults from
 recursion unless a flag (--max-genus, --max-slots, --max-moment-k) sets
@@ -97,9 +98,10 @@ def _settings(args: argparse.Namespace) -> Dict[str, int]:
     return values
 
 
-def _poly_text(poly, kinds, fmt: str) -> str:
+def _poly_text(poly, boundaries: int, cones: int, fmt: str) -> str:
     from wpcone.polyalg import to_json, to_latex, to_text
 
+    kinds = ("length",) * boundaries + ("angle",) * cones
     if fmt == "latex":
         return to_latex(poly, kinds=kinds)
     if fmt == "text":
@@ -123,8 +125,7 @@ def _cmd_volume(args: argparse.Namespace) -> int:
     have_angles = args.angles is not None
     if not have_lengths and not have_angles:
         poly = compute_volume(sig, **caps)
-        kinds = ("length",) * sig.boundaries + ("angle",) * sig.cones
-        print(_poly_text(poly, kinds, args.format))
+        print(_poly_text(poly, sig.boundaries, sig.cones, args.format))
         return 0
     if (sig.boundaries > 0) != have_lengths or (sig.cones > 0) != have_angles:
         raise ValueError(
@@ -174,36 +175,24 @@ def _cmd_table(args: argparse.Namespace) -> int:
     from wpcone.recursion import SurfaceSignature, compute_volume
 
     settings = _settings(args)
+    # each format's row, the separator between rows, and the document they fill
+    row, sep, doc = {
+        "latex": ("V_{%d,%d,%d} = %s", "\n", "%s"),
+        "text": ("V(g=%d,m=%d,n=%d) = %s", "\n", "%s"),
+        "csv": ("%d,%d,%d,%s", "\n", "g,m,n,polynomial\n%s"),
+        "json": (
+            '{"genus":%d,"boundaries":%d,"cones":%d,"polynomial":%s}',
+            ",",
+            '{"volumes":[%s]}',
+        ),
+    }[args.format]
     # csv rows carry the text form
     fmt = "text" if args.format == "csv" else args.format
     rows = []
     for g, m, n in _stable_signatures(args, settings):
         poly = compute_volume(SurfaceSignature(g, m, n), **settings)
-        kinds = ("length",) * m + ("angle",) * n
-        rows.append((g, m, n, _poly_text(poly, kinds, fmt)))
-    if args.format == "json":
-        doc = {
-            "volumes": [
-                {
-                    "genus": g,
-                    "boundaries": m,
-                    "cones": n,
-                    "polynomial": json.loads(text),
-                }
-                for g, m, n, text in rows
-            ]
-        }
-        print(json.dumps(doc, separators=(",", ":")))
-        return 0
-    line = {
-        "latex": "V_{%d,%d,%d} = %s",
-        "csv": "%d,%d,%d,%s",
-        "text": "V(g=%d,m=%d,n=%d) = %s",
-    }[args.format]
-    lines = [line % row for row in rows]
-    if args.format == "csv":
-        lines.insert(0, "g,m,n,polynomial")
-    print("\n".join(lines))
+        rows.append(row % (g, m, n, _poly_text(poly, m, n, fmt)))
+    print(doc % sep.join(rows))
     return 0
 
 
@@ -212,8 +201,7 @@ def _cmd_cusp_limit(args: argparse.Namespace) -> int:
 
     sig = _signature(args)
     poly = cusp_limit(sig, args.slot, **_settings(args))
-    kinds = ("length",) * sig.boundaries + ("angle",) * (sig.cones - 1)
-    print(_poly_text(poly, kinds, args.format))
+    print(_poly_text(poly, sig.boundaries, sig.cones - 1, args.format))
     return 0
 
 
@@ -223,6 +211,14 @@ def _verdict(line: str, ok: bool, word: str = "ok") -> bool:
     suites."""
     print("%s %s" % (line, word if ok else "FAIL"))
     return ok
+
+
+def _report(checks, summary: str) -> int:
+    """Print each (line, ok) check's verdict, then the summary with pass if
+    all hold; the exit code.  A suite calls it once every check has run, so
+    a refused input (say, an integrand that overflows) prints nothing."""
+    oks = [_verdict(line, ok) for line, ok in checks]
+    return 0 if _verdict(summary, all(oks), "pass") else 1
 
 
 def _require(flag: str, value: int, least: int) -> None:
@@ -287,8 +283,6 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
     _require("--max-k", args.max_k, 0)
     _require("--samples", args.samples, 1)
     quad_tol = args.tol / 10.0  # the quadrature's own error: a tenth of the check's
-    # every check runs before the first line is printed, so a refused input
-    # (an integrand that overflows) prints nothing
     checks = []
     for theta in (0.1, 0.5, 1.0, 2.0, math.pi):
         c = math.cos(theta / 2.0)
@@ -314,8 +308,7 @@ def _cmd_verify_kernel(args: argparse.Namespace) -> int:
             worst = max(worst, abs(quad - exact) / max(1.0, abs(exact)))
         line = "moment k=%d: %d samples, worst err=%.3e" % (k, args.samples, worst)
         checks.append((line, worst <= args.tol))
-    oks = [_verdict(line, ok) for line, ok in checks]
-    return 0 if _verdict("kernel verification:", all(oks), "pass") else 1
+    return _report(checks, "kernel verification:")
 
 
 def _cmd_verify_identity(args: argparse.Namespace) -> int:
@@ -351,14 +344,14 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
     sigs = _stable_signatures(args, settings)
     cones = [sig for sig in sigs if sig[2]]
     oracle = [s for s in sigs if s in ((0, 4, 0), (1, 2, 0), (1, 1, 1), (2, 1, 0))]
-    oks = []
+    checks = []
     for g, m, n in cones:
         direct = cone_volume_direct(
             g, m, n, max_moment_k=settings["max_moment_k"]
         )
         substituted = compute_volume(SurfaceSignature(g, m, n), **settings)
         line = "cone recursion (%d,%d,%d):" % (g, m, n)
-        oks.append(_verdict(line, direct == substituted))
+        checks.append((line, direct == substituted))
     rng = random.Random(args.seed)
     for g, m, n in oracle:
         poly = compute_volume(SurfaceSignature(g, m, n), **settings)
@@ -372,9 +365,8 @@ def _cmd_verify_recursion(args: argparse.Namespace) -> int:
         line = "numeric oracle (%d,%d,%d): %d samples, worst rel err=%.3e" % (
             g, m, n, args.samples, worst
         )
-        oks.append(_verdict(line, worst <= args.tol))
-    line = "recursion verification (%d cone signatures):" % len(cones)
-    return 0 if _verdict(line, all(oks), "pass") else 1
+        checks.append((line, worst <= args.tol))
+    return _report(checks, "recursion verification (%d cone signatures):" % len(cones))
 
 
 def _add_settings(parser: argparse.ArgumentParser) -> None:
@@ -390,6 +382,17 @@ def _add_signature(parser: argparse.ArgumentParser, cones: int) -> None:
         "--boundaries", type=int, default=0, help="geodesic boundary count"
     )
     parser.add_argument("--cones", type=int, default=cones, help="cone point count")
+
+
+def _add_bounds(parser, g_max: int, slot_max: int, g_help=None, slot_help=None):
+    """--g-max and --slot-max, which _stable_signatures reads."""
+    parser.add_argument("--g-max", type=int, default=g_max, help=g_help)
+    parser.add_argument("--slot-max", type=int, default=slot_max, help=slot_help)
+
+
+def _add_format(parser, choices, default: str, help=None) -> None:
+    """--format, one of choices."""
+    parser.add_argument("--format", choices=choices, default=default, help=help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -420,11 +423,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="interpret plain numeric angles as degrees",
     )
-    vol.add_argument(
-        "--format",
-        choices=("latex", "text", "json"),
-        default="latex",
-        help="output format (default latex)",
+    _add_format(
+        vol, ("latex", "text", "json"), "latex", "output format (default latex)"
     )
     _add_settings(vol)
     vol.set_defaults(func=_cmd_volume)
@@ -439,15 +439,9 @@ def build_parser() -> argparse.ArgumentParser:
             "surfaces, with no boundary or cone point, are omitted too."
         ),
     )
-    table.add_argument("--g-max", type=int, default=1, help="largest genus")
-    table.add_argument(
-        "--slot-max", type=int, default=3, help="largest boundary+cone count"
-    )
-    table.add_argument(
-        "--format",
-        choices=("latex", "text", "json", "csv"),
-        default="text",
-        help="output format (default text)",
+    _add_bounds(table, 1, 3, "largest genus", "largest boundary+cone count")
+    _add_format(
+        table, ("latex", "text", "json", "csv"), "text", "output format (default text)"
     )
     _add_settings(table)
     table.set_defaults(func=_cmd_table)
@@ -459,9 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     cusp_cmd.add_argument(
         "--slot", type=int, default=0, help="cone index to degenerate"
     )
-    cusp_cmd.add_argument(
-        "--format", choices=("latex", "text", "json"), default="latex"
-    )
+    _add_format(cusp_cmd, ("latex", "text", "json"), "latex")
     _add_settings(cusp_cmd)
     cusp_cmd.set_defaults(func=_cmd_cusp_limit)
 
@@ -484,9 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="start from an asymmetric marking",
     )
-    vm.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text"
-    )
+    _add_format(vm, ("text", "json", "csv"), "text")
     vm.set_defaults(func=_cmd_verify_mcshane)
 
     vk = vsub.add_parser(
@@ -508,8 +498,7 @@ def build_parser() -> argparse.ArgumentParser:
     vr = vsub.add_parser(
         "recursion", help="cone recursion vs substitution and quadrature"
     )
-    vr.add_argument("--g-max", type=int, default=2)
-    vr.add_argument("--slot-max", type=int, default=4)
+    _add_bounds(vr, 2, 4)
     vr.add_argument("--samples", type=int, default=5)
     vr.add_argument("--tol", type=_positive, default=1e-8)
     vr.add_argument("--seed", type=int, default=20260817)

@@ -276,14 +276,15 @@ class ConvergenceReport(NamedTuple):
         return "\n".join(lines)
 
 
-def _gap(label: BoundaryLabel) -> Callable[[float], float]:
+def _gap(label: BoundaryLabel) -> Tuple[Callable[[float], float], float]:
     """The label's gap width as a function of geodesic length, with the
-    angle or length checked and its constants taken once."""
+    angle or length checked and its constants taken once, and the sum the
+    widths converge to."""
     if label.kind == "cusp":
-        return lambda x: 1.0 / (1.0 + math.exp(x)) if x < 700 else 0.0
+        return (lambda x: 1.0 / (1.0 + math.exp(x)) if x < 700 else 0.0), 0.5
     if label.kind == "cone":
-        return cone_torus_gap(label.value)
-    return boundary_torus_gap(label.value)
+        return cone_torus_gap(label.value), label.value / 2.0
+    return boundary_torus_gap(label.value), label.value / 2.0
 
 
 #: Every finite double is an integer multiple of 2^-1074, the least subnormal.
@@ -348,11 +349,7 @@ def mcshane_sum(
             "demands %r; the trace tree would enumerate a different surface"
             % (root.kappa, kappa)
         )
-    if label.kind == "cusp":
-        target = 0.5
-    else:
-        target = label.value / 2.0
-    gap = _gap(label)
+    gap, target = _gap(label)
     groups = _trace_groups(root, length_cutoff, kappa)
     if checkpoints is None:
         cuts = [float(c) for c in range(10, int(length_cutoff) + 1, 5)]

@@ -251,8 +251,10 @@ _BLOCK_MEMO: Dict[tuple, list] = {}
 
 
 def clear_memo() -> None:
-    """Drop all memoized volumes, column indexes and the block table (for
-    tests, benchmarks), so the next call recomputes them all."""
+    """Drop all memoized volumes, column indexes and the block table, so the
+    next call recomputes them all.  A memoized volume keeps its read forms
+    (_order, _flat, and numerators/terms once read) until this is called, so
+    a long-running caller that serializes many large volumes should call it."""
     _RECURSION_MEMO.clear()
     _SIGNED_MEMO.clear()
     _CUSP_MEMO.clear()
@@ -694,9 +696,9 @@ def numeric_volume_value(
     values = list(lengths) + list(angles)
     squares = [v * v for v in lengths] + [-(v * v) for v in angles]
 
-    # the right-hand side as sum of weight * F_{2k+1}(t), keyed by
-    # (k, partner slot or None for t = u)
-    moments: Dict[Tuple[int, Optional[int]], float] = {}
+    # the right-hand side as sum of weight * F_{2k+1}(t): per partner slot
+    # (None for t = u), the weights by k, the coefficients of P
+    by_partner: Dict[Optional[int], List[float]] = {}
     survivors = tuple(range(1, nslots))
     for group in _cut_groups(g, nslots - 1, 0):
         for taken, _ in _choices(group, survivors, ()):
@@ -709,22 +711,19 @@ def numeric_volume_value(
             }[group.kind]
             for cut_exps, value in _numeric_pieces(group.pieces, slots, squares):
                 if group.kind == "cap":
-                    key, weight = (0, None), value / 16
+                    k, partner, weight = 0, None, value / 16
                 elif group.kind == "pairing":
-                    key, weight = (cut_exps[0], taken[0]), 0.25 * value
+                    k, partner, weight = cut_exps[0], taken[0], 0.25 * value
                 else:
                     a, b = cut_exps
-                    key = (a + b + 1, None)
+                    k, partner = a + b + 1, None
                     weight = 0.25 * float(_pair_coefficient(a, b)) * value
-                moments[key] = moments.get(key, 0.0) + weight
+                coeffs = by_partner.setdefault(partner, [])
+                coeffs.extend([0.0] * (k + 1 - len(coeffs)))
+                coeffs[k] += weight
 
     # per partner: P's coefficients from the top k down, times 2/L1 (and 2
     # for a cone), against H(x) = sum over the partner's shifts a of span(x, a)
-    by_partner: Dict[Optional[int], List[float]] = {}
-    for (k, partner), weight in moments.items():
-        coeffs = by_partner.setdefault(partner, [])
-        coeffs.extend([0.0] * (k + 1 - len(coeffs)))
-        coeffs[k] = weight
     length = lengths[0]
     real_span = pairing_kernel_span(length)
     parts = []

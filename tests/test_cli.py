@@ -13,6 +13,8 @@ import pytest
 
 import wpcone
 from wpcone.cli import _parse_angle, build_parser, main
+from wpcone.polyalg import to_json
+from wpcone.recursion import SurfaceSignature, compute_volume
 
 CONE_TORUS_LATEX = "-\\frac{\\theta_1^2}{48}+\\frac{\\pi^2}{12}"
 
@@ -195,6 +197,28 @@ def test_table_csv_and_json(capsys):
     assert sigs == [(1, 1, 0), (1, 0, 1), (1, 2, 0), (1, 1, 1), (1, 0, 2)]
     for entry in doc["volumes"]:
         assert set(entry["polynomial"]) == {"vars", "terms"}
+
+
+def test_table_json_embeds_each_volumes_canonical_json(capsys):
+    # table writes each row from to_json's text; the document is the one
+    # json.dumps makes of the parsed polynomials
+    argv = ["table", "--g-max", "2", "--slot-max", "4", "--format", "json"]
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    volumes = []
+    for g in range(3):
+        for total in range(max(1, 3 - 2 * g), 5):
+            for n in range(total + 1):
+                poly = compute_volume(SurfaceSignature(g, total - n, n))
+                volumes.append(
+                    {
+                        "genus": g,
+                        "boundaries": total - n,
+                        "cones": n,
+                        "polynomial": json.loads(to_json(poly)),
+                    }
+                )
+    assert out == json.dumps({"volumes": volumes}, separators=(",", ":")) + "\n"
 
 
 def test_table_omits_closed_surfaces(capsys):
@@ -506,8 +530,9 @@ def test_verify_recursion_reads_max_moment_k(capsys):
     # past the default cap of 12
     argv = ["verify", "recursion", "--g-max", "5", "--slot-max", "2",
             "--samples", "1"]
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2 and "max_moment_k=12" in err
+    assert out == ""  # the checks that ran before the refusal print nothing
     code, out, err = run(capsys, *argv, "--max-moment-k", "13")
     assert code == 0, err
     assert "cone recursion (5,0,2): ok" in out
@@ -589,6 +614,35 @@ def _commands(parser, prefix=()):
 
 CAP_OPTIONS = {"--max-genus", "--max-slots", "--max-moment-k"}
 SIGNATURE_OPTIONS = {"--g", "--boundaries", "--cones"}
+
+
+# SHA-256 of each --help text at 80 columns: every option's name, default,
+# choices and help text, and the order they are declared in, are frozen
+PINNED_HELP = {
+    (): "5cf3cbf45beff25017c242eb6a877412b753fe3378340c83c79df19a50ad26c8",
+    ("volume",): "2d0252068b8ce59228f70e3253f1c5b0c7fdefc469026078a52dbf76c2ac4460",
+    ("table",): "83f31676233b87ccc61b85bec7b7ae8b6666137e8e86a7b77619031acc5934d7",
+    ("cusp-limit",): "fa5151e09dac0a62e406fd0f35fabe3f5fa968257f3f0ce9b88f1aca221cb3bb",
+    ("verify",): "76d9e97ea3bb7efcb13d20d4d2466c41c030cb6730e10ecc7393a8909c195b11",
+    ("verify", "mcshane"):
+        "32ea228f39f4e6fc29c711e830588a51ed760365e809cb7a3af9988e75a1152e",
+    ("verify", "kernel"):
+        "843980e623f4655f0b729852727c85ccc1226ddbc7b09d51ef2fe49059a8d55c",
+    ("verify", "identity"):
+        "c3ede22839ea0160f2b1d021a2b723e81c2fffe19381254961b453e74a9937f1",
+    ("verify", "recursion"):
+        "23551d2894764f3576fa68f4bd20327457640cc29fcae1a85e49d9a324fadcdf",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_HELP))
+def test_help_is_byte_pinned(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_HELP[argv]
 
 
 def test_option_inventory():
