@@ -17,7 +17,7 @@ A volume is symmetric in its boundary slots and, separately, in its cone
 slots, so the recursion stores it over those two blocks (from_orbits); a
 polynomial built from terms has one-slot blocks, where each vector is its
 own orbit key.  `numerators` is the orbits expanded to every exponent
-vector.
+vector, built on each read.
 
 `terms` is the public pi-graded view of the same polynomial:
 
@@ -41,12 +41,13 @@ What is kept per volume.  A VolumePolynomial is immutable by convention:
 no caller mutates one after construction, and the recursion memoizes its
 volumes, so one object answers every query for its signature.  A form
 derived from it is therefore a pure function of the volume and can be
-built on first read and kept on it (_kept): the expanded `numerators` and
-the `terms` view, for callers; `_order`, the serializers' terms in
-canonical order; and `_flat`, eval_numeric's float coefficients and one
-gatherer per slot.  `_order` and `_flat` expand the orbits to be built,
-keeping no expanded map, so no read keeps `numerators`.  The rendered
-strings are not kept: each call renders afresh from the kept order.
+built on first read and kept on it (_kept).  Two are: `_order`, the
+serializers' terms in canonical order, and `_flat`, eval_numeric's float
+coefficients and one gatherer per slot; each expands the orbits to be
+built and keeps no expanded map.  The callers' views, `numerators` and
+`terms`, are built on each read and never kept: no serializer and no
+evaluation reads them.  Nor are the rendered strings kept: each call
+renders afresh from the kept order.
 """
 
 from __future__ import annotations
@@ -91,14 +92,12 @@ class _kept:
 class VolumePolynomial:
     """Immutable-by-convention exact polynomial; see the module docstring.
 
-    `orbits` is the integer form over the slot blocks.  Each form derived
-    from it is built on first read and kept on the volume (_kept):
-    `numerators`, its expansion to every exponent vector (set by the
-    checking constructor, whose one-slot blocks are expanded already);
-    `terms`, the pi-graded view; `_order`, the serializers' terms; and
-    `_flat`, eval_numeric's form.  The last two are built from the orbits,
-    so no read keeps `numerators`.  Everything kept on a volume stays valid
-    only because nothing mutates a volume after construction.
+    `orbits` is the integer form over the slot blocks.  `numerators`, its
+    expansion to every exponent vector, and `terms`, the pi-graded view,
+    are built from it on each read.  `_order`, the serializers' terms, and
+    `_flat`, eval_numeric's form, are built on first read and kept on the
+    volume (_kept); they stay valid only because nothing mutates a volume
+    after construction.
     """
 
     orbits: Numerators
@@ -141,16 +140,14 @@ class VolumePolynomial:
         den = math.lcm(*(c.denominator for c in coeffs.values()))
         nums = {key: c.numerator * (den // c.denominator) for key, c in coeffs.items()}
         self.num_vars = num_vars
-        # one-slot blocks are already expanded; _kept has no __set__, so
-        # this assignment is the kept `numerators`
-        self.orbits = self.numerators = Numerators(den, nums, degree or 0)
+        self.orbits = Numerators(den, nums, degree or 0)
         self._blocks = (1,) * num_vars
 
-    @_kept
+    @property
     def numerators(self) -> Numerators:
         return _expand(self.orbits, self._blocks)
 
-    @_kept
+    @property
     def terms(self) -> Terms:
         den, nums, degree = self.numerators
         return {

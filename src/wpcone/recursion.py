@@ -6,7 +6,7 @@ boundary: differentiating half the boundary length times the volume produces
 a sum of pairing-kernel integrals against lower volumes.  Because every
 integral is an odd moment of the pairing kernel, the whole right-hand side
 collapses to exact polynomial algebra through moment_integral, and the
-recursion runs entirely over rationals.
+recursion runs entirely over integers: numerators over one denominator.
 
 Cone points enter by substitution: a cone of angle theta is a boundary of
 imaginary length i*theta, so the primary computation path evaluates the
@@ -98,7 +98,6 @@ import itertools
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -253,8 +252,9 @@ _BLOCK_MEMO: Dict[tuple, list] = {}
 def clear_memo() -> None:
     """Drop all memoized volumes, column indexes and the block table, so the
     next call recomputes them all.  A memoized volume keeps its read forms
-    (_order, _flat, and numerators/terms once read) until this is called, so
-    a long-running caller that serializes many large volumes should call it."""
+    (_order and _flat, once read; numerators and terms are built per read)
+    until this is called, so a long-running caller that serializes many
+    large volumes should call it."""
     _RECURSION_MEMO.clear()
     _SIGNED_MEMO.clear()
     _CUSP_MEMO.clear()
@@ -265,7 +265,7 @@ def clear_memo() -> None:
 # -- integer weight tables -------------------------------------------------------
 
 
-def _pair_coefficient(a: int, b: int) -> Fraction:
+def _pair_coefficient(a: int, b: int) -> float:
     """The double moment collapses to a single one:
 
     int_0^inf int_0^inf x^(2a+1) y^(2b+1) h(x+y, t) dx dy
@@ -273,12 +273,10 @@ def _pair_coefficient(a: int, b: int) -> Fraction:
 
     by integrating the pairing kernel along lines x + y = const (the inner
     Euler beta integral produces the factorial ratio).  Certified directly
-    against two-dimensional quadrature in the test suite.
+    against two-dimensional quadrature in the test suite.  Int true
+    division rounds the ratio once, correctly.
     """
-    return Fraction(
-        math.factorial(2 * a + 1) * math.factorial(2 * b + 1),
-        math.factorial(2 * a + 2 * b + 3),
-    )
+    return math.factorial(2 * a + 1) * math.factorial(2 * b + 1) / math.factorial(2 * (a + b) + 3)
 
 
 @lru_cache(maxsize=None)
@@ -292,18 +290,19 @@ def _moment_table(kmax: int):
     is (2k+1)! M_k[r] * 2 C(2r, 2v) on the piece's x^k; the cap, c_r / 16,
     is M_0[r] / 4.  The pi-powers rest on F_{2k+1} being homogeneous of
     degree k + 1, which VolumePolynomial checks when kernels builds it.
+    Column k holds F_{2k+1}'s numerators (its orbits: it has one slot) over
+    D_k = 4 (2k+1)! den_k, scaled to den = lcm(D_0 ... D_kmax).
     """
-    table = [[Fraction(0)] * (kmax + 1) for _ in range(kmax + 2)]
-    for k in range(kmax + 1):
-        den, nums, degree = moment_integral(k).numerators
+    moments = [moment_integral(k).orbits for k in range(kmax + 1)]
+    scales = [4 * math.factorial(2 * k + 1) * moment.den for k, moment in enumerate(moments)]
+    den = math.lcm(*scales)
+    table = [[0] * (kmax + 1) for _ in range(kmax + 2)]
+    for k, (_, nums, degree) in enumerate(moments):
         if degree != k + 1:
             raise RuntimeError(f"moment F_{2 * k + 1} has degree {degree}, not {k + 1}")
         for (r,), num in nums.items():
-            table[r][k] = Fraction(num, 4 * math.factorial(2 * k + 1) * den)
-    den = math.lcm(*(w.denominator for row in table for w in row))
-    return den, tuple(
-        tuple(w.numerator * (den // w.denominator) for w in row) for row in table
-    ), [math.factorial(2 * a + 1) for a in range(kmax + 2)]
+            table[r][k] = num * (den // scales[k])
+    return den, tuple(map(tuple, table)), [math.factorial(2 * a + 1) for a in range(kmax + 2)]
 
 
 # -- orbit keys --------------------------------------------------------------------
@@ -582,11 +581,9 @@ def compute_volume(
     each split of each all-boundary orbit is signed once, and the result is
     kept on orbits of the (m, n) blocks and memoized per (g, m, n), so a
     repeated call returns the same object.  Memory stays nearly flat: per
-    cone signature the memo adds one integer per orbit split, and the full
-    exponent map once it is first read, as every memoized volume has; in
-    exchange no reader builds the Fraction `terms` view any more, which the
-    serializers used to cache on every volume they wrote.  The caps are
-    checked before the memo and bound only the requested signature, not the
+    cone signature the memo adds one integer per orbit split, and the read
+    forms once read, as every memoized volume has.  The caps are checked
+    before the memo and bound only the requested signature, not the
     recursion's internal sub-surfaces; max_moment_k is checked as
     3g - 4 + m + n.  A memo hit is returned right after the caps: `sig` was
     checked when it was built, so only a miss goes on to boundary_volume,
@@ -717,7 +714,7 @@ def numeric_volume_value(
                 else:
                     a, b = cut_exps
                     k, partner = a + b + 1, None
-                    weight = 0.25 * float(_pair_coefficient(a, b)) * value
+                    weight = 0.25 * _pair_coefficient(a, b) * value
                 coeffs = by_partner.setdefault(partner, [])
                 coeffs.extend([0.0] * (k + 1 - len(coeffs)))
                 coeffs[k] += weight

@@ -486,9 +486,10 @@ def test_threads_computing_cold_get_the_single_threaded_bytes():
 
 def test_threads_reading_a_fresh_volume_first_get_the_single_threaded_forms():
     # eight threads take the first reads of one volume at once, each in its
-    # own order, so every kept form (the expansion, the canonical order, the
-    # flat form and the Fraction view) is first built under contention; a
-    # round can miss a race, so there are four, each on a fresh volume
+    # own order, so both kept forms (the canonical order and the flat form)
+    # are first built under contention, beside the Fraction view, which is
+    # built per read; a round can miss a race, so there are four, each on a
+    # fresh volume
     from wpcone.polyalg import to_json, to_latex
 
     sig = SurfaceSignature(2, 4, 2)
@@ -506,8 +507,12 @@ def test_threads_reading_a_fresh_volume_first_get_the_single_threaded_forms():
         lambda p: p.terms,
     ]
     single = fresh()
+    single.terms, single.numerators
+    assert set(vars(single)) == {"num_vars", "_blocks", "orbits"}  # views are never kept
     want = [read(single) for read in reads]
-    kept = {"num_vars", "_blocks", "orbits", "numerators", "terms", "_order", "_flat"}
+    kept = {"num_vars", "_blocks", "orbits", "_order", "_flat"}
+    assert set(vars(single)) == kept
+    single.terms, single.numerators
     assert set(vars(single)) == kept
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -702,6 +707,29 @@ def test_double_moment_reduction_against_dblquad(a, b):
             epsrel=1e-10,
         )
         assert abs(got - expect) < 1e-8 * max(1.0, abs(expect)), (a, b, t)
+
+
+def test_integer_weight_tables_against_fraction_references():
+    # the moment table over one denominator equals the reference built here in
+    # Fractions from the pi-graded view: M_k[r] = c_r / (4 (2k+1)!), the
+    # denominator the lcm of the entries' reduced denominators
+    kmax_top = 30
+    ref = [[Q(0)] * (kmax_top + 1) for _ in range(kmax_top + 2)]
+    for k in range(kmax_top + 1):
+        for (r,), graded in moment_integral(k).terms.items():
+            (c,) = graded.values()
+            ref[r][k] = c / (4 * math.factorial(2 * k + 1))
+    for kmax in range(kmax_top + 1):
+        rows = [row[: kmax + 1] for row in ref[: kmax + 2]]
+        den = math.lcm(*(w.denominator for row in rows for w in row))
+        table = tuple(tuple(int(w * den) for w in row) for row in rows)
+        fact = [math.factorial(2 * a + 1) for a in range(kmax + 2)]
+        assert recursion._moment_table(kmax) == (den, table, fact), kmax
+    # the pair weight is the correctly rounded factorial ratio
+    for a, b in itertools.product(range(31), repeat=2):
+        fa, fb = math.factorial(2 * a + 1), math.factorial(2 * b + 1)
+        want = float(Q(fa * fb, math.factorial(2 * a + 2 * b + 3)))
+        assert recursion._pair_coefficient(a, b) == want, (a, b)
 
 
 # -- quadrature-backed numeric assembly --------------------------------------------
