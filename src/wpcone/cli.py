@@ -32,7 +32,6 @@ package module):
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
@@ -140,6 +139,8 @@ def _cmd_volume(args: argparse.Namespace) -> int:
     )
     value = volume_value(spec, **caps)
     if args.format == "json":
+        import json
+
         print(json.dumps({"value": value}, separators=(",", ":")))
     else:
         print(repr(value))

@@ -342,8 +342,10 @@ def zeta_even(m: int) -> Fraction:
     )
 
 
+@lru_cache(maxsize=None)
 def eta_even(m: int) -> Fraction:
-    """Alternating zeta value eta(2m) = (1 - 2^(1-2m)) zeta(2m), over pi^(2m)."""
+    """Alternating zeta value eta(2m) = (1 - 2^(1-2m)) zeta(2m), over pi^(2m);
+    cached, as every moment_integral(k >= m - 1) reads it."""
     from fractions import Fraction
 
     return (1 - Fraction(1, 2 ** (2 * m - 1))) * zeta_even(m)

@@ -45,7 +45,6 @@ polynomial of the one-cone torus.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_right
 from collections import Counter, namedtuple
@@ -252,6 +251,8 @@ class ConvergenceReport(NamedTuple):
         return self.rows[-1][3]
 
     def to_json(self) -> str:
+        import json
+
         doc = {
             "target": self.target,
             "geodesic_count": self.geodesic_count,

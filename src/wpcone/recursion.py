@@ -58,18 +58,15 @@ cone path), and every contribution is one read of a piece's column index
 (_columns): column left + right, one flat tuple, lists (2a+1)!
 V[_insert(left, a) + right] over a.  One pass over the piece's orbit map
 builds the index, each key less each distinct a of its boundary block
-naming a column; it is kept with the memoized volume until clear_memo, and
-an absent column is all zero and is skipped.  The cut groups are compiled
-once per right-hand side into one work list per kind (the non-separating
-index, the separating index pairs by taken (i, j), the pairing indexes,
-the cap's scale), so the orbit loop dispatches on no kind.  It walks only
-the rests whose distinguished block's largest entry fits beside them, as
-e0 is no smaller, and fetches a block's splits of a taken size where it
-uses them.  The blocks come from one block table, _BLOCK_MEMO, built as the
-recursion meets them and dropped by clear_memo with the volumes, so the
-calls of one cold computation share them: _blocks lists the blocks to walk,
-_splits each block's sub-multisets of one size with their multiplicities
-(one recurrence).  The double moment of x^a y^b is (2a+1)!(2b+1)! M_k
+naming a column; an absent column is all zero and is skipped.  The cut
+groups are compiled once per right-hand side into one work list per kind
+(the non-separating index, the separating index pairs by taken (i, j), the
+pairing indexes, the cap's scale), so the orbit loop dispatches on no kind.
+It walks only the rests whose distinguished block's largest entry fits
+beside them, as e0 is no smaller (_blocks lists them), and fetches a
+block's splits of a taken size where it uses them (_splits: each block's
+sub-multisets of one size with their multiplicities, by one recurrence).
+The double moment of x^a y^b is (2a+1)!(2b+1)! M_k
 with k = a + b + 1 and M_k[r] = c_r / (4 (2k+1)!), c_r the coefficient of
 t^(2r) in F_{2k+1}, so the non-separating and separating cuts give
 sum_k M_k[e0] S_k(rest) with
@@ -90,6 +87,14 @@ assembly is integer multiply-adds.  Inverting d(l V/2)/dl is
 V[e] = 2 rhs[e] / (2 e0 + 1), then one gcd reduces the signature's
 numerators and denominator, and _assert_homogeneous checks that no
 orbit's x-degree exceeds d (its implied pi-power would be negative).
+
+What is kept, and where.  Volumes are kept in memos: dicts keyed by
+(g, m, n) that setdefault fills, so a repeated call returns the same object
+even when threads race to build it.  Tables are kept in functools caches
+(_blocks, _splits, _columns), each a pure function of its key, so racing
+threads build equal tables and either may be kept.  Read forms are kept on
+the volume (polyalg).  clear_memo empties the memos and the table caches;
+only the kernel moment tables (_moment_table) outlive it.
 """
 
 from __future__ import annotations
@@ -240,26 +245,19 @@ _SIGNED_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 # Kept here so that clear_memo drops it with the volumes it is built from.
 _CUSP_MEMO: Dict[Tuple[int, int, int], VolumePolynomial] = {}
 
-# (g, m, n) -> _columns' index of the _RECURSION_MEMO volume under that key.
-_COLUMN_MEMO: Dict[Tuple[int, int, int], Dict[tuple, List[int]]] = {}
-
-# The block table, built as the recursion meets its blocks:
-# (block, size) -> _splits(block, size), (length, total, top, twice) ->
-# _blocks(...).
-_BLOCK_MEMO: Dict[tuple, list] = {}
-
 
 def clear_memo() -> None:
-    """Drop all memoized volumes, column indexes and the block table, so the
-    next call recomputes them all.  A memoized volume keeps its read forms
-    (_order and _flat, once read; numerators and terms are built per read)
+    """Drop all memoized volumes and the table caches (_blocks, _splits,
+    _columns), so the next call recomputes them all; what is kept where is
+    stated in the module docstring.  A memoized volume keeps its read forms
     until this is called, so a long-running caller that serializes many
     large volumes should call it."""
     _RECURSION_MEMO.clear()
     _SIGNED_MEMO.clear()
     _CUSP_MEMO.clear()
-    _COLUMN_MEMO.clear()
-    _BLOCK_MEMO.clear()
+    _blocks.cache_clear()
+    _splits.cache_clear()
+    _columns.cache_clear()
 
 
 # -- integer weight tables -------------------------------------------------------
@@ -308,24 +306,22 @@ def _moment_table(kmax: int):
 # -- orbit keys --------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _blocks(
     length: int, total: int, top: Optional[int] = None, twice: bool = False
 ) -> List[Exponent]:
     """Every non-increasing tuple of `length` entries, each at most `top`,
-    with sum at most `total`, largest first; kept in _BLOCK_MEMO.  twice
-    counts the largest entry twice: the rests whose largest entry fits
-    beside them, as _rhs walks them."""
+    with sum at most `total`, largest first.  twice counts the largest
+    entry twice: the rests whose largest entry fits beside them, as _rhs
+    walks them."""
+    if length == 0:
+        return [()]
     top = min(total if top is None else top, total // (1 + twice))
-    key = (length, total, top, twice)
-    blocks = _BLOCK_MEMO.get(key)
-    if blocks is None:
-        blocks = [()] if length == 0 else [
-            (first,) + tail
-            for first in range(top, -1, -1)
-            for tail in _blocks(length - 1, total - (1 + twice) * first, first)
-        ]
-        blocks = _BLOCK_MEMO.setdefault(key, blocks)
-    return blocks
+    return [
+        (first,) + tail
+        for first in range(top, -1, -1)
+        for tail in _blocks(length - 1, total - (1 + twice) * first, first)
+    ]
 
 
 def _insert(block: Exponent, a: int) -> Exponent:
@@ -336,26 +332,22 @@ def _insert(block: Exponent, a: int) -> Exponent:
     return block + (a,)
 
 
+@lru_cache(maxsize=None)
 def _splits(block: Exponent, size: int) -> List[Tuple[Exponent, Exponent, int]]:
     """[(first, rest, multiplicity)]: each sub-multiset `first` of `size`
     entries of a non-increasing block, its complement, and the number of
     index subsets behind it, prod C(count, picked), by one recurrence for
-    every size (size 1 gives the runs, smallest first); in _BLOCK_MEMO."""
-    key = (block, size)
-    splits = _BLOCK_MEMO.get(key)
-    if splits is None:
-        if size in (0, len(block)):
-            splits = [(block[:size], block[size:], 1)]
-        else:  # the first run gives p entries, the tail the others
-            v, c = block[0], block.count(block[0])
-            tail = block[c:]
-            splits = [
-                ((v,) * p + first, (v,) * (c - p) + rest, math.comb(c, p) * mult)
-                for p in range(max(0, size - len(tail)), min(c, size) + 1)
-                for first, rest, mult in _splits(tail, size - p)
-            ]
-        splits = _BLOCK_MEMO.setdefault(key, splits)
-    return splits
+    every size (size 1 gives the runs, smallest first)."""
+    if size in (0, len(block)):
+        return [(block[:size], block[size:], 1)]
+    # the first run gives p entries, the tail the others
+    v, c = block[0], block.count(block[0])
+    tail = block[c:]
+    return [
+        ((v,) * p + first, (v,) * (c - p) + rest, math.comb(c, p) * mult)
+        for p in range(max(0, size - len(tail)), min(c, size) + 1)
+        for first, rest, mult in _splits(tail, size - p)
+    ]
 
 
 # -- the recursion -----------------------------------------------------------------
@@ -372,18 +364,20 @@ def _sub_volume(g: int, m: int, n: int) -> VolumePolynomial:
     return cone_volume_direct(g, m, n, max_moment_k=None)
 
 
-def _columns(piece: Tuple[int, int, int], V: Numerators, fact: List[int]):
+@lru_cache(maxsize=None)
+def _columns(piece: Tuple[int, int, int]) -> Dict[tuple, List[int]]:
     """A piece's column index (see the module docstring): left is its
     boundary block less the new boundary, right its cone block, and a runs
-    up to what the degree allows; fact[a] = (2a+1)!."""
-    index = _COLUMN_MEMO.get(piece)
-    if index is not None:
-        return index
-    m, degree = piece[1], V.degree
+    up to what the degree allows.  The piece is a memo hit, as _rhs reads
+    every piece before its columns; (2a+1)! comes from the factorial list of
+    the moment table the piece's own recursion read (the pants, of degree
+    0, reads none: kmax = -1 gives the table of no moments, fact = [1])."""
+    _, nums, degree = _sub_volume(*piece).orbits
+    fact = _moment_table(degree - 1)[2]
     index = {}
-    for key, num in V.nums.items():
+    for key, num in nums.items():
         free, last = degree - sum(key), None
-        for i in range(m):
+        for i in range(piece[1]):
             a = key[i]
             if a != last:
                 last = a
@@ -392,7 +386,7 @@ def _columns(piece: Tuple[int, int, int], V: Numerators, fact: List[int]):
                 if col is None:
                     col = index[rest] = [0] * (free + a + 1)
                 col[a] = fact[a] * num
-    return _COLUMN_MEMO.setdefault(piece, index)
+    return index
 
 
 def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
@@ -416,7 +410,7 @@ def _rhs(g: int, m: int, n: int, every: bool = False) -> Numerators:
     mden, table, fact = _moment_table(3 * g - 4 + m + n)
     groups = list(_cut_groups(g, ms, ns))
     orbits = {p: _sub_volume(*p).orbits for group in groups for p in group.pieces}
-    cols = {p: _columns(p, V, fact) for p, V in orbits.items()}
+    cols = {p: _columns(p) for p in orbits}
 
     # one denominator for the whole right-hand side; each group's numerators
     # are scaled to it

@@ -728,7 +728,8 @@ def test_no_command_loads_numeric_stack():
         # dataclasses would bring inspect, ast, dis and tokenize with it
         assert "dataclasses" not in imported, argv
         if argv[:2] == ["verify", "mcshane"]:
-            assert "fractions" not in imported, argv
+            # only polyalg and the json formats import json
+            assert "fractions" not in imported and "json" not in imported, argv
         heavy = sorted(
             name
             for name in imported

@@ -201,14 +201,52 @@ def test_split_table_against_brute_force():
 
 
 def test_block_lists_against_brute_force():
-    for length in range(5):
-        for total in range(7):
+    # twice=True counts the largest entry twice: the rests _rhs walks, with
+    # room beside them for a distinguished entry no smaller than theirs
+    for length, total, twice in itertools.product(range(5), range(8), (False, True)):
+        for top in [None, *range(total + 2)]:
+            bound = total if top is None else top
             want = sorted(
-                (b for b in itertools.product(range(total, -1, -1), repeat=length)
-                 if sum(b) <= total and list(b) == sorted(b, reverse=True)),
+                (b for b in itertools.product(range(bound + 1), repeat=length)
+                 if list(b) == sorted(b, reverse=True)
+                 and sum(b) + twice * max(b, default=0) <= total),
                 reverse=True,
             )
-            assert recursion._blocks(length, total) == want, (length, total)
+            got = recursion._blocks(length, total, top, twice)
+            assert got == want, (length, total, top, twice)
+    clear_memo()
+
+
+def test_column_index_against_its_definition(monkeypatch):
+    # every piece a cold (3, 1, 2) rung reads, on both paths: col[a] is
+    # (2a+1)! V[insert(left, a) + right], rest = left + right, for every a up
+    # to the piece's degree less sum(rest), and every orbit lands in it
+    clear_memo()
+    columns, pieces = recursion._columns, set()
+
+    def recording(piece):
+        pieces.add(piece)
+        return columns(piece)
+
+    monkeypatch.setattr(recursion, "_columns", recording)
+    compute_volume(SurfaceSignature(3, 1, 2))
+    cone_volume_direct(3, 1, 2)
+    monkeypatch.undo()
+    assert len(pieces) == columns.cache_info().currsize
+    assert any(n for _, _, n in pieces) and any(not n for _, _, n in pieces)
+    for piece in pieces:
+        m = piece[1]
+        _, nums, degree = recursion._RECURSION_MEMO[piece].orbits
+        index = columns(piece)
+        for rest, col in index.items():
+            assert len(col) == degree - sum(rest) + 1, (piece, rest)
+            left, right = rest[: m - 1], rest[m - 1 :]
+            for a, entry in enumerate(col):
+                key = recursion._insert(left, a) + right
+                assert entry == math.factorial(2 * a + 1) * nums.get(key, 0), (piece, key)
+        for key in nums:
+            for i in range(m):
+                assert index[key[:i] + key[i + 1 :]][key[i]], (piece, key)
     clear_memo()
 
 
@@ -423,29 +461,33 @@ def test_memoization_purity():
 
 
 def test_clear_memo_leaves_every_memo_empty():
-    # a cold ladder rung fills every memo; clear_memo empties them all, and
-    # only the kernel moment table outlives it
+    # a cold ladder rung fills the three volume memos and the three table
+    # caches; clear_memo empties them all, and only the kernel moment table
+    # outlives it
     from wpcone.conepoints import cusp_limit
 
     memos = {name: v for name, v in vars(recursion).items() if name.endswith("_MEMO")}
-    assert len(memos) == 5 and all(type(v) is dict for v in memos.values())
-    clear_memo()
-    cusp_limit(SurfaceSignature(2, 2, 2), 1)
-    assert all(memos.values())
-    clear_memo()
-    assert not any(memos.values())
+    assert len(memos) == 3 and all(type(v) is dict for v in memos.values())
     cached = [
         f
         for f in vars(recursion).values()
         if hasattr(f, "cache_info") and f.__module__ == recursion.__name__
     ]
-    assert cached == [recursion._moment_table]
+    tables = [recursion._blocks, recursion._splits, recursion._columns]
+    assert cached == [recursion._moment_table] + tables
+    clear_memo()
+    cusp_limit(SurfaceSignature(2, 2, 2), 1)
+    assert all(memos.values())
+    assert all(f.cache_info().currsize for f in tables)
+    clear_memo()
+    assert not any(memos.values())
+    assert [f.cache_info().currsize for f in tables] == [0, 0, 0]
     assert recursion._moment_table.cache_info().currsize
 
 
 def test_threads_computing_cold_get_the_single_threaded_bytes():
-    # eight threads fill the five memos at once from empty: each computes
-    # one ladder signature on both paths and its cusp limit
+    # eight threads fill the memos and table caches at once from empty: each
+    # computes one ladder signature on both paths and its cusp limit
     from wpcone.conepoints import cusp_limit
     from wpcone.polyalg import to_json
 
